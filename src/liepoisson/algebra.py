@@ -147,11 +147,6 @@ class DualPairing:
         v = self.pair(b, x)
         return float(np.real(v))
 
-    def dual_coords(self, raw: np.ndarray) -> np.ndarray:
-        """Solve ``gram x = raw`` for the algebra element representing a raw
-        coordinate functional on the predual."""
-        return np.linalg.solve(self.gram, np.asarray(raw, dtype=self.gram.dtype))
-
 
 @dataclass(frozen=True)
 class AlgebraElement:
@@ -356,7 +351,7 @@ def trace_pairing(alg: LieAlgebra) -> DualPairing:
     return DualPairing(alg, matrix_trace_gram(n).astype(alg.dtype))
 
 
-_BUILTIN_RE = re.compile(r"^(so3|heisenberg|gl(\d+)|abelian(\d+))$")
+_BUILTIN_RE = re.compile(r"^(so3|heisenberg|gl([1-9]\d*)|abelian([1-9]\d*))$")
 
 
 def builtin_algebra(spec) -> LieAlgebra:

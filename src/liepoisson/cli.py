@@ -2,14 +2,21 @@
 
 Subcommands:
 
-* ``verify <config>``: run the structural checks named in the config and
-  emit a JSON report; exit 0 when every residual is below its threshold,
-  1 on a residual failure, 2 on a malformed config.
+* ``verify <config>``: run the checks named in the config, or the system's
+  default checks, and emit a JSON report.
 * ``simulate <config>``: build the configured system, integrate its
   Hamiltonian flow, and emit a CSV trajectory with header
   ``t,<state coords...>,H,<casimirs...>``.
 * ``bracket-table <config>``: emit the structure constants of the built
   extension as JSON.
+
+Exit codes: 0 when every check passes, 1 when a residual exceeds its
+threshold or a computation fails, 2 on a malformed config, with a
+diagnostic that names the offending field.
+
+Each system is one entry of ``_SYSTEMS``; a subcommand looks the system up
+once and runs generic code.  Configs are validated when a system is built,
+so the integrated field neither parses nor looks anything up.
 
 ``--seed`` fixes every randomized draw, making outputs byte-identical
 across runs.  When the environment variable ``LIEPOISSON_OUTDIR`` is set,
@@ -23,6 +30,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -40,7 +48,7 @@ from .algebra import (
     so3,
     trace_pairing,
 )
-from .errors import ConfigError, LiePoissonError
+from .errors import ConfigError, LiePoissonError, UnsupportedPresentationError
 from .extension import (
     ExtensionSpec,
     SkewBilinearMap,
@@ -50,7 +58,7 @@ from .extension import (
     check_predual_closure,
     direct_sum_pairing,
 )
-from .functions import build_named_function, rigid_body_energy
+from .functions import NAMED_FUNCTIONS, build_named_function, rigid_body_energy
 from .integrators import IntegratorConfig, integrate_flow
 from .poisson import hamiltonian_vector_field
 from .sequences import (
@@ -72,13 +80,14 @@ from .tolerances import (
 
 __all__ = ["run_cli", "main"]
 
-_DEFAULT_THRESHOLDS = {
-    "structure": VERIFICATION_TOL,
-    "compatibility": COMPATIBILITY_PASS,
-    "predual_closure": VERIFICATION_TOL,
-    "exactness": SUBSPACE_TOL,
-    "dual_map": VERIFICATION_TOL,
-    "wstar_split": CONSTRUCTION_TOL,
+# check: (default threshold, the _System attributes any one of which enables it)
+_CHECKS = {
+    "structure": (VERIFICATION_TOL, ("spec", "algebras")),
+    "compatibility": (COMPATIBILITY_PASS, ("spec",)),
+    "predual_closure": (VERIFICATION_TOL, ("spec",)),
+    "exactness": (SUBSPACE_TOL, ("sequence",)),
+    "dual_map": (VERIFICATION_TOL, ("sequence",)),
+    "wstar_split": (CONSTRUCTION_TOL, ("sequence",)),
 }
 
 
@@ -108,24 +117,50 @@ def _require(doc: dict, field: str, context: str = ""):
     return doc[field]
 
 
+def _typed(node, kind: type, field: str):
+    if not isinstance(node, kind):
+        raise ConfigError(f"must be a JSON {'object' if kind is dict else 'list'}", field)
+    return node
+
+
+def _int(v, field: str, low: int) -> int:
+    if type(v) is not int or v < low:
+        raise ConfigError(f"must be an integer >= {low}, got {v!r}", field)
+    return v
+
+
+def _ints(node, field: str, low: int) -> tuple[int, ...]:
+    return tuple(_int(v, field, low) for v in _typed(node, list, field))
+
+
+def _floats(node, n: int, field: str) -> np.ndarray:
+    try:
+        v = np.asarray(node, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"not a vector of numbers: {exc}", field)
+    if v.shape != (n,) or not np.isfinite(v).all():
+        raise ConfigError(f"needs {n} finite numbers, got {node!r}", field)
+    return v
+
+
 def _scalar(v):
     if isinstance(v, (list, tuple)):
         return complex(v[0], v[1])
     return float(v)
 
 
-def _cmatrix(rows, field: str) -> np.ndarray:
+def _cmatrix(rows, field: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     try:
-        return np.array([[_scalar(v) for v in row] for row in rows], dtype=complex)
+        m = np.array([[_scalar(v) for v in row] for row in rows], dtype=complex)
     except (TypeError, IndexError, ValueError) as exc:
         raise ConfigError(f"not a matrix of scalars: {exc}", field)
+    if m.ndim != 2 or (shape is not None and m.shape != shape):
+        raise ConfigError(f"needs a matrix of shape {shape or '(m, n)'}, got {m.shape}", field)
+    return m
 
 
 def _cvector(vals, field: str) -> np.ndarray:
-    try:
-        return np.array([_scalar(v) for v in vals], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"not a vector of scalars: {exc}", field)
+    return _cmatrix([vals], field)[0]
 
 
 def _algebra_ref(node, field: str) -> tuple[LieAlgebra, DualPairing]:
@@ -135,7 +170,7 @@ def _algebra_ref(node, field: str) -> tuple[LieAlgebra, DualPairing]:
             return alg, identity_pairing(alg)
         if isinstance(node, dict) and "dim" in node:
             return algebra_from_json(node)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, IndexError) as exc:
         raise ConfigError(f"bad algebra reference: {exc}", field)
     raise ConfigError("algebra reference must be a builtin name or an inline document", field)
 
@@ -169,27 +204,24 @@ def _extension_spec_from_config(body: dict) -> ExtensionSpec:
     h_pair = _pairing_override(h, body.get("h_gram"), h_pair, "h_gram")
 
     w = np.zeros((n.dim, h.dim, h.dim), dtype=n.dtype)
-    for entry in body.get("omega", []):
+    for entry in _typed(body.get("omega", []), list, "omega"):
         try:
             a, i, j, v = entry
             val = _to_field(np.array(_scalar(v)), n.dtype, "omega")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"bad omega triplet {entry!r}: {exc}", "omega")
-        if not (0 <= a < n.dim and 0 <= i < h.dim and 0 <= j < h.dim):
-            raise ConfigError(f"omega indices {entry[:3]} out of range", "omega")
+        if not all(type(k) is int and 0 <= k < d for k, d in ((a, n.dim), (i, h.dim), (j, h.dim))):
+            raise ConfigError(f"omega indices {entry[:3]} are not indices in range", "omega")
         w[a, i, j] = val
         w[a, j, i] = -val
 
     mats = np.zeros((h.dim, n.dim, n.dim), dtype=n.dtype)
-    phi_rows = body.get("phi", [])
+    phi_rows = _typed(body.get("phi", []), list, "phi")
     if phi_rows:
         if len(phi_rows) != h.dim:
             raise ConfigError(f"phi must list {h.dim} matrices", "phi")
         for i, m in enumerate(phi_rows):
-            mm = _cmatrix(m, "phi")
-            if mm.shape != (n.dim, n.dim):
-                raise ConfigError(f"phi[{i}] has shape {mm.shape}", "phi")
-            mats[i] = _to_field(mm, n.dtype, "phi")
+            mats[i] = _to_field(_cmatrix(m, "phi", (n.dim, n.dim)), n.dtype, "phi")
 
     try:
         return ExtensionSpec(
@@ -197,6 +229,15 @@ def _extension_spec_from_config(body: dict) -> ExtensionSpec:
         )
     except (LiePoissonError, ValueError) as exc:
         raise ConfigError(f"inconsistent extension data: {exc}", "system")
+
+
+def _restricted_dims(body: dict) -> tuple[int, int]:
+    n_plus, n_minus = (_require(body, key, "restricted") for key in ("n_plus", "n_minus"))
+    return _int(n_plus, "restricted.n_plus", 1), _int(n_minus, "restricted.n_minus", 0)
+
+
+def _qm_n(body: dict) -> int:
+    return _int(_require(body, "n", "semidirect_qm"), "semidirect_qm.n", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -215,29 +256,6 @@ def _structure_residuals(named: dict[str, LieAlgebra]) -> dict:
         out[f"{key}_antisymmetry"] = rep.antisymmetry_residual
         out[f"{key}_jacobi"] = rep.jacobi_residual
     return out
-
-
-def _verify_context(doc: dict):
-    """Build the objects each check operates on, per system kind."""
-    system = _require(doc, "system")
-    body = doc.get(system, doc.get("body", {}))
-    ctx: dict = {"system": system}
-    if system == "extension":
-        ctx["spec"] = _extension_spec_from_config(body)
-    elif system == "restricted":
-        n_plus = int(_require(body, "n_plus", "restricted"))
-        n_minus = int(_require(body, "n_minus", "restricted"))
-        ctx["spec"] = restricted.restricted_extension_spec(n_plus, n_minus)
-    elif system == "semidirect_qm":
-        ctx["spec"] = quantum.semidirect_extension_spec(int(_require(body, "n", "semidirect_qm")))
-    elif system == "rigid_body":
-        ctx["algebras"] = {"so3": so3()}
-    elif system == "sequence":
-        ctx["body"] = body
-    else:
-        raise ConfigError(f"unknown system {system!r}", "system")
-    ctx["body"] = body
-    return ctx
 
 
 def _sequence_from_body(body: dict) -> SequenceSpec:
@@ -267,46 +285,50 @@ def _sequence_from_body(body: dict) -> SequenceSpec:
     return SequenceSpec(LinearMapRec(first, u, v), LinearMapRec(second, v, w))
 
 
-def _run_check(name: str, ctx: dict, rng: np.random.Generator) -> dict:
-    system = ctx["system"]
+def _check_entry(entry) -> tuple[str, float]:
+    """(name, threshold) of a ``checks`` entry: a check name, or an object
+    {"name": ..., "threshold": ...} whose threshold is optional."""
+    entry = {"name": entry} if isinstance(entry, str) else entry
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not isinstance(name, str) or name not in _CHECKS:
+        raise ConfigError(f"unknown check {entry!r}", "checks")
+    try:
+        return name, float(entry.get("threshold", _CHECKS[name][0]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad threshold for {name!r}: {exc}", "checks")
+
+
+def _run_check(
+    name: str, system: str, entry: _System, body: dict, spec, rng: np.random.Generator
+) -> dict:
+    if not any(getattr(entry, attr) for attr in _CHECKS[name][1]):
+        raise ConfigError(f"system {system!r} has no {name} check", "checks")
     if name == "structure":
-        if "spec" in ctx:
-            spec: ExtensionSpec = ctx["spec"]
-            named = {"n": spec.n, "h": spec.h}
-            if check_compatibility(spec).verdict == "pass":
-                named["extension"] = build_extension(spec)
-            return _structure_residuals(named)
-        return _structure_residuals(ctx["algebras"])
+        if spec is None:
+            return _structure_residuals(entry.algebras())
+        named = {"n": spec.n, "h": spec.h}
+        if check_compatibility(spec).verdict == "pass":
+            named["extension"] = build_extension(spec)
+        return _structure_residuals(named)
     if name == "compatibility":
-        if "spec" not in ctx:
-            raise ConfigError(f"system {system!r} has no compatibility check", "checks")
-        rep = check_compatibility(ctx["spec"])
+        rep = check_compatibility(spec)
         return {
             "derivation_residual": rep.derivation_residual,
             "cocycle_residual": rep.cocycle_residual,
             "representation_residual": rep.representation_residual,
         }
     if name == "predual_closure":
-        if "spec" not in ctx:
-            raise ConfigError(f"system {system!r} has no predual_closure check", "checks")
-        spec = ctx["spec"]
-        body = ctx["body"]
         c_sub = body.get("c_predual")
         a_sub = body.get("a_predual")
         c_sub = np.eye(spec.n.dim) if c_sub is None else _cmatrix(c_sub, "c_predual").T
         a_sub = np.eye(spec.h.dim) if a_sub is None else _cmatrix(a_sub, "a_predual").T
         return check_predual_closure(spec, c_sub, a_sub).as_dict()
     if name == "exactness":
-        if system != "sequence":
-            raise ConfigError("exactness check needs a sequence system", "checks")
-        rep = check_exact_sequence(_sequence_from_body(ctx["body"]))
-        d = rep.as_dict()
+        d = check_exact_sequence(_sequence_from_body(body)).as_dict()
         d.pop("exact")
         return d
     if name == "dual_map":
-        if system != "sequence":
-            raise ConfigError("dual_map check needs a sequence system", "checks")
-        seq = _sequence_from_body(ctx["body"])
+        seq = _sequence_from_body(body)
         dual = dual_sequence(seq)
         rep = check_exact_sequence(dual).as_dict()
         rep.pop("exact")
@@ -323,56 +345,32 @@ def _run_check(name: str, ctx: dict, rng: np.random.Generator) -> dict:
                 worst = max(worst, abs(lhs - rhs))
         out["adjoint_identity_residual"] = worst
         return out
-    if name == "wstar_split":
-        if system != "sequence":
-            raise ConfigError("wstar_split check needs a sequence system", "checks")
-        ws = _require(ctx["body"], "wstar", "sequence")
-        alg = MatrixStarAlgebra(tuple(int(d) for d in _require(ws, "block_dims", "wstar")))
-        rep = wstar_central_split(alg, tuple(int(b) for b in _require(ws, "ideal_blocks", "wstar")))
-        return rep.as_dict()
-    raise ConfigError(f"unknown check {name!r}", "checks")
-
-
-_DEFAULT_CHECKS = {
-    "extension": ["structure", "compatibility", "predual_closure"],
-    "restricted": ["structure", "compatibility", "predual_closure"],
-    "semidirect_qm": ["structure", "compatibility"],
-    "rigid_body": ["structure"],
-    "sequence": ["exactness", "dual_map"],
-}
+    # wstar_split
+    ws = _typed(_require(body, "wstar", "sequence"), dict, "sequence.wstar")
+    dims = _ints(_require(ws, "block_dims", "wstar"), "sequence.wstar.block_dims", 1)
+    ideal = _ints(_require(ws, "ideal_blocks", "wstar"), "sequence.wstar.ideal_blocks", 0)
+    try:
+        return wstar_central_split(MatrixStarAlgebra(dims), ideal).as_dict()
+    except UnsupportedPresentationError as exc:
+        raise ConfigError(str(exc), "sequence.wstar.ideal_blocks")
 
 
 def run_verify(doc: dict, seed: int) -> tuple[dict, int]:
-    ctx = _verify_context(doc)
+    system, entry, body = _lookup(doc)
+    spec = entry.spec(body) if entry.spec is not None else None
+    entries = _typed(doc.get("checks", list(entry.checks)), list, "checks")
+    checks = [_check_entry(c) for c in entries]
     rng = np.random.default_rng(seed)
-    entries = doc.get("checks", _DEFAULT_CHECKS[ctx["system"]])
     results = []
     all_ok = True
-    for entry in entries:
-        if isinstance(entry, str):
-            name, threshold = entry, _DEFAULT_THRESHOLDS.get(entry)
-        else:
-            name = _require(entry, "name", "checks")
-            threshold = entry.get("threshold", _DEFAULT_THRESHOLDS.get(name))
-        if threshold is None:
-            raise ConfigError(f"unknown check {name!r}", "checks")
-        residuals = _run_check(name, ctx, rng)
-        ok = _residuals_ok(residuals, float(threshold))
+    for name, threshold in checks:
+        residuals = _run_check(name, system, entry, body, spec, rng)
+        ok = _residuals_ok(residuals, threshold)
         all_ok = all_ok and ok
         results.append(
-            {
-                "name": name,
-                "threshold": float(threshold),
-                "residuals": residuals,
-                "passed": ok,
-            }
+            {"name": name, "threshold": threshold, "residuals": residuals, "passed": ok}
         )
-    report = {
-        "system": ctx["system"],
-        "seed": seed,
-        "checks": results,
-        "passed": all_ok,
-    }
+    report = {"system": system, "seed": seed, "checks": results, "passed": all_ok}
     return report, 0 if all_ok else 1
 
 
@@ -390,77 +388,108 @@ class _SimSystem:
     observables: dict[str, Callable[[np.ndarray], float]]
 
 
-def _casimir_entries(doc: dict) -> list[tuple[str, str, dict]]:
-    out = []
-    for entry in doc.get("casimirs", []):
-        if isinstance(entry, str):
-            out.append((entry, entry, {}))
-        else:
-            fn = _require(entry, "fn", "casimirs")
-            out.append((entry.get("name", fn), fn, {k: v for k, v in entry.items() if k not in ("name", "fn")}))
+def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], float]]:
+    """The ``casimirs`` columns: each entry is a function name from
+    ``known``, or an object {"name": column, "fn": function, params...};
+    ``make(fn, params)`` returns the column's function of the flat state."""
+    out = {}
+    for entry in _typed(doc.get("casimirs", []), list, "casimirs"):
+        entry = {"fn": entry} if isinstance(entry, str) else _typed(entry, dict, "casimirs")
+        fn = entry.get("fn")
+        col = entry.get("name", fn)
+        if not (isinstance(fn, str) and fn in known and isinstance(col, str)):
+            raise ConfigError(f"bad entry {entry!r}: fn must be one of {sorted(known)}", "casimirs")
+        out[col] = make(fn, {k: v for k, v in entry.items() if k not in ("name", "fn")})
     return out
 
 
-def _sim_rigid_body(body: dict, doc: dict) -> _SimSystem:
-    inertia = _require(body, "inertia", "rigid_body")
-    state0 = np.asarray(_require(body, "initial", "rigid_body"), dtype=float)
-    if state0.shape != (3,):
-        raise ConfigError("initial state must have three components", "rigid_body.initial")
-    alg = so3()
-    pairing = identity_pairing(alg)
-    ham_cfg = doc.get("hamiltonian")
-    if ham_cfg is None:
-        h = rigid_body_energy(inertia)
+def _named_function(name, params: dict, pairing: DualPairing, field: str):
+    """build_named_function, with its vector parameters checked against the
+    pairing and its errors naming ``field``."""
+    for key in ("coeffs", "inertia"):
+        if key in params:
+            params = {**params, key: _floats(params[key], pairing.predual_dim, f"{field}.{key}")}
+    try:
+        return build_named_function(name, params, pairing)
+    except ValueError as exc:
+        raise ConfigError(str(exc), field)
+
+
+def _pairing_sim(doc: dict, alg, pairing, labels, state0, default_h=None) -> _SimSystem:
+    """A system on the predual of ``alg``: named functions over ``pairing``
+    and the generic field X_h(b) = -ad*_{Dh(b)} b."""
+    if default_h is not None and doc.get("hamiltonian") is None:
+        h = default_h
     else:
-        h = build_named_function(
-            _require(ham_cfg, "name", "hamiltonian"), ham_cfg, pairing
-        )
-    observables = {}
-    for col, fn, params in _casimir_entries(doc):
-        f = build_named_function(fn, params, pairing)
-        observables[col] = f.eval
+        ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
+        name = _require(ham_cfg, "name", "hamiltonian")
+        h = _named_function(name, ham_cfg, pairing, "hamiltonian")
+    observables = _observables(
+        doc, NAMED_FUNCTIONS,
+        lambda fn, params: _named_function(fn, params, pairing, "casimirs").eval,
+    )
     return _SimSystem(
-        labels=["b1", "b2", "b3"],
-        state0=state0,
-        field=lambda b: hamiltonian_vector_field(h, b, alg, pairing),
-        hamiltonian=h.eval,
-        observables=observables,
+        labels, state0, lambda b: hamiltonian_vector_field(h, b, alg, pairing), h.eval, observables
     )
 
 
-def _sim_extension(body: dict, doc: dict) -> _SimSystem:
+def _sim_rigid_body(body: dict, doc: dict, seed: int) -> _SimSystem:
+    inertia = _floats(_require(body, "inertia", "rigid_body"), 3, "rigid_body.inertia")
+    state0 = _floats(_require(body, "initial", "rigid_body"), 3, "rigid_body.initial")
+    try:
+        energy = rigid_body_energy(inertia)
+    except ValueError as exc:
+        raise ConfigError(str(exc), "rigid_body.inertia")
+    alg = so3()
+    return _pairing_sim(doc, alg, identity_pairing(alg), ["b1", "b2", "b3"], state0, energy)
+
+
+def _sim_extension(body: dict, doc: dict, seed: int) -> _SimSystem:
     spec = _extension_spec_from_config(body)
     if spec.scalar_field == "complex":
-        raise ConfigError(
-            "simulate supports real extension systems; use the restricted or "
-            "semidirect_qm systems for complex ones",
-            "system",
-        )
+        raise ConfigError("simulate supports real extension systems; use the restricted "
+                          "or semidirect_qm systems for complex ones", "system")
     ext = build_extension(spec)
-    pairing = direct_sum_pairing(spec, ext)
-    init = _require(body, "initial", "extension")
-    c0 = np.asarray(_require(init, "c", "initial"), dtype=float)
-    a0 = np.asarray(_require(init, "a", "initial"), dtype=float)
-    if c0.shape != (spec.n.dim,) or a0.shape != (spec.h.dim,):
-        raise ConfigError(
-            "initial (c, a) dimensions do not match the extension data", "initial"
-        )
-    ham_cfg = _require(doc, "hamiltonian")
-    h = build_named_function(_require(ham_cfg, "name", "hamiltonian"), ham_cfg, pairing)
-    observables = {}
-    for col, fn, params in _casimir_entries(doc):
-        f = build_named_function(fn, params, pairing)
-        observables[col] = f.eval
-    labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [
-        f"a{i + 1}" for i in range(spec.h.dim)
-    ]
-    return _SimSystem(
-        labels=labels,
-        state0=np.concatenate([c0, a0]),
-        field=lambda y: hamiltonian_vector_field(h, y, ext, pairing),
-        hamiltonian=h.eval,
-        observables=observables,
-    )
+    init = _typed(_require(body, "initial", "extension"), dict, "extension.initial")
+    c0 = _floats(_require(init, "c", "initial"), spec.n.dim, "extension.initial.c")
+    a0 = _floats(_require(init, "a", "initial"), spec.h.dim, "extension.initial.a")
+    labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [f"a{i + 1}" for i in range(spec.h.dim)]
+    return _pairing_sim(doc, ext, direct_sum_pairing(spec, ext), labels, np.concatenate([c0, a0]))
+
+
+def _complex_labels(name: str, shape: tuple[int, ...]) -> list[str]:
+    """CSV columns of a complex array, row-major: real parts, then imaginary."""
+    idx = ["".join(str(i + 1) for i in ix) for ix in np.ndindex(shape)]
+    return [f"{name}{s}_re" for s in idx] + [f"{name}{s}_im" for s in idx]
+
+
+def _flat_hamiltonian(doc: dict, parsers: dict, make):
+    """The named closed-form Hamiltonian ``make(name, params)``, each
+    parameter parsed by ``parsers[key](value, field)``."""
+    ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
+    name = _require(ham_cfg, "name", "hamiltonian")
+    params = {k: p(ham_cfg[k], f"hamiltonian.{k}") for k, p in parsers.items() if k in ham_cfg}
+    try:
+        return make(name, params)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"unknown hamiltonian {name!r} or missing parameter {exc}", "hamiltonian")
+
+
+def _flat_sim(doc: dict, codec: tuple, shape, h, state0, labels, observables) -> _SimSystem:
+    """A closed-form system integrated in flat real coordinates.  ``codec``
+    is (from_flat(y, shape) -> state, rhs(h, state) -> the derivative's
+    parts, parts -> state, to_flat(state) -> y), taken from the system's
+    module when it is built; the field decodes, applies rhs and encodes."""
+    from_flat, rhs, make_state, to_flat = codec
+
+    def field(y):
+        return to_flat(make_state(*rhs(h, from_flat(y, shape))))
+
+    def on_state(f):
+        return lambda y: f(from_flat(y, shape))
+
+    columns = _observables(doc, observables, lambda fn, _params: on_state(observables[fn]))
+    return _SimSystem(labels, to_flat(state0), field, on_state(h.eval), columns)
 
 
 _QM_OBSERVABLES = {
@@ -470,8 +499,8 @@ _QM_OBSERVABLES = {
 }
 
 
-def _sim_semidirect_qm(body: dict, doc: dict) -> _SimSystem:
-    n = int(_require(body, "n", "semidirect_qm"))
+def _sim_semidirect_qm(body: dict, doc: dict, seed: int) -> _SimSystem:
+    n = _qm_n(body)
     v0 = _cvector(_require(body, "v0", "semidirect_qm"), "v0")
     rho0 = _cmatrix(_require(body, "rho0", "semidirect_qm"), "rho0")
     try:
@@ -480,47 +509,17 @@ def _sim_semidirect_qm(body: dict, doc: dict) -> _SimSystem:
         raise ConfigError(str(exc), "semidirect_qm")
     if state0.n != n:
         raise ConfigError("v0 length does not match n", "semidirect_qm.v0")
-    ham_cfg = _require(doc, "hamiltonian")
-    name = _require(ham_cfg, "name", "hamiltonian")
-    params = {}
-    if "H0" in ham_cfg:
-        params["H0"] = _cmatrix(ham_cfg["H0"], "hamiltonian.H0")
-    if "A" in ham_cfg:
-        params["A"] = _cmatrix(ham_cfg["A"], "hamiltonian.A")
-    if "coupling" in ham_cfg:
-        params["coupling"] = float(ham_cfg["coupling"])
-    if name not in quantum.NAMED_HAMILTONIANS:
-        raise ConfigError(f"unknown hamiltonian {name!r}", "hamiltonian.name")
-    try:
-        h = quantum.NAMED_HAMILTONIANS[name](params)
-    except KeyError as exc:
-        raise ConfigError(f"hamiltonian {name!r} needs parameter {exc}", "hamiltonian")
 
-    def field(y):
-        st = quantum.state_from_flat(y, n)
-        vd, rd = quantum.qm_hamilton_rhs(h, st)
-        return quantum.flat_coordinates(quantum.QState(vd, rd))
-
-    observables = {}
-    for col, fn, _params in _casimir_entries(doc):
-        if fn not in _QM_OBSERVABLES:
-            raise ConfigError(f"unknown observable {fn!r}", "casimirs")
-        observables[col] = lambda y, fn=fn: _QM_OBSERVABLES[fn](
-            quantum.state_from_flat(y, n)
-        )
-    labels = (
-        [f"v{k + 1}_re" for k in range(n)]
-        + [f"v{k + 1}_im" for k in range(n)]
-        + [f"rho{i + 1}{j + 1}_re" for i in range(n) for j in range(n)]
-        + [f"rho{i + 1}{j + 1}_im" for i in range(n) for j in range(n)]
+    square = partial(_cmatrix, shape=(n, n))
+    h = _flat_hamiltonian(
+        doc,
+        {"H0": square, "A": square, "coupling": lambda v, field: _floats([v], 1, field)[0]},
+        lambda name, params: quantum.NAMED_HAMILTONIANS[name](params),
     )
-    return _SimSystem(
-        labels=labels,
-        state0=quantum.flat_coordinates(state0),
-        field=field,
-        hamiltonian=lambda y: h.eval(quantum.state_from_flat(y, n)),
-        observables=observables,
-    )
+    codec = (quantum.state_from_flat, quantum.qm_hamilton_rhs, quantum.QState,
+             quantum.flat_coordinates)
+    labels = _complex_labels("v", (n,)) + _complex_labels("rho", (n, n))
+    return _flat_sim(doc, codec, n, h, state0, labels, _QM_OBSERVABLES)
 
 
 _RESTRICTED_OBSERVABLES = {
@@ -533,93 +532,57 @@ def _block_from_config(node, dims: tuple[int, int], seed: int, field: str):
     if isinstance(node, dict) and "constructor" in node:
         kind = node["constructor"]
         if kind == "random_block":
-            rng = np.random.default_rng(node.get("seed", seed))
-            return restricted.random_block(*dims, rng)
-        if kind == "diagonal_block":
-            return restricted.diagonal_block(
+            rng = np.random.default_rng(_int(node.get("seed", seed), f"{field}.seed", 0))
+            block = restricted.random_block(*dims, rng)
+        elif kind == "diagonal_block":
+            block = restricted.diagonal_block(
                 _cvector(_require(node, "diag_plus", field), f"{field}.diag_plus"),
                 _cvector(_require(node, "diag_minus", field), f"{field}.diag_minus"),
             )
-        raise ConfigError(f"unknown constructor {kind!r}", field)
-    try:
-        return restricted.block_from_json(node)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad block operator: {exc}", field)
+        else:
+            raise ConfigError(f"unknown constructor {kind!r}", field)
+    else:
+        try:
+            block = restricted.block_from_json(node)
+        except (KeyError, TypeError, ValueError, IndexError, LiePoissonError) as exc:
+            raise ConfigError(f"bad block operator: {exc}", field)
+    if block.dims != dims:
+        raise ConfigError(f"block has dims {block.dims}, the system has {dims}", field)
+    return block
 
 
 def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
-    n_plus = int(_require(body, "n_plus", "restricted"))
-    n_minus = int(_require(body, "n_minus", "restricted"))
-    dims = (n_plus, n_minus)
+    dims = n_plus, n_minus = _restricted_dims(body)
     kappa_node = _require(body, "kappa0", "restricted")
     if isinstance(kappa_node, dict) and kappa_node.get("constructor") == "random":
-        rng = np.random.default_rng(kappa_node.get("seed", seed))
+        rng = np.random.default_rng(_int(kappa_node.get("seed", seed), "restricted.kappa0.seed", 0))
         kappa0 = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
     else:
         kappa0 = _cmatrix(kappa_node, "restricted.kappa0")
-    sigma0 = _block_from_config(_require(body, "sigma0", "restricted"), dims, seed, "restricted.sigma0")
+    sigma_node = _require(body, "sigma0", "restricted")
+    sigma0 = _block_from_config(sigma_node, dims, seed, "restricted.sigma0")
     try:
         state0 = restricted.RestrictedState(kappa0, sigma0)
     except LiePoissonError as exc:
         raise ConfigError(str(exc), "restricted")
 
-    ham_cfg = _require(doc, "hamiltonian")
-    name = _require(ham_cfg, "name", "hamiltonian")
-    params = dict(ham_cfg)
-    if "A" in params:
-        params["A"] = _cmatrix(params["A"], "hamiltonian.A")
-    if "X0" in params:
-        params["X0"] = _block_from_config(params["X0"], dims, seed, "hamiltonian.X0")
-    try:
-        h = restricted.named_restricted_hamiltonian(name, params, dims)
-    except KeyError:
-        raise ConfigError(f"unknown hamiltonian {name!r}", "hamiltonian.name")
-
-    def field(y):
-        st = restricted.state_from_flat(y, dims)
-        kd, sd = restricted.restricted_hamiltonian_field(h, st)
-        return restricted.flat_coordinates(restricted.RestrictedState(kd, sd))
-
-    observables = {}
-    for col, fn, _params in _casimir_entries(doc):
-        if fn not in _RESTRICTED_OBSERVABLES:
-            raise ConfigError(f"unknown observable {fn!r}", "casimirs")
-        observables[col] = lambda y, fn=fn: _RESTRICTED_OBSERVABLES[fn](
-            restricted.state_from_flat(y, dims)
-        )
-
+    h = _flat_hamiltonian(
+        doc,
+        {
+            "A": partial(_cmatrix, shape=(n_plus, n_plus)),
+            "X0": lambda v, field: _block_from_config(v, dims, seed, field),
+        },
+        lambda name, params: restricted.named_restricted_hamiltonian(name, params, dims),
+    )
+    codec = (restricted.state_from_flat, restricted.restricted_hamiltonian_field,
+             restricted.RestrictedState, restricted.flat_coordinates)
     n = n_plus + n_minus
-    labels = (
-        [f"kappa{i + 1}{j + 1}_re" for i in range(n_plus) for j in range(n_plus)]
-        + [f"kappa{i + 1}{j + 1}_im" for i in range(n_plus) for j in range(n_plus)]
-        + [f"sigma{i + 1}{j + 1}_re" for i in range(n) for j in range(n)]
-        + [f"sigma{i + 1}{j + 1}_im" for i in range(n) for j in range(n)]
-    )
-    return _SimSystem(
-        labels=labels,
-        state0=restricted.flat_coordinates(state0),
-        field=field,
-        hamiltonian=lambda y: h.eval(restricted.state_from_flat(y, dims)),
-        observables=observables,
-    )
-
-
-def _build_sim_system(doc: dict, seed: int) -> _SimSystem:
-    system = _require(doc, "system")
-    body = doc.get(system, doc.get("body", {}))
-    if system == "rigid_body":
-        return _sim_rigid_body(body, doc)
-    if system == "extension":
-        return _sim_extension(body, doc)
-    if system == "semidirect_qm":
-        return _sim_semidirect_qm(body, doc)
-    if system == "restricted":
-        return _sim_restricted(body, doc, seed)
-    raise ConfigError(f"system {system!r} cannot be simulated", "system")
+    labels = _complex_labels("kappa", (n_plus, n_plus)) + _complex_labels("sigma", (n, n))
+    return _flat_sim(doc, codec, dims, h, state0, labels, _RESTRICTED_OBSERVABLES)
 
 
 def _integrator_config(doc: dict) -> IntegratorConfig:
-    cfg = doc.get("integrator", {})
+    cfg = _typed(doc.get("integrator", {}), dict, "integrator")
     try:
         return IntegratorConfig(
             method=cfg.get("method", "midpoint"),
@@ -628,12 +591,15 @@ def _integrator_config(doc: dict) -> IntegratorConfig:
             newton_tol=float(cfg.get("newton_tol", 1e-12)),
             newton_max_iter=int(cfg.get("newton_max_iter", 50)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad integrator settings: {exc}", "integrator")
 
 
 def run_simulate(doc: dict, seed: int) -> str:
-    system = _build_sim_system(doc, seed)
+    name, entry, body = _lookup(doc)
+    if entry.simulate is None:
+        raise ConfigError(f"system {name!r} cannot be simulated", "system")
+    system = entry.simulate(body, doc, seed)
     cfg = _integrator_config(doc)
     observables = {"H": system.hamiltonian, **system.observables}
     traj = integrate_flow(system.field, system.state0, cfg, observables)
@@ -648,23 +614,58 @@ def run_simulate(doc: dict, seed: int) -> str:
 
 
 def run_bracket_table(doc: dict) -> dict:
-    system = _require(doc, "system")
-    body = doc.get(system, doc.get("body", {}))
-    if system == "extension":
-        spec = _extension_spec_from_config(body)
-    elif system == "restricted":
-        spec = restricted.restricted_extension_spec(
-            int(_require(body, "n_plus", "restricted")),
-            int(_require(body, "n_minus", "restricted")),
-        )
-    elif system == "semidirect_qm":
-        spec = quantum.semidirect_extension_spec(int(_require(body, "n", "semidirect_qm")))
-    else:
+    system, entry, body = _lookup(doc)
+    if entry.spec is None:
         raise ConfigError(f"system {system!r} has no bracket table", "system")
-    ext = build_extension(spec, force=bool(doc.get("force", False)))
+    spec = entry.spec(body)
+    ext = build_extension(spec)
     table = algebra_to_json(ext)
     table["compatibility"] = check_compatibility(spec).as_dict()
     return table
+
+
+@dataclass(frozen=True)
+class _System:
+    """What the subcommands need from one system; a missing builder means
+    the subcommand does not apply to it.  Builders take the system's config
+    body and reach library functions through their module when called, so
+    a wrapper installed on a module attribute sees every call."""
+
+    checks: tuple[str, ...]  # default verify checks
+    spec: Callable[[dict], ExtensionSpec] | None = None  # verify, bracket-table
+    algebras: Callable[[], dict[str, LieAlgebra]] | None = None  # structure without a spec
+    sequence: bool = False  # the body describes an exact sequence
+    simulate: Callable[[dict, dict, int], _SimSystem] | None = None  # (body, doc, seed)
+
+
+_SPEC_CHECKS = ("structure", "compatibility", "predual_closure")
+
+_SYSTEMS = {
+    "extension": _System(_SPEC_CHECKS, _extension_spec_from_config, simulate=_sim_extension),
+    "restricted": _System(
+        _SPEC_CHECKS,
+        lambda body: restricted.restricted_extension_spec(*_restricted_dims(body)),
+        simulate=_sim_restricted,
+    ),
+    "semidirect_qm": _System(
+        ("structure", "compatibility"),
+        lambda body: quantum.semidirect_extension_spec(_qm_n(body)),
+        simulate=_sim_semidirect_qm,
+    ),
+    "rigid_body": _System(
+        ("structure",), algebras=lambda: {"so3": so3()}, simulate=_sim_rigid_body
+    ),
+    "sequence": _System(("exactness", "dual_map"), sequence=True),
+}
+
+
+def _lookup(doc: dict) -> tuple[str, _System, dict]:
+    """The system's name, its table entry and its config body."""
+    system = _require(doc, "system")
+    entry = _SYSTEMS.get(system) if isinstance(system, str) else None
+    if entry is None:
+        raise ConfigError(f"unknown system {system!r}", "system")
+    return system, entry, _typed(doc.get(system, {}), dict, system)
 
 
 # ---------------------------------------------------------------------------

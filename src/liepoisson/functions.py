@@ -20,7 +20,10 @@ __all__ = [
     "norm_squared",
     "trace_polynomial",
     "build_named_function",
+    "NAMED_FUNCTIONS",
 ]
+
+NAMED_FUNCTIONS = ("linear", "quadratic", "rigid_body", "trace_poly", "norm_squared")
 
 
 def linear(pairing: DualPairing, x0) -> SmoothFunction:

@@ -52,7 +52,6 @@ from .tolerances import FD_STEP
 
 __all__ = [
     "BlockOperator",
-    "BlockPredual",
     "RestrictedState",
     "RestrictedFunction",
     "block_norm",
@@ -141,9 +140,6 @@ class BlockOperator:
         return BlockOperator(s * self.pp, s * self.pm, s * self.mp, s * self.mm)
 
     __rmul__ = __mul__
-
-
-BlockPredual = BlockOperator
 
 
 @dataclass(frozen=True)

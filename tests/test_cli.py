@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +275,81 @@ def test_outdir_environment_override(tmp_path, monkeypatch):
     target = tmp_path / "outputs" / "nested" / "report.json"
     assert target.exists()
     assert json.loads(target.read_text())["passed"]
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+NO_OUTPUT = {
+    ("rigidbody.json", "bracket-table"),
+    ("sequence.json", "simulate"),
+    ("sequence.json", "bracket-table"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "bracket-table"])
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+def test_shipped_configs_exit_codes(tmp_path, capsys, config, command):
+    out = tmp_path / "out"
+    code = cli.run_cli([command, str(config), "--out", str(out)])
+    err = capsys.readouterr().err
+    if (config.name, command) in NO_OUTPUT:
+        assert code == 2 and "(field: system)" in err
+    else:
+        assert code == 0, err
+        assert out.stat().st_size > 0
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+MALFORMED = [  # (id, command, config, field named in the diagnostic)
+    ("inertia-length", "simulate",
+     _with(rigid_config(), "rigid_body.inertia", [1.0, 2.0]), "rigid_body.inertia"),
+    ("inertia-negative", "simulate",
+     _with(rigid_config(), "rigid_body.inertia", [1.0, -2.0, 3.0]), "rigid_body.inertia"),
+    ("initial-text", "simulate",
+     _with(rigid_config(), "rigid_body.initial", ["a", 0.0, 1.0]), "rigid_body.initial"),
+    ("omega-float-index", "verify",
+     _with(heisenberg_config(), "extension.omega", [[0, 0.5, 1, 1.0]]), "omega"),
+    ("builtin-gl0", "verify", _with(heisenberg_config(), "extension.n", "gl0"), "n"),
+    ("n_plus-text", "verify",
+     {"system": "restricted", "restricted": {"n_plus": "x", "n_minus": 2}}, "restricted.n_plus"),
+    ("check-entry-number", "verify", _with(heisenberg_config(), "checks", [5]), "checks"),
+    ("system-list", "verify", {"system": ["a"]}, "system"),
+    ("casimir-unknown-fn", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "c", "fn": "bogus"}]), "casimirs"),
+    ("linear-coeffs-length", "simulate",
+     _with(rigid_config(), "hamiltonian", {"name": "linear", "coeffs": [1.0, 2.0]}),
+     "hamiltonian.coeffs"),
+    ("inline-dim0", "verify",
+     _with(heisenberg_config(), "extension.n", {"dim": 0, "structure_constants": []}), "n"),
+    ("omega-value-empty", "verify",
+     _with(heisenberg_config(), "extension.omega", [[0, 0, 1, []]]), "omega"),
+    ("sequence-first-empty", "verify", {"system": "sequence", "sequence": {"first": []}}, "first"),
+    ("wstar-dim-zero", "verify",
+     {"system": "sequence", "sequence": {"wstar": {"block_dims": [0, 2], "ideal_blocks": [0]}},
+      "checks": ["wstar_split"]}, "sequence.wstar.block_dims"),
+    ("wstar-ideal-missing-block", "verify",
+     {"system": "sequence", "sequence": {"wstar": {"block_dims": [1, 2], "ideal_blocks": [5]}},
+      "checks": ["wstar_split"]}, "sequence.wstar.ideal_blocks"),
+    ("initial-null", "simulate",
+     _with(rigid_config(), "rigid_body.initial", [None, 0.0, 1.0]), "rigid_body.initial"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,doc,field", [m[1:] for m in MALFORMED], ids=[m[0] for m in MALFORMED]
+)
+def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, doc, field):
+    code = cli.run_cli([command, write(tmp_path, "bad.json", doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"(field: {field})" in err
