@@ -7,6 +7,11 @@ the gram matrix G of the bilinear pairing ``<b, x> = b^T G x`` (predual
 vector first).  For complex algebras the pairing is complex bilinear, not
 sesquilinear; real-valued analysis over complex spaces happens by
 realification in the poisson module.
+
+The identity checks (antisymmetry, Jacobi) read the constants through
+their nonzeros, so their cost follows the number of nonzero constants
+rather than powers of the dimension; the constants themselves stay a
+dense array, which is what every caller indexes.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ import re
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegeneratePairingError, DimensionMismatchError
+from .linalg import coo, cyclic_terms, join, max_abs_of_sum
 from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL
 
 __all__ = [
@@ -81,7 +86,7 @@ class LieAlgebra:
         if len(self.basis_labels) != c.shape[0]:
             raise DimensionMismatchError("basis_labels length != dimension")
         if validate:
-            anti = float(np.max(np.abs(c + c.transpose(0, 2, 1)))) if c.size else 0.0
+            anti = _antisymmetry_residual(c)
             if anti != 0.0:
                 raise ValueError(f"structure constants not antisymmetric (max {anti:g})")
             jac = jacobi_residual(c)
@@ -200,25 +205,27 @@ def bracket_eval(alg: LieAlgebra, x, y) -> np.ndarray:
     return np.einsum("kij,i,j->k", alg.structure_constants, x, y)
 
 
-def jacobi_residual(c: np.ndarray, chunk: int = 16) -> float:
+def _antisymmetry_residual(c: np.ndarray) -> float:
+    """max |c[k, i, j] + c[k, j, i]|, read over the nonzeros of c."""
+    (k, i, j), v = coo(c)
+    return float(np.max(np.abs(v + c[k, j, i]), initial=0.0))
+
+
+def jacobi_residual(c: np.ndarray) -> float:
     """Max-norm Jacobi defect over all index triples, including repeats.
 
-    Chunked over the third index so that dimensions up to ~100 stay within
-    a modest memory footprint.
+    The defect at (m, i, j, k) is the cyclic sum over (i, j, k) of
+    T[m, i, j, k] = sum_l c[l, i, j] c[m, l, k].  T is formed from the
+    products of nonzero constants that share l, and each product is added
+    at its three cyclic positions, so time and memory follow the number of
+    such products rather than d^4.
     """
     d = c.shape[0]
-    if d == 0:
-        return 0.0
-    res = 0.0
-    for k0 in range(0, d, chunk):
-        sl = slice(k0, min(k0 + chunk, d))
-        j = (
-            np.einsum("lij,mlk->mijk", c, c[:, :, sl], optimize=True)
-            + np.einsum("ljk,mli->mijk", c[:, :, sl], c, optimize=True)
-            + np.einsum("lki,mlj->mijk", c[:, sl, :], c, optimize=True)
-        )
-        res = max(res, float(np.max(np.abs(j))))
-    return res
+    (a, b, e), v = coo(c)
+    # factor p is c[l, i, j] and factor q is c[m, l, k]: l = a[p] = b[q]
+    p, q = join(a, b)
+    m, i, j, k = a[q], b[p], e[p], e[q]
+    return max_abs_of_sum((d,) * 4, cyclic_terms(m, i, j, k, v[p] * v[q]))
 
 
 @dataclass(frozen=True)
@@ -227,15 +234,11 @@ class StructureReport:
 
     antisymmetry_residual: float
     jacobi_residual: float
-    # Operator-norm estimate of the bracket, ||[x, y]|| <= C ||x|| ||y||.
-    # Reported for information only; no contract attaches to it.
-    bracket_norm_estimate: float
 
     def as_dict(self) -> dict:
         return {
             "antisymmetry_residual": self.antisymmetry_residual,
             "jacobi_residual": self.jacobi_residual,
-            "bracket_norm_estimate": self.bracket_norm_estimate,
         }
 
 
@@ -243,10 +246,7 @@ def check_structure(alg: LieAlgebra) -> StructureReport:
     """Antisymmetry and Jacobi residuals (max over all basis index
     combinations); both are zero for a valid algebra."""
     c = alg.structure_constants
-    anti = float(np.max(np.abs(c + c.transpose(0, 2, 1)))) if c.size else 0.0
-    jac = jacobi_residual(c)
-    norm = float(np.linalg.norm(c.reshape(alg.dim, -1), 2)) if c.size else 0.0
-    return StructureReport(anti, jac, norm)
+    return StructureReport(_antisymmetry_residual(c), jacobi_residual(c))
 
 
 def ad_star(pairing: DualPairing, x, b) -> np.ndarray:
@@ -271,6 +271,8 @@ def center_of(alg: LieAlgebra) -> list[np.ndarray]:
     Computed as the nullspace of the stacked ad maps; empty list when the
     center is trivial.
     """
+    import scipy.linalg  # local: importing scipy costs every CLI start
+
     d = alg.dim
     if d == 0:
         return []
@@ -293,24 +295,21 @@ def so3() -> LieAlgebra:
         c[k, j, i] = -1.0
     return LieAlgebra(c, name="so3")
 
+
+def _commutator_constants(n: int, sign: float = 1.0, dtype=float) -> np.ndarray:
+    """Constants of sign * (XY - YX) on n x n matrices in the elementary
+    basis E_ij, row-major: [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
+    d = n * n
+    c = np.zeros((d, d, d), dtype=dtype)
+    i, j, k = np.indices((n, n, n)).reshape(3, -1)
+    np.add.at(c, (i * n + k, i * n + j, j * n + k), sign)  # [E_ij, E_jk] has +E_ik
+    np.add.at(c, (k * n + j, i * n + j, k * n + i), -sign)  # [E_ij, E_ki] has -E_kj
+    return c
+
+
 def gl(n: int, scalar_field: str = _REAL) -> LieAlgebra:
     """gl(n) in the elementary-matrix basis E_ij, row-major ordering."""
-    d = n * n
-    c = np.zeros((d, d, d))
-
-    def idx(i, j):
-        return i * n + j
-
-    # [E_ij, E_kl] = delta_jk E_il - delta_li E_kj
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    a, b = idx(i, j), idx(k, l)
-                    if j == k:
-                        c[idx(i, l), a, b] += 1.0
-                    if l == i:
-                        c[idx(k, j), a, b] -= 1.0
+    c = _commutator_constants(n)
     labels = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
     return LieAlgebra(c, basis_labels=labels, name=f"gl{n}", scalar_field=scalar_field)
 
@@ -456,14 +455,17 @@ def algebra_from_json(doc: dict) -> tuple[LieAlgebra, DualPairing]:
 
 
 def algebra_to_json(alg: LieAlgebra, pairing: DualPairing | None = None) -> dict:
-    """Inverse of :func:`algebra_from_json`; emits the i < j half only."""
+    """Inverse of :func:`algebra_from_json`; emits the i < j half only,
+    as [k, i, j, value] in row-major (k, i, j) order."""
     c = alg.structure_constants
-    trip = []
-    for k in range(alg.dim):
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                if c[k, i, j] != 0:
-                    trip.append([k, i, j, _scalar_to_json(c[k, i, j])])
+    upper = np.arange(alg.dim)[:, None] < np.arange(alg.dim)
+    k, i, j = np.nonzero((c != 0) & upper)
+    v = c[k, i, j]
+    if np.iscomplexobj(v):
+        vals = list(map(list, zip(v.real.tolist(), v.imag.tolist())))
+    else:
+        vals = v.tolist()
+    trip = list(map(list, zip(k.tolist(), i.tolist(), j.tolist(), vals)))
     doc = {
         "name": alg.name,
         "field": alg.scalar_field,

@@ -30,7 +30,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -46,7 +46,6 @@ from .algebra import (
     check_structure,
     identity_pairing,
     so3,
-    trace_pairing,
 )
 from .errors import ConfigError, LiePoissonError, UnsupportedPresentationError
 from .extension import (
@@ -175,19 +174,6 @@ def _algebra_ref(node, field: str) -> tuple[LieAlgebra, DualPairing]:
     raise ConfigError("algebra reference must be a builtin name or an inline document", field)
 
 
-def _pairing_override(alg: LieAlgebra, node, default: DualPairing, field: str) -> DualPairing:
-    if node is None:
-        return default
-    if node == "identity":
-        return identity_pairing(alg)
-    if node == "trace":
-        return trace_pairing(alg)
-    try:
-        return DualPairing(alg, _cmatrix(node, field).astype(alg.dtype))
-    except LiePoissonError as exc:
-        raise ConfigError(f"bad gram: {exc}", field)
-
-
 def _to_field(values: np.ndarray, dtype, field: str) -> np.ndarray:
     """Cast parsed complex data to the algebra's scalar field."""
     if dtype is complex:
@@ -200,8 +186,6 @@ def _to_field(values: np.ndarray, dtype, field: str) -> np.ndarray:
 def _extension_spec_from_config(body: dict) -> ExtensionSpec:
     n, n_pair = _algebra_ref(_require(body, "n", "system"), "n")
     h, h_pair = _algebra_ref(_require(body, "h", "system"), "h")
-    n_pair = _pairing_override(n, body.get("n_gram"), n_pair, "n_gram")
-    h_pair = _pairing_override(h, body.get("h_gram"), h_pair, "h_gram")
 
     w = np.zeros((n.dim, h.dim, h.dim), dtype=n.dtype)
     for entry in _typed(body.get("omega", []), list, "omega"):
@@ -264,13 +248,9 @@ def _sequence_from_body(body: dict) -> SequenceSpec:
     nu, nv, nw = first.shape[1], first.shape[0], second.shape[0]
     if second.shape[1] != nv:
         raise ConfigError("sequence maps are not composable", "second")
-    grams = body.get("grams", {})
     algebras = body.get("attach_algebras", {})
 
     def space(name, dim):
-        gram = (
-            _cmatrix(grams[name], f"grams.{name}").real if name in grams else np.eye(dim)
-        )
         alg = None
         if name in algebras:
             alg = _algebra_ref(algebras[name], f"attach_algebras.{name}")[0]
@@ -279,7 +259,7 @@ def _sequence_from_body(body: dict) -> SequenceSpec:
                     f"attached algebra has dim {alg.dim}, map needs {dim}",
                     f"attach_algebras.{name}",
                 )
-        return Space(dim, gram, alg)
+        return Space(dim, algebra=alg)
 
     u, v, w = space("u", nu), space("v", nv), space("w", nw)
     return SequenceSpec(LinearMapRec(first, u, v), LinearMapRec(second, v, w))
@@ -287,31 +267,36 @@ def _sequence_from_body(body: dict) -> SequenceSpec:
 
 def _check_entry(entry) -> tuple[str, float]:
     """(name, threshold) of a ``checks`` entry: a check name, or an object
-    {"name": ..., "threshold": ...} whose threshold is optional."""
+    {"name": ..., "threshold": ...} whose threshold is optional and, when
+    given, a finite JSON number > 0."""
     entry = {"name": entry} if isinstance(entry, str) else entry
     name = entry.get("name") if isinstance(entry, dict) else None
     if not isinstance(name, str) or name not in _CHECKS:
         raise ConfigError(f"unknown check {entry!r}", "checks")
-    try:
-        return name, float(entry.get("threshold", _CHECKS[name][0]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad threshold for {name!r}: {exc}", "checks")
+    threshold = entry.get("threshold", _CHECKS[name][0])
+    if type(threshold) not in (int, float) or not 0 < threshold <= sys.float_info.max:
+        raise ConfigError(
+            f"threshold for {name!r} must be a finite number > 0, got {threshold!r}", "checks"
+        )
+    return name, float(threshold)
 
 
 def _run_check(
-    name: str, system: str, entry: _System, body: dict, spec, rng: np.random.Generator
+    name: str, system: str, entry: _System, body: dict, spec, compat, rng: np.random.Generator
 ) -> dict:
+    """Residuals of one check; ``compat()`` is the spec's compatibility
+    report, computed on first use and shared by every check of the run."""
     if not any(getattr(entry, attr) for attr in _CHECKS[name][1]):
         raise ConfigError(f"system {system!r} has no {name} check", "checks")
     if name == "structure":
         if spec is None:
             return _structure_residuals(entry.algebras())
         named = {"n": spec.n, "h": spec.h}
-        if check_compatibility(spec).verdict == "pass":
-            named["extension"] = build_extension(spec)
+        if compat().verdict == "pass":
+            named["extension"] = build_extension(spec, report=compat())
         return _structure_residuals(named)
     if name == "compatibility":
-        rep = check_compatibility(spec)
+        rep = compat()
         return {
             "derivation_residual": rep.derivation_residual,
             "cocycle_residual": rep.cocycle_residual,
@@ -361,10 +346,11 @@ def run_verify(doc: dict, seed: int) -> tuple[dict, int]:
     entries = _typed(doc.get("checks", list(entry.checks)), list, "checks")
     checks = [_check_entry(c) for c in entries]
     rng = np.random.default_rng(seed)
+    compat = cache(partial(check_compatibility, spec))
     results = []
     all_ok = True
     for name, threshold in checks:
-        residuals = _run_check(name, system, entry, body, spec, rng)
+        residuals = _run_check(name, system, entry, body, spec, compat, rng)
         ok = _residuals_ok(residuals, threshold)
         all_ok = all_ok and ok
         results.append(
@@ -531,16 +517,10 @@ _RESTRICTED_OBSERVABLES = {
 def _block_from_config(node, dims: tuple[int, int], seed: int, field: str):
     if isinstance(node, dict) and "constructor" in node:
         kind = node["constructor"]
-        if kind == "random_block":
-            rng = np.random.default_rng(_int(node.get("seed", seed), f"{field}.seed", 0))
-            block = restricted.random_block(*dims, rng)
-        elif kind == "diagonal_block":
-            block = restricted.diagonal_block(
-                _cvector(_require(node, "diag_plus", field), f"{field}.diag_plus"),
-                _cvector(_require(node, "diag_minus", field), f"{field}.diag_minus"),
-            )
-        else:
+        if kind != "random_block":
             raise ConfigError(f"unknown constructor {kind!r}", field)
+        rng = np.random.default_rng(_int(node.get("seed", seed), f"{field}.seed", 0))
+        block = restricted.random_block(*dims, rng)
     else:
         try:
             block = restricted.block_from_json(node)
@@ -618,9 +598,9 @@ def run_bracket_table(doc: dict) -> dict:
     if entry.spec is None:
         raise ConfigError(f"system {system!r} has no bracket table", "system")
     spec = entry.spec(body)
-    ext = build_extension(spec)
-    table = algebra_to_json(ext)
-    table["compatibility"] = check_compatibility(spec).as_dict()
+    report = check_compatibility(spec)
+    table = algebra_to_json(build_extension(spec, report=report))
+    table["compatibility"] = report.as_dict()
     return table
 
 
@@ -711,6 +691,8 @@ def run_cli(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"must be a non-negative integer, got {args.seed}", "--seed")
         doc = _load_config(args.config)
         if args.command == "verify":
             report, code = run_verify(doc, args.seed)

@@ -16,7 +16,9 @@ and the curvature identity ad_{omega(e, e')} + phi([e, e']) =
 [phi(e), phi(e')].  The compatibility checker reports all three residuals;
 their joint vanishing is equivalent to the Jacobi identity of the built
 bracket.  The cocycle identity is always evaluated as the fully cyclic
-sum in (e, e', e''), and the report records that convention.
+sum in (e, e', e''), and the report records that convention.  Each
+residual is summed over the nonzero products of the constants of n and h,
+omega and phi, never over dense (dim n, dim h, dim h, dim h) tensors.
 
 The coadjoint action of the extension on the direct sum of the predual
 models decomposes into dual maps of phi and omega; those dual maps are
@@ -29,14 +31,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DualPairing, LieAlgebra, _coords, ad_star
+from .algebra import DualPairing, LieAlgebra, _antisymmetry_residual, _coords, ad_star
 from .errors import (
     DimensionMismatchError,
     InvalidExtensionError,
     NotAnIdealError,
     SectionInconsistencyError,
 )
-from .linalg import complement_residual, orthonormal_columns
+from .linalg import (
+    complement_residual,
+    coo,
+    cyclic_terms,
+    join,
+    max_abs_of_sum,
+    orthonormal_columns,
+)
 from .tolerances import COMPATIBILITY_FAIL, COMPATIBILITY_PASS
 
 __all__ = [
@@ -70,7 +79,7 @@ class SkewBilinearMap:
         dn, dh = self.codomain.dim, self.domain.dim
         if w.shape != (dn, dh, dh):
             raise DimensionMismatchError(f"omega shape {w.shape} != ({dn},{dh},{dh})")
-        if w.size and float(np.max(np.abs(w + w.transpose(0, 2, 1)))) != 0.0:
+        if _antisymmetry_residual(w) != 0.0:
             raise ValueError("omega coefficients are not skew symmetric")
         w.setflags(write=False)
         object.__setattr__(self, "coeffs", w)
@@ -132,18 +141,23 @@ class DerivationMap:
 
 
 def _derivation_residual(phi: DerivationMap) -> float:
-    """D[f_a, f_b] - [D f_a, f_b] - [f_a, D f_b] over D = phi(e_i)."""
-    cn = phi.codomain.structure_constants
-    m = phi.mats
-    if m.size == 0 or cn.size == 0:
-        return 0.0
-    # phi(e_i) applied to [f_a, f_b]
-    lhs = np.einsum("icl,lab->icab", m, cn, optimize=True)
-    # [phi(e_i) f_a, f_b] + [f_a, phi(e_i) f_b]
-    rhs = np.einsum("clb,ila->icab", cn, m, optimize=True) + np.einsum(
-        "cal,ilb->icab", cn, m, optimize=True
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+    """D[f_a, f_b] - [D f_a, f_b] - [f_a, D f_b] over D = phi(e_i), as the
+    max over (i, c, a, b) of
+
+        sum_l m[i, c, l] cn[l, a, b] - cn[c, l, b] m[i, l, a]
+                                     - cn[c, a, l] m[i, l, b]
+
+    summed over nonzero products only."""
+    (mi, mr, mc), mv = coo(phi.mats)
+    (nk, na, nb), nv = coo(phi.codomain.structure_constants)
+    p, q = join(mc, nk)  # m[i, c, l] cn[l, a, b]
+    lhs = (mi[p], mr[p], na[q], nb[q]), mv[p] * nv[q]
+    p, q = join(na, mr)  # cn[c, l, b] m[i, l, a]
+    left = (mi[q], nk[p], mc[q], nb[p]), -nv[p] * mv[q]
+    p, q = join(nb, mr)  # cn[c, a, l] m[i, l, b]
+    right = (mi[q], nk[p], na[p], mc[q]), -nv[p] * mv[q]
+    dh, dn = phi.domain.dim, phi.codomain.dim
+    return max_abs_of_sum((dh, dn, dn, dn), [lhs, left, right])
 
 
 @dataclass(frozen=True)
@@ -347,52 +361,64 @@ class CompatibilityReport:
 
 
 def check_compatibility(spec: ExtensionSpec) -> CompatibilityReport:
-    ch = spec.h.structure_constants
-    cn = spec.n.structure_constants
-    w = spec.omega.coeffs
-    m = spec.phi.mats
+    """The three residuals; each is the max norm of a sum of products of
+    nonzero coefficients, grouped by output index."""
+    dn, dh = spec.n.dim, spec.h.dim
+    (hk, hi, hj), hv = coo(spec.h.structure_constants)
+    (nk, na, nb), nv = coo(spec.n.structure_constants)
+    (wa, wi, wj), wv = coo(spec.omega.coeffs)
+    (mi, mr, mc), mv = coo(spec.phi.mats)
 
     deriv = _derivation_residual(spec.phi)
 
-    # cyclic cocycle identity:
+    # cyclic cocycle identity, at (a, i, j, k):
     #   sum_cyc omega([e_i, e_j], e_k) - sum_cyc phi(e_i) omega(e_j, e_k)
-    t1 = np.einsum("lij,alk->aijk", ch, w, optimize=True)
-    omega_part = t1 + t1.transpose(0, 2, 3, 1) + t1.transpose(0, 3, 1, 2)
-    t2 = np.einsum("iab,bjk->aijk", m, w, optimize=True)
-    phi_part = t2 + t2.transpose(0, 2, 3, 1) + t2.transpose(0, 3, 1, 2)
-    cocycle = float(np.max(np.abs(omega_part - phi_part))) if w.size else 0.0
+    p, q = join(hk, wi)  # ch[l, i, j] w[a, l, k]
+    omega_part = cyclic_terms(wa[q], hi[p], hj[p], wj[q], hv[p] * wv[q])
+    p, q = join(mc, wa)  # m[i, a, b] w[b, j, k]
+    phi_part = cyclic_terms(mr[p], mi[p], wi[q], wj[q], -mv[p] * wv[q])
+    cocycle = max_abs_of_sum((dn, dh, dh, dh), omega_part + phi_part)
 
-    # ad_{omega(e_i, e_j)} + phi([e_i, e_j]) - [phi(e_i), phi(e_j)]
-    ad_omega = np.einsum("cab,aij->ijcb", cn, w, optimize=True)
-    phi_bracket = np.einsum("kij,kcb->ijcb", ch, m, optimize=True)
-    commutator = np.einsum("icl,jlb->ijcb", m, m, optimize=True) - np.einsum(
-        "jcl,ilb->ijcb", m, m, optimize=True
-    )
-    rep = float(np.max(np.abs(ad_omega + phi_bracket - commutator))) if m.size else 0.0
+    # ad_{omega(e_i, e_j)} + phi([e_i, e_j]) - [phi(e_i), phi(e_j)], at (i, j, c, b)
+    p, q = join(na, wa)  # cn[c, a, b] w[a, i, j]
+    ad_omega = (wi[q], wj[q], nk[p], nb[p]), nv[p] * wv[q]
+    p, q = join(hk, mi)  # ch[k, i, j] m[k, c, b]
+    phi_bracket = (hi[p], hj[p], mr[q], mc[q]), hv[p] * mv[q]
+    p, q = join(mc, mr)  # m[x, c, l] m[y, l, b]: -phi(e_x) phi(e_y) + phi(e_y) phi(e_x)
+    t = mv[p] * mv[q]
+    commutator = [((mi[p], mi[q], mr[p], mc[q]), -t), ((mi[q], mi[p], mr[p], mc[q]), t)]
+    rep = max_abs_of_sum((dh, dh, dn, dn), [ad_omega, phi_bracket, *commutator])
 
     return CompatibilityReport(deriv, cocycle, rep)
 
 
 def build_extension(
-    spec: ExtensionSpec, *, force: bool = False, name: str = ""
+    spec: ExtensionSpec,
+    *,
+    force: bool = False,
+    name: str = "",
+    report: CompatibilityReport | None = None,
 ) -> LieAlgebra:
     """The algebra on n + h carrying the twisted bracket; n coordinates
-    come first.  Refuses incompatible data unless ``force`` is given."""
-    report = check_compatibility(spec)
-    if report.max_residual >= COMPATIBILITY_PASS and not force:
-        raise InvalidExtensionError(
-            f"compatibility residual {report.max_residual:g} "
-            f"(verdict: {report.verdict})"
-        )
+    come first.  Refuses incompatible data unless ``force`` is given.
+    ``report`` is ``check_compatibility(spec)`` when the caller holds it
+    already; without it the check runs here."""
+    if not force:
+        report = check_compatibility(spec) if report is None else report
+        if report.max_residual >= COMPATIBILITY_PASS:
+            raise InvalidExtensionError(
+                f"compatibility residual {report.max_residual:g} "
+                f"(verdict: {report.verdict})"
+            )
     dn, dh = spec.n.dim, spec.h.dim
     d = dn + dh
     dtype = complex if spec.scalar_field == "complex" else float
+    m = spec.phi.mats
     c = np.zeros((d, d, d), dtype=dtype)
     c[:dn, :dn, :dn] = spec.n.structure_constants
-    for j in range(dh):
-        # [zeta, eta'] contributes -phi(eta') zeta; [eta, zeta'] gives +phi
-        c[:dn, :dn, dn + j] = -spec.phi.mats[j]
-        c[:dn, dn + j, :dn] = spec.phi.mats[j]
+    # [zeta, eta'] contributes -phi(eta') zeta; [eta, zeta'] gives +phi
+    c[:dn, :dn, dn:] = -m.transpose(1, 2, 0)
+    c[:dn, dn:, :dn] = m.transpose(1, 0, 2)
     c[:dn, dn:, dn:] = spec.omega.coeffs
     c[dn:, dn:, dn:] = spec.h.structure_constants
     labels = tuple(f"n:{l}" for l in spec.n.basis_labels) + tuple(
@@ -485,28 +511,23 @@ def check_predual_closure(
     of phi(eta)* c outside span(c_sub), of (phi(.) zeta)* c outside
     span(a_sub), and of omega(eta, .)* c outside span(a_sub), over basis
     eta, zeta and an orthonormal basis of c_sub.
+
+    Each family is one batched product over all basis elements and all
+    columns u, followed by one solve against the source gram.
     """
     gn, gh = spec.n_pairing.gram, spec.h_pairing.gram
     cq = orthonormal_columns(np.asarray(c_sub, dtype=gn.dtype))
     aq = np.asarray(a_sub, dtype=gh.dtype)
+    m, w = spec.phi.mats, spec.omega.coeffs
+    dn, dh = spec.n.dim, spec.h.dim
 
-    eye_h = np.eye(spec.h.dim, dtype=gh.dtype)
-    eye_n = np.eye(spec.n.dim, dtype=gn.dtype)
+    y = gn.T @ cq  # <u, .> on n for every column u, as coordinates
+    # phi(e_i)^T y, (phi(.) f_j)^T y and omega(e_i, .)^T y, for all i, j, u
+    phi_rhs = np.einsum("iab,au->biu", m, y, optimize=True).reshape(dn, -1)
+    slot_rhs = np.einsum("iaj,au->iju", m, y, optimize=True).reshape(dh, -1)
+    omega_rhs = np.einsum("aij,au->jiu", w, y, optimize=True).reshape(dh, -1)
 
-    phi_vecs, omega_vecs, slot_vecs = [], [], []
-    for col in range(cq.shape[1]):
-        u = cq[:, col]
-        for i in range(spec.h.dim):
-            phi_vecs.append(_adjoint_through(gn, gn, spec.phi(eye_h[i]), u))
-            omega_vecs.append(
-                _adjoint_through(gn, gh, spec.omega.contract_left(eye_h[i]), u)
-            )
-        for j in range(spec.n.dim):
-            slot_vecs.append(
-                _adjoint_through(gn, gh, spec.phi.applied_to(eye_n[j]), u)
-            )
-
-    r_phi = complement_residual(np.column_stack(phi_vecs), cq)
-    r_slot = complement_residual(np.column_stack(slot_vecs), aq)
-    r_omega = complement_residual(np.column_stack(omega_vecs), aq)
+    r_phi = complement_residual(np.linalg.solve(gn.T, phi_rhs), cq)
+    r_slot = complement_residual(np.linalg.solve(gh.T, slot_rhs), aq)
+    r_omega = complement_residual(np.linalg.solve(gh.T, omega_rhs), aq)
     return ClosureReport(r_phi, r_slot, r_omega)

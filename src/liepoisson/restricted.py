@@ -43,6 +43,8 @@ import numpy as np
 from .algebra import (
     DualPairing,
     LieAlgebra,
+    _commutator_constants,
+    gl,
     matrix_trace_gram,
 )
 from .errors import DimensionMismatchError, NumericDomainError
@@ -386,21 +388,7 @@ def restricted_hamiltonian_field(
 
 def _negative_commutator_algebra(n: int) -> LieAlgebra:
     """(n x n) matrices with bracket -(ab - ba), row-major basis."""
-    d = n * n
-    c = np.zeros((d, d, d), dtype=complex)
-
-    def idx(i, j):
-        return i * n + j
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    a, b = idx(i, j), idx(k, l)
-                    if j == k:
-                        c[idx(i, l), a, b] -= 1.0
-                    if l == i:
-                        c[idx(k, j), a, b] += 1.0
+    c = _commutator_constants(n, sign=-1.0, dtype=complex)
     return LieAlgebra(c, name=f"l1({n})", scalar_field="complex")
 
 
@@ -413,33 +401,28 @@ def restricted_extension_spec(n_plus: int, n_minus: int) -> ExtensionSpec:
     and phi are transcribed into coordinates.  Cross-checking the closed
     forms above against the generic operations on this spec is the key
     validation of the module.
-    """
-    from .algebra import gl  # local to avoid a cycle at import time
 
+    Both are written down from the basis E_pq of gl(n), index p n + q: the
+    only nonzero omega values are omega(E_pq, E_qr) = E_pr = -omega(E_qr,
+    E_pq) for p, r < n+ <= q, and phi(E_pq) for p, q < n+ sends E_qb to
+    E_pb and E_ap to -E_aq.
+    """
     n = n_plus + n_minus
     n_alg = _negative_commutator_algebra(n_plus)
     h_alg = gl(n, scalar_field="complex")
 
     dn, dh = n_plus * n_plus, n * n
-    eye = np.eye(n, dtype=complex)
-
-    def basis_block(i):
-        return BlockOperator.from_full(
-            np.outer(eye[i // n], eye[i % n]), n_plus
-        )
-
-    blocks = [basis_block(i) for i in range(dh)]
     w = np.zeros((dn, dh, dh), dtype=complex)
+    p, q, r = np.indices((n_plus, n_minus, n_plus)).reshape(3, -1)
+    q = q + n_plus
+    w[p * n_plus + r, p * n + q, q * n + r] = 1.0
+    w[p * n_plus + r, q * n + r, p * n + q] = -1.0
+
+    # phi(E_pq) rho = E_pq rho - rho E_pq on row-major coordinates of rho
     mats = np.zeros((dh, dn, dn), dtype=complex)
-    for i in range(dh):
-        for j in range(dh):
-            w[:, i, j] = restricted_omega(blocks[i], blocks[j]).reshape(-1)
-    for i in range(dh):
-        xpp = blocks[i].pp
-        # rho -> [xpp, rho] on row-major coordinates
-        mats[i] = np.kron(xpp, np.eye(n_plus)) - np.kron(np.eye(n_plus), xpp.T)
-    # enforce exact skewness (floating subtraction is sign-exact already)
-    w = 0.5 * (w - w.transpose(0, 2, 1))
+    p, q, b = np.indices((n_plus,) * 3).reshape(3, -1)
+    np.add.at(mats, (p * n + q, p * n_plus + b, q * n_plus + b), 1.0)
+    np.add.at(mats, (p * n + q, b * n_plus + q, b * n_plus + p), -1.0)
 
     n_pairing = DualPairing(n_alg, matrix_trace_gram(n_plus).astype(complex))
     h_pairing = DualPairing(h_alg, matrix_trace_gram(n).astype(complex))

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebra
 from .errors import DimensionMismatchError, UnsupportedPresentationError
@@ -142,6 +141,8 @@ def _hom_residual(m: LinearMapRec) -> float | None:
 
 
 def check_exact_sequence(seq: SequenceSpec) -> ExactnessReport:
+    import scipy.linalg  # local: importing scipy costs every CLI start
+
     first, second = seq.first.matrix, seq.second.matrix
     rank_first = np.linalg.matrix_rank(first) if first.size else 0
     rank_second = np.linalg.matrix_rank(second) if second.size else 0

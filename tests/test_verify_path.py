@@ -1,0 +1,355 @@
+"""The sparse verify path against loop and dense oracles.
+
+The library evaluates every identity over the nonzeros of its inputs and
+builds the named algebras by index arithmetic; the oracles here are the
+plain loop and dense-einsum forms of the same definitions, kept only in
+the tests.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from liepoisson import algebra as la
+from liepoisson import cli
+from liepoisson import extension as ex
+from liepoisson import restricted as rs
+from liepoisson.linalg import complement_residual
+
+REL = 1e-12
+
+
+def close(value, oracle):
+    assert abs(value - oracle) <= REL * abs(oracle), (value, oracle)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+
+def jacobi_oracle(c):
+    j = (
+        np.einsum("lij,mlk->mijk", c, c)
+        + np.einsum("ljk,mli->mijk", c, c)
+        + np.einsum("lki,mlj->mijk", c, c)
+    )
+    return float(np.max(np.abs(j)))
+
+
+def compatibility_oracle(ch, cn, w, m):
+    """(derivation, cocycle, representation) residuals by explicit loops."""
+    dh, dn = ch.shape[0], cn.shape[0]
+    deriv = 0.0
+    for i in range(dh):
+        for c in range(dn):
+            for a in range(dn):
+                for b in range(dn):
+                    v = sum(
+                        m[i, c, l] * cn[l, a, b]
+                        - cn[c, l, b] * m[i, l, a]
+                        - cn[c, a, l] * m[i, l, b]
+                        for l in range(dn)
+                    )
+                    deriv = max(deriv, abs(v))
+
+    def omega_bracket(a, i, j, k):  # omega([e_i, e_j], e_k)_a
+        return sum(ch[l, i, j] * w[a, l, k] for l in range(dh))
+
+    def phi_omega(a, i, j, k):  # (phi(e_i) omega(e_j, e_k))_a
+        return sum(m[i, a, b] * w[b, j, k] for b in range(dn))
+
+    cocycle = 0.0
+    for a in range(dn):
+        for i in range(dh):
+            for j in range(dh):
+                for k in range(dh):
+                    v = 0.0
+                    for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                        v += omega_bracket(a, x, y, z) - phi_omega(a, x, y, z)
+                    cocycle = max(cocycle, abs(v))
+
+    rep = 0.0
+    for i in range(dh):
+        for j in range(dh):
+            ad_omega = np.einsum("cab,a->cb", cn, w[:, i, j])
+            phi_bracket = sum(ch[k, i, j] * m[k] for k in range(dh))
+            commutator = m[i] @ m[j] - m[j] @ m[i]
+            rep = max(rep, float(np.max(np.abs(ad_omega + phi_bracket - commutator))))
+    return deriv, cocycle, rep
+
+
+def closure_oracle(spec, c_sub, a_sub):
+    """One dual-map image and one solve per (column, basis element)."""
+    gn, gh = spec.n_pairing.gram, spec.h_pairing.gram
+    cq = np.linalg.qr(c_sub)[0]
+    eye_h, eye_n = np.eye(spec.h.dim), np.eye(spec.n.dim)
+    phi_v, omega_v, slot_v = [], [], []
+    for u in cq.T:
+        for i in range(spec.h.dim):
+            phi_v.append(np.linalg.solve(gn.T, spec.phi(eye_h[i]).T @ (gn.T @ u)))
+            omega_v.append(
+                np.linalg.solve(gh.T, spec.omega.contract_left(eye_h[i]).T @ (gn.T @ u))
+            )
+        for j in range(spec.n.dim):
+            slot_v.append(
+                np.linalg.solve(gh.T, spec.phi.applied_to(eye_n[j]).T @ (gn.T @ u))
+            )
+    return (
+        complement_residual(np.column_stack(phi_v), cq),
+        complement_residual(np.column_stack(slot_v), a_sub),
+        complement_residual(np.column_stack(omega_v), a_sub),
+    )
+
+
+def gl_loop(n, sign=1.0, dtype=float):
+    d = n * n
+    c = np.zeros((d, d, d), dtype=dtype)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    a, b = i * n + j, k * n + l
+                    if j == k:
+                        c[i * n + l, a, b] += sign
+                    if l == i:
+                        c[k * n + j, a, b] -= sign
+    return c
+
+
+def restricted_loop(n_plus, n_minus):
+    """(omega, phi) coefficients from the closed forms, one basis pair at a time."""
+    n = n_plus + n_minus
+    dn, dh = n_plus * n_plus, n * n
+    eye = np.eye(n, dtype=complex)
+    blocks = [
+        rs.BlockOperator.from_full(np.outer(eye[i // n], eye[i % n]), n_plus)
+        for i in range(dh)
+    ]
+    w = np.zeros((dn, dh, dh), dtype=complex)
+    mats = np.zeros((dh, dn, dn), dtype=complex)
+    for i in range(dh):
+        for j in range(dh):
+            w[:, i, j] = rs.restricted_omega(blocks[i], blocks[j]).reshape(-1)
+        xpp = blocks[i].pp
+        mats[i] = np.kron(xpp, np.eye(n_plus)) - np.kron(np.eye(n_plus), xpp.T)
+    return w, mats
+
+
+def random_skew(rng, shape, cplx):
+    x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if cplx else 0)
+    return x - x.transpose(0, 2, 1)
+
+
+def random_spec(rng, dn, dh, cplx, grams=False):
+    """Random broken cocycle data on random broken algebras."""
+    field = "complex" if cplx else "real"
+    n = la.LieAlgebra(random_skew(rng, (dn,) * 3, cplx), scalar_field=field, validate=False)
+    h = la.LieAlgebra(random_skew(rng, (dh,) * 3, cplx), scalar_field=field, validate=False)
+    w = random_skew(rng, (dn, dh, dh), cplx)
+    m = rng.normal(size=(dh, dn, dn)) + (1j * rng.normal(size=(dh, dn, dn)) if cplx else 0)
+
+    def pairing(alg):
+        d = alg.dim
+        return la.DualPairing(alg, rng.normal(size=(d, d)) + 3 * np.eye(d) if grams else None)
+
+    return ex.ExtensionSpec(
+        n, h, ex.SkewBilinearMap(h, n, w), ex.DerivationMap(h, n, m), pairing(n), pairing(h)
+    )
+
+
+# ---------------------------------------------------------------------------
+# residuals against the oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [3, 7, 12])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_jacobi_residual_matches_dense_oracle(rng, d, cplx):
+    c = random_skew(rng, (d,) * 3, cplx)
+    close(la.jacobi_residual(c), jacobi_oracle(c))
+
+
+def test_jacobi_residual_of_sparse_broken_constants():
+    c = la.gl(3).structure_constants.copy()
+    c[4, 0, 1] += 0.25
+    c[4, 1, 0] -= 0.25
+    close(la.jacobi_residual(c), jacobi_oracle(c))
+
+
+@pytest.mark.parametrize("dn,dh,cplx", [(3, 3, False), (2, 4, True), (4, 3, True)])
+def test_compatibility_residuals_match_loop_oracle(rng, dn, dh, cplx):
+    spec = random_spec(rng, dn, dh, cplx)
+    rep = ex.check_compatibility(spec)
+    deriv, cocycle, curvature = compatibility_oracle(
+        spec.h.structure_constants, spec.n.structure_constants, spec.omega.coeffs, spec.phi.mats
+    )
+    close(rep.derivation_residual, deriv)
+    close(rep.cocycle_residual, cocycle)
+    close(rep.representation_residual, curvature)
+    close(spec.phi.derivation_residual(), deriv)
+
+
+@pytest.mark.parametrize("dn,dh,cplx", [(3, 4, False), (4, 3, True)])
+def test_predual_closure_matches_loop_oracle(rng, dn, dh, cplx):
+    spec = random_spec(rng, dn, dh, cplx, grams=True)
+    dtype = complex if cplx else float
+    c_sub = rng.normal(size=(dn, dn - 1)).astype(dtype)
+    a_sub = rng.normal(size=(dh, dh - 2)).astype(dtype)
+    rep = ex.check_predual_closure(spec, c_sub, a_sub)
+    phi, slot, omega = closure_oracle(spec, c_sub, a_sub)
+    close(rep.phi_star_into_c, phi)
+    close(rep.phi_slot_star_into_a, slot)
+    close(rep.omega_star_into_a, omega)
+    assert min(phi, slot, omega) > 1e-3  # proper subspaces: nothing vanishes
+
+
+def test_build_extension_alone_refuses_incompatible_data(rng):
+    spec = random_spec(rng, 2, 3, False)
+    with pytest.raises(ex.InvalidExtensionError):
+        ex.build_extension(spec)
+
+
+# ---------------------------------------------------------------------------
+# constructors against their loop forms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gl_and_negative_commutator_match_loops(n):
+    assert np.array_equal(la.gl(n).structure_constants, gl_loop(n))
+    neg = rs._negative_commutator_algebra(n).structure_constants
+    assert neg.dtype == complex
+    assert np.array_equal(neg, gl_loop(n, sign=-1.0, dtype=complex))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_restricted_spec_matches_loop_form(dims):
+    spec = rs.restricted_extension_spec(*dims)
+    w, mats = restricted_loop(*dims)
+    assert np.array_equal(spec.omega.coeffs, w)
+    assert np.array_equal(spec.phi.mats, mats)
+
+
+def test_algebra_to_json_triplet_order():
+    ext = ex.build_extension(rs.restricted_extension_spec(2, 1))
+    c = ext.structure_constants
+    expected = [
+        [k, i, j, [float(c[k, i, j].real), float(c[k, i, j].imag)]]
+        for k in range(ext.dim)
+        for i in range(ext.dim)
+        for j in range(i + 1, ext.dim)
+        if c[k, i, j] != 0
+    ]
+    assert la.algebra_to_json(ext)["structure_constants"] == expected
+    real = la.algebra_to_json(la.so3())["structure_constants"]
+    assert real == [[0, 1, 2, 1.0], [1, 0, 2, -1.0], [2, 0, 1, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# the CLI computes each fact once, within a memory bound
+# ---------------------------------------------------------------------------
+
+
+def restricted_config(tmp_path, n_plus, n_minus):
+    p = tmp_path / f"restricted{n_plus}x{n_minus}.json"
+    p.write_text(json.dumps(
+        {"system": "restricted", "restricted": {"n_plus": n_plus, "n_minus": n_minus}}
+    ))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["verify", "bracket-table"])
+def test_one_compatibility_check_per_command(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    original = ex.check_compatibility
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(cli, "check_compatibility", counted)
+    monkeypatch.setattr(ex, "check_compatibility", counted)
+    assert cli.run_cli([command, restricted_config(tmp_path, 2, 2)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_restricted_5x5_within_memory_bound(tmp_path, capsys):
+    cfg = restricted_config(tmp_path, 5, 5)
+    tracemalloc.start()
+    try:
+        codes = [cli.run_cli([cmd, cfg]) for cmd in ("verify", "bracket-table")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert peak < 256 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# CLI boundary
+# ---------------------------------------------------------------------------
+
+
+def test_import_loads_no_scipy():
+    src = Path(la.__file__).resolve().parents[1]
+    code = (
+        "import liepoisson, sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_negative_seed_exits_2(capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "sequence.json"
+    code = cli.run_cli(["verify", str(config), "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert "--seed" in err
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [0, -1, 0.0, "nan", "1e-8", True, None, float("nan"), float("inf"), 10**400],
+    ids=["zero", "minus-one", "zero-float", "nan-text", "number-text", "bool", "null",
+         "nan", "inf", "huge-int"],
+)
+def test_bad_threshold_exits_2(tmp_path, capsys, threshold):
+    doc = {
+        "system": "extension",
+        "extension": {"n": "abelian1", "h": "abelian2", "omega": [[0, 0, 1, 1.0]]},
+        "checks": [{"name": "compatibility", "threshold": threshold}],
+    }
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(doc))
+    code = cli.run_cli(["verify", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "(field: checks)" in captured.err
+
+
+def test_integer_threshold_accepted(tmp_path, capsys):
+    doc = {
+        "system": "extension",
+        "extension": {"n": "abelian1", "h": "abelian2", "omega": [[0, 0, 1, 1.0]]},
+        "checks": [{"name": "compatibility", "threshold": 1}],
+    }
+    p = tmp_path / "t.json"
+    p.write_text(json.dumps(doc))
+    assert cli.run_cli(["verify", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["threshold"] == 1.0
