@@ -11,10 +11,8 @@ over a polarized space.
 """
 
 from .algebra import (
-    AlgebraElement,
     DualPairing,
     LieAlgebra,
-    PredualElement,
     StructureReport,
     abelian,
     ad_star,
@@ -59,6 +57,7 @@ from .poisson import (
     extension_hamiltonian_field,
     extension_poisson_bracket,
     functional_derivative,
+    hamiltonian_field,
     hamiltonian_vector_field,
     lie_poisson_bracket,
     product_bracket,

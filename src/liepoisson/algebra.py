@@ -28,8 +28,6 @@ from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL
 __all__ = [
     "LieAlgebra",
     "DualPairing",
-    "AlgebraElement",
-    "PredualElement",
     "StructureReport",
     "bracket_eval",
     "check_structure",
@@ -59,7 +57,9 @@ class LieAlgebra:
     ``structure_constants[k, i, j]`` is the e_k coefficient of [e_i, e_j].
     Antisymmetry must hold exactly at construction; the Jacobi identity is
     checked up to ``CONSTRUCTION_TOL``.  Pass ``validate=False`` to store
-    deliberately broken constants (negative tests, diagnostics).
+    deliberately broken constants (negative tests, diagnostics).  The
+    constants are kept read-only: a read-only array of the right dtype is
+    kept without a copy, anything else is copied.
     """
 
     structure_constants: np.ndarray
@@ -76,8 +76,9 @@ class LieAlgebra:
             raise DimensionMismatchError(
                 f"structure constants must be cubic, got shape {c.shape}"
             )
-        c = c.copy()
-        c.setflags(write=False)
+        if c.flags.writeable:  # never freeze a caller's array under them
+            c = c.copy()
+            c.setflags(write=False)
         object.__setattr__(self, "structure_constants", c)
         if not self.basis_labels:
             object.__setattr__(
@@ -153,41 +154,9 @@ class DualPairing:
         return float(np.real(v))
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    """A validated coordinate vector attached to its algebra."""
-
-    home: LieAlgebra
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=self.home.dtype)
-        if c.shape != (self.home.dim,):
-            raise DimensionMismatchError(
-                f"coords length {c.shape} != algebra dim {self.home.dim}"
-            )
-        object.__setattr__(self, "coords", c)
-
-
-@dataclass(frozen=True)
-class PredualElement:
-    """A validated coordinate vector in the predual model of a pairing."""
-
-    home: DualPairing
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=self.home.algebra.dtype)
-        if c.shape != (self.home.predual_dim,):
-            raise DimensionMismatchError(
-                f"coords length {c.shape} != predual dim {self.home.predual_dim}"
-            )
-        object.__setattr__(self, "coords", c)
-
-
 def _coords(x, dim: int) -> np.ndarray:
-    """Accept a raw vector or an (Algebra|Predual)Element; check the length."""
-    c = np.asarray(getattr(x, "coords", x))
+    """A coordinate vector of length ``dim``."""
+    c = np.asarray(x)
     if c.shape != (dim,):
         raise DimensionMismatchError(f"expected vector of length {dim}, got {c.shape}")
     return c

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import quantum, restricted
+from . import poisson, quantum, restricted
 from .algebra import (
     DualPairing,
     LieAlgebra,
@@ -59,7 +59,7 @@ from .extension import (
 )
 from .functions import NAMED_FUNCTIONS, build_named_function, rigid_body_energy
 from .integrators import IntegratorConfig, integrate_flow
-from .poisson import hamiltonian_vector_field
+from .linalg import orthonormal_columns
 from .sequences import (
     LinearMapRec,
     MatrixStarAlgebra,
@@ -265,6 +265,23 @@ def _sequence_from_body(body: dict) -> SequenceSpec:
     return SequenceSpec(LinearMapRec(first, u, v), LinearMapRec(second, v, w))
 
 
+def _predual_basis(body: dict, key: str, alg: LieAlgebra) -> np.ndarray:
+    """Columns spanning the designated predual of ``alg``: the rows of
+    ``body[key]``, each ``alg.dim`` finite numbers of the algebra's field,
+    and linearly independent; the whole space when the key is absent."""
+    node = body.get(key)
+    if node is None:
+        return np.eye(alg.dim)
+    rows = _to_field(_cmatrix(node, key), alg.dtype, key)
+    try:
+        if rows.shape[1] != alg.dim or rows.shape[0] > alg.dim or not np.isfinite(rows).all():
+            raise ValueError(f"needs at most {alg.dim} rows of {alg.dim} finite numbers")
+        orthonormal_columns(rows.T)  # the independence test check_predual_closure makes
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, got {node!r}", key)
+    return rows.T
+
+
 def _check_entry(entry) -> tuple[str, float]:
     """(name, threshold) of a ``checks`` entry: a check name, or an object
     {"name": ..., "threshold": ...} whose threshold is optional and, when
@@ -303,10 +320,8 @@ def _run_check(
             "representation_residual": rep.representation_residual,
         }
     if name == "predual_closure":
-        c_sub = body.get("c_predual")
-        a_sub = body.get("a_predual")
-        c_sub = np.eye(spec.n.dim) if c_sub is None else _cmatrix(c_sub, "c_predual").T
-        a_sub = np.eye(spec.h.dim) if a_sub is None else _cmatrix(a_sub, "a_predual").T
+        c_sub = _predual_basis(body, "c_predual", spec.n)
+        a_sub = _predual_basis(body, "a_predual", spec.h)
         return check_predual_closure(spec, c_sub, a_sub).as_dict()
     if name == "exactness":
         d = check_exact_sequence(_sequence_from_body(body)).as_dict()
@@ -370,14 +385,13 @@ class _SimSystem:
     labels: list[str]
     state0: np.ndarray
     field: Callable[[np.ndarray], np.ndarray]
-    hamiltonian: Callable[[np.ndarray], float]
-    observables: dict[str, Callable[[np.ndarray], float]]
+    tracked: dict[str, Callable[[np.ndarray], float]]  # "H", then the casimirs columns
 
 
 def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], float]]:
     """The ``casimirs`` columns: each entry is a function name from
     ``known``, or an object {"name": column, "fn": function, params...};
-    ``make(fn, params)`` returns the column's function of the flat state."""
+    ``make(fn, params)`` returns the column's function of the predual point."""
     out = {}
     for entry in _typed(doc.get("casimirs", []), list, "casimirs"):
         entry = {"fn": entry} if isinstance(entry, str) else _typed(entry, dict, "casimirs")
@@ -401,22 +415,80 @@ def _named_function(name, params: dict, pairing: DualPairing, field: str):
         raise ConfigError(str(exc), field)
 
 
-def _pairing_sim(doc: dict, alg, pairing, labels, state0, default_h=None) -> _SimSystem:
-    """A system on the predual of ``alg``: named functions over ``pairing``
-    and the generic field X_h(b) = -ad*_{Dh(b)} b."""
+def _hamiltonian(doc: dict, parsers: dict, make):
+    """The configured Hamiltonian ``make(name, params)``, each parameter
+    with a parser parsed by ``parsers[key](value, field)``."""
+    ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
+    name = _require(ham_cfg, "name", "hamiltonian")
+    params = {k: parsers[k](v, f"hamiltonian.{k}") if k in parsers else v
+              for k, v in ham_cfg.items()}
+    try:
+        return make(name, params)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"unknown hamiltonian {name!r} or missing parameter {exc}", "hamiltonian")
+
+
+def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFunction,
+         observables: dict) -> _SimSystem:
+    """A system on the predual of ``alg``, from its initial point ``b0``,
+    Hamiltonian and observables (functions of predual points): the compiled
+    field X_h(b) = -ad*_{Dh(b)} b, integrated in flat real coordinates.  A
+    real point is its own flat state.  A complex one, which is a point of a
+    built extension, is stored slot by slot (n, then h): the real parts,
+    then the imaginary parts."""
+    field = poisson.hamiltonian_field(h, alg, pairing)
+    tracked = {"H": h.eval, **observables}
+    if alg.dtype is float:
+        return _SimSystem(labels, b0, field, tracked)
+    dn, dh = alg.built_from.n.dim, alg.built_from.h.dim
+    re = np.concatenate([np.arange(dn), dn + np.arange(dn, dn + dh)])
+    im = re + np.repeat([dn, dh], [dn, dh])
+    order = np.argsort(np.concatenate([re, im]))
+
+    def point(y):
+        return y[re] + 1j * y[im]
+
+    def flat(b):
+        return np.concatenate([b.real, b.imag])[order]
+
+    def on_point(f):
+        return lambda y: f(point(y))
+
+    tracked = {name: on_point(f) for name, f in tracked.items()}
+    return _SimSystem(labels, flat(b0), lambda y: flat(field(point(y))), tracked)
+
+
+def _pairing_sim(doc: dict, alg, pairing, labels, b0, default_h=None) -> _SimSystem:
+    """A system whose Hamiltonian and observables are named functions over
+    ``pairing``."""
     if default_h is not None and doc.get("hamiltonian") is None:
         h = default_h
     else:
-        ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
-        name = _require(ham_cfg, "name", "hamiltonian")
-        h = _named_function(name, ham_cfg, pairing, "hamiltonian")
+        h = _hamiltonian(doc, {}, partial(_named_function, pairing=pairing, field="hamiltonian"))
     observables = _observables(
         doc, NAMED_FUNCTIONS,
         lambda fn, params: _named_function(fn, params, pairing, "casimirs").eval,
     )
-    return _SimSystem(
-        labels, state0, lambda b: hamiltonian_vector_field(h, b, alg, pairing), h.eval, observables
-    )
+    return _sim(alg, pairing, labels, b0, h, observables)
+
+
+def _closed_form_sim(doc: dict, spec: ExtensionSpec, labels, c0, a0, h: poisson.PairFunction,
+                     table: dict) -> _SimSystem:
+    """A system whose Hamiltonian ``h`` (with both partial gradients) and
+    observables ``table`` are closed forms in the (c, a) coordinates of
+    ``spec``, simulated on the predual of its built extension."""
+    ext = build_extension(spec)
+    dn = spec.n.dim
+
+    def stacked(f):
+        return lambda b: f(b[:dn], b[dn:])
+
+    def grad(b):
+        return np.concatenate([h.grad_c(b[:dn], b[dn:]), h.grad_a(b[:dn], b[dn:])])
+
+    columns = _observables(doc, table, lambda fn, _params: stacked(table[fn]))
+    return _sim(ext, direct_sum_pairing(spec, ext), labels, np.concatenate([c0, a0]),
+                poisson.SmoothFunction(stacked(h.eval), grad), columns)
 
 
 def _sim_rigid_body(body: dict, doc: dict, seed: int) -> _SimSystem:
@@ -430,58 +502,36 @@ def _sim_rigid_body(body: dict, doc: dict, seed: int) -> _SimSystem:
     return _pairing_sim(doc, alg, identity_pairing(alg), ["b1", "b2", "b3"], state0, energy)
 
 
-def _sim_extension(body: dict, doc: dict, seed: int) -> _SimSystem:
-    spec = _extension_spec_from_config(body)
-    if spec.scalar_field == "complex":
-        raise ConfigError("simulate supports real extension systems; use the restricted "
-                          "or semidirect_qm systems for complex ones", "system")
-    ext = build_extension(spec)
-    init = _typed(_require(body, "initial", "extension"), dict, "extension.initial")
-    c0 = _floats(_require(init, "c", "initial"), spec.n.dim, "extension.initial.c")
-    a0 = _floats(_require(init, "a", "initial"), spec.h.dim, "extension.initial.a")
-    labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [f"a{i + 1}" for i in range(spec.h.dim)]
-    return _pairing_sim(doc, ext, direct_sum_pairing(spec, ext), labels, np.concatenate([c0, a0]))
-
-
 def _complex_labels(name: str, shape: tuple[int, ...]) -> list[str]:
     """CSV columns of a complex array, row-major: real parts, then imaginary."""
     idx = ["".join(str(i + 1) for i in ix) for ix in np.ndindex(shape)]
     return [f"{name}{s}_re" for s in idx] + [f"{name}{s}_im" for s in idx]
 
 
-def _flat_hamiltonian(doc: dict, parsers: dict, make):
-    """The named closed-form Hamiltonian ``make(name, params)``, each
-    parameter parsed by ``parsers[key](value, field)``."""
-    ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
-    name = _require(ham_cfg, "name", "hamiltonian")
-    params = {k: p(ham_cfg[k], f"hamiltonian.{k}") for k, p in parsers.items() if k in ham_cfg}
-    try:
-        return make(name, params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"unknown hamiltonian {name!r} or missing parameter {exc}", "hamiltonian")
+def _sim_extension(body: dict, doc: dict, seed: int) -> _SimSystem:
+    spec = _extension_spec_from_config(body)
+    ext = build_extension(spec)
+    init = _typed(_require(body, "initial", "extension"), dict, "extension.initial")
+    b0 = []
+    for key, dim in (("c", spec.n.dim), ("a", spec.h.dim)):
+        field, node = f"extension.initial.{key}", _require(init, key, "initial")
+        # a complex extension also takes [re, im] pairs
+        v = _floats(node, dim, field) if ext.dtype is float else _cvector(node, field)
+        if v.shape != (dim,) or not np.isfinite(v).all():
+            raise ConfigError(f"needs {dim} finite numbers, got {node!r}", field)
+        b0.append(v)
+    if ext.dtype is float:
+        labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [f"a{i + 1}" for i in range(spec.h.dim)]
+    else:
+        labels = _complex_labels("c", (spec.n.dim,)) + _complex_labels("a", (spec.h.dim,))
+    return _pairing_sim(doc, ext, direct_sum_pairing(spec, ext), labels, np.concatenate(b0))
 
 
-def _flat_sim(doc: dict, codec: tuple, shape, h, state0, labels, observables) -> _SimSystem:
-    """A closed-form system integrated in flat real coordinates.  ``codec``
-    is (from_flat(y, shape) -> state, rhs(h, state) -> the derivative's
-    parts, parts -> state, to_flat(state) -> y), taken from the system's
-    module when it is built; the field decodes, applies rhs and encodes."""
-    from_flat, rhs, make_state, to_flat = codec
-
-    def field(y):
-        return to_flat(make_state(*rhs(h, from_flat(y, shape))))
-
-    def on_state(f):
-        return lambda y: f(from_flat(y, shape))
-
-    columns = _observables(doc, observables, lambda fn, _params: on_state(observables[fn]))
-    return _SimSystem(labels, to_flat(state0), field, on_state(h.eval), columns)
-
-
+# functions of c = (Re v, Im v) and a = (Re rho, Im rho), rho row-major
 _QM_OBSERVABLES = {
-    "v_norm_sq": lambda s: float(np.real(np.vdot(s.v, s.v))),
-    "trace_rho_re": lambda s: float(np.real(np.trace(s.rho))),
-    "rho_frobenius_sq": lambda s: float(np.sum(np.abs(s.rho) ** 2)),
+    "v_norm_sq": lambda c, a: float(c @ c),
+    "trace_rho_re": lambda c, a: float(np.trace(a[: a.size // 2].reshape(c.size // 2, -1))),
+    "rho_frobenius_sq": lambda c, a: float(a @ a),
 }
 
 
@@ -497,20 +547,21 @@ def _sim_semidirect_qm(body: dict, doc: dict, seed: int) -> _SimSystem:
         raise ConfigError("v0 length does not match n", "semidirect_qm.v0")
 
     square = partial(_cmatrix, shape=(n, n))
-    h = _flat_hamiltonian(
+    h = _hamiltonian(
         doc,
         {"H0": square, "A": square, "coupling": lambda v, field: _floats([v], 1, field)[0]},
         lambda name, params: quantum.NAMED_HAMILTONIANS[name](params),
     )
-    codec = (quantum.state_from_flat, quantum.qm_hamilton_rhs, quantum.QState,
-             quantum.flat_coordinates)
     labels = _complex_labels("v", (n,)) + _complex_labels("rho", (n, n))
-    return _flat_sim(doc, codec, n, h, state0, labels, _QM_OBSERVABLES)
+    return _closed_form_sim(doc, quantum.semidirect_extension_spec(n), labels,
+                            *quantum.state_coordinates(state0), quantum.as_pair_function(h, n),
+                            _QM_OBSERVABLES)
 
 
+# functions of c = kappa and a = sigma, both row-major
 _RESTRICTED_OBSERVABLES = {
-    "kappa_frobenius_sq": lambda s: float(np.sum(np.abs(s.kappa) ** 2)),
-    "sigma_frobenius_sq": lambda s: float(np.sum(np.abs(s.sigma.to_full()) ** 2)),
+    "kappa_frobenius_sq": lambda c, a: float(np.sum(np.abs(c) ** 2)),
+    "sigma_frobenius_sq": lambda c, a: float(np.sum(np.abs(a) ** 2)),
 }
 
 
@@ -546,7 +597,7 @@ def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
     except LiePoissonError as exc:
         raise ConfigError(str(exc), "restricted")
 
-    h = _flat_hamiltonian(
+    h = _hamiltonian(
         doc,
         {
             "A": partial(_cmatrix, shape=(n_plus, n_plus)),
@@ -554,11 +605,11 @@ def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
         },
         lambda name, params: restricted.named_restricted_hamiltonian(name, params, dims),
     )
-    codec = (restricted.state_from_flat, restricted.restricted_hamiltonian_field,
-             restricted.RestrictedState, restricted.flat_coordinates)
     n = n_plus + n_minus
     labels = _complex_labels("kappa", (n_plus, n_plus)) + _complex_labels("sigma", (n, n))
-    return _flat_sim(doc, codec, dims, h, state0, labels, _RESTRICTED_OBSERVABLES)
+    return _closed_form_sim(doc, restricted.restricted_extension_spec(*dims), labels,
+                            *restricted.state_coordinates(state0),
+                            restricted.as_pair_function(h, dims), _RESTRICTED_OBSERVABLES)
 
 
 def _integrator_config(doc: dict) -> IntegratorConfig:
@@ -581,14 +632,10 @@ def run_simulate(doc: dict, seed: int) -> str:
         raise ConfigError(f"system {name!r} cannot be simulated", "system")
     system = entry.simulate(body, doc, seed)
     cfg = _integrator_config(doc)
-    observables = {"H": system.hamiltonian, **system.observables}
-    traj = integrate_flow(system.field, system.state0, cfg, observables)
-    casimir_names = [n for n in observables if n != "H"]
-    header = ["t", *system.labels, "H", *casimir_names]
-    lines = [",".join(header)]
+    traj = integrate_flow(system.field, system.state0, cfg, system.tracked)
+    lines = [",".join(["t", *system.labels, *system.tracked])]
     for i, t in enumerate(traj.times):
-        row = [t, *traj.states[i], traj.tracked["H"][i]]
-        row += [traj.tracked[name][i] for name in casimir_names]
+        row = [t, *traj.states[i], *(series[i] for series in traj.tracked.values())]
         lines.append(",".join(f"{v:.17e}" for v in row))
     return "\n".join(lines) + "\n"
 

@@ -191,13 +191,6 @@ class ExtensionSpec:
             else "real"
         )
 
-    def split(self, xhat) -> tuple[np.ndarray, np.ndarray]:
-        """Split a stacked vector into its (n, h) parts."""
-        xhat = np.asarray(xhat)
-        if xhat.shape != (self.n.dim + self.h.dim,):
-            raise DimensionMismatchError("stacked vector has wrong length")
-        return xhat[: self.n.dim], xhat[self.n.dim :]
-
 
 @dataclass(frozen=True)
 class Section:
@@ -421,6 +414,7 @@ def build_extension(
     c[:dn, dn:, :dn] = m.transpose(1, 0, 2)
     c[:dn, dn:, dn:] = spec.omega.coeffs
     c[dn:, dn:, dn:] = spec.h.structure_constants
+    c.setflags(write=False)  # LieAlgebra keeps a read-only array without a copy
     labels = tuple(f"n:{l}" for l in spec.n.basis_labels) + tuple(
         f"h:{l}" for l in spec.h.basis_labels
     )

@@ -13,7 +13,9 @@ all bracket values are real numbers.
 The bracket of two functions at b is Re <b, [Df(b), Dg(b)]>, and the flow
 of h follows X_h(b) = -ad*_{Dh(b)} b.  The sign of X_h is fixed by the
 consistency contract d/dt f = {f, h} along the flow, which the tests
-enforce for every system in the package.
+enforce for every system in the package.  :func:`hamiltonian_field`
+compiles that formula once per algebra and pairing; it is the one
+implementation of X_h.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import DualPairing, LieAlgebra, _coords, ad_star, bracket_eval
+from .algebra import DualPairing, LieAlgebra, _coords, bracket_eval
 from .errors import NumericDomainError
 from .extension import ExtensionSpec, coadjoint_extension
+from .linalg import coo
 from .tolerances import FD_STEP
 
 __all__ = [
@@ -34,6 +37,7 @@ __all__ = [
     "functional_derivative",
     "fd_gradient",
     "lie_poisson_bracket",
+    "hamiltonian_field",
     "hamiltonian_vector_field",
     "product_bracket",
     "extension_partial_derivatives",
@@ -71,12 +75,6 @@ class PairFunction:
     grad_c: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     grad_a: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     fd_step: float = FD_STEP
-
-    def __call__(self, c, a) -> float:
-        v = self.eval(np.asarray(c), np.asarray(a))
-        if not np.isfinite(v):
-            raise NumericDomainError("function evaluated to a non-finite value")
-        return float(v)
 
     def freeze_second(self, a) -> SmoothFunction:
         return SmoothFunction(
@@ -148,13 +146,43 @@ def lie_poisson_bracket(
     return pairing.real_pair(b, bracket_eval(alg, df, dg))
 
 
+def hamiltonian_field(
+    h: SmoothFunction, alg: LieAlgebra, pairing: DualPairing
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The field b -> X_h(b) = -ad*_{Dh(b)} b of h, compiled once.
+
+    ad*_x b solves G^T b' = ad_x^T G^T b (see :func:`algebra.ad_star`), so
+    with x = Dh(b)
+
+        X_h(b)_m = sum_{i, l} K[m, i, l] x_i b_l,
+        K[m, i, l] = -sum_{j, k} Ginv[j, m] c[k, i, j] G[l, k].
+
+    K folds the gram and its inverse into the structure constants; it is
+    complex for a complex algebra and is kept as its nonzeros, whose
+    products each call adds up per m.
+    """
+    g = pairing.gram
+    # [i, j, k] @ -G^T -> [i, j, l]; then Ginv^T @ -> [i, m, l]
+    k = np.linalg.inv(g).T @ (alg.structure_constants.transpose(1, 2, 0) @ -g.T)
+    (m, i, l), v = coo(k.transpose(1, 0, 2))
+    rows, starts = np.unique(m, return_index=True)
+
+    def field(b: np.ndarray) -> np.ndarray:
+        x = functional_derivative(h, b, pairing)
+        out = np.zeros(alg.dim, dtype=v.dtype)
+        out[rows] = np.add.reduceat(v * x[i] * b[l], starts)
+        return out
+
+    return field
+
+
 def hamiltonian_vector_field(
     h: SmoothFunction, b, alg: LieAlgebra, pairing: DualPairing
 ) -> np.ndarray:
-    """X_h(b) = -ad*_{Dh(b)} b, a predual vector."""
+    """X_h(b) = -ad*_{Dh(b)} b, a predual vector: :func:`hamiltonian_field`
+    at one point."""
     b = _coords(b, pairing.predual_dim)
-    dh = functional_derivative(h, b, pairing)
-    return -ad_star(pairing, dh, b)
+    return hamiltonian_field(h, alg, pairing)(b)
 
 
 def product_bracket(

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import DualPairing, abelian, gl, matrix_trace_gram, realify
-from .errors import DimensionMismatchError, NumericDomainError
+from .errors import DimensionMismatchError
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
 from .poisson import PairFunction, fd_gradient
 from .tolerances import FD_STEP
@@ -53,8 +53,6 @@ __all__ = [
     "semidirect_extension_spec",
     "state_coordinates",
     "state_from_coordinates",
-    "flat_coordinates",
-    "state_from_flat",
     "as_pair_function",
     "qstate_to_json",
     "qstate_from_json",
@@ -92,12 +90,6 @@ class QMFunction:
     grad_v: Callable[[QState], np.ndarray] | None = None
     grad_rho: Callable[[QState], np.ndarray] | None = None
     fd_step: float = FD_STEP
-
-    def __call__(self, state: QState) -> float:
-        val = self.eval(state)
-        if not np.isfinite(val):
-            raise NumericDomainError("function evaluated to a non-finite value")
-        return float(val)
 
 
 def qm_gradients(f: QMFunction, state: QState) -> tuple[np.ndarray, np.ndarray]:
@@ -264,17 +256,6 @@ def state_from_coordinates(c: np.ndarray, a: np.ndarray, n: int) -> QState:
     v = c[:n] + 1j * c[n:]
     rho = a[: n * n].reshape(n, n) + 1j * a[n * n :].reshape(n, n)
     return QState(v, rho)
-
-
-def flat_coordinates(state: QState) -> np.ndarray:
-    """One flat real vector (Re v, Im v, Re rho, Im rho) for integration."""
-    c, a = state_coordinates(state)
-    return np.concatenate([c, a])
-
-
-def state_from_flat(y: np.ndarray, n: int) -> QState:
-    y = np.asarray(y)
-    return state_from_coordinates(y[: 2 * n], y[2 * n :], n)
 
 
 def as_pair_function(f: QMFunction, n: int) -> PairFunction:

@@ -47,7 +47,7 @@ from .algebra import (
     gl,
     matrix_trace_gram,
 )
-from .errors import DimensionMismatchError, NumericDomainError
+from .errors import DimensionMismatchError
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
 from .poisson import PairFunction, fd_gradient
 from .tolerances import FD_STEP
@@ -66,8 +66,6 @@ __all__ = [
     "restricted_hamiltonian_field",
     "restricted_extension_spec",
     "state_coordinates",
-    "flat_coordinates",
-    "state_from_flat",
     "named_restricted_hamiltonian",
     "as_pair_function",
     "random_block",
@@ -107,7 +105,8 @@ class BlockOperator:
         return self.pp.shape[0], self.mm.shape[0]
 
     def to_full(self) -> np.ndarray:
-        return np.block([[self.pp, self.pm], [self.mp, self.mm]])
+        top = np.concatenate([self.pp, self.pm], axis=1)
+        return np.concatenate([top, np.concatenate([self.mp, self.mm], axis=1)])
 
     @classmethod
     def from_full(cls, m: np.ndarray, n_plus: int) -> "BlockOperator":
@@ -286,12 +285,6 @@ class RestrictedFunction:
     grad_sigma: Callable[[RestrictedState], BlockOperator] | None = None
     fd_step: float = FD_STEP
 
-    def __call__(self, state: RestrictedState) -> float:
-        v = self.eval(state)
-        if not np.isfinite(v):
-            raise NumericDomainError("function evaluated to a non-finite value")
-        return float(v)
-
 
 def _sigma_vec(sigma: BlockOperator) -> np.ndarray:
     return sigma.to_full().reshape(-1)
@@ -439,25 +432,6 @@ def restricted_extension_spec(n_plus: int, n_minus: int) -> ExtensionSpec:
 def state_coordinates(state: RestrictedState) -> tuple[np.ndarray, np.ndarray]:
     """(c, a) coordinates of a state for the equivalent extension spec."""
     return state.kappa.reshape(-1), _sigma_vec(state.sigma)
-
-
-def flat_coordinates(state: RestrictedState) -> np.ndarray:
-    """One flat real vector (Re c, Im c, Re a, Im a) for integration."""
-    c, a = state_coordinates(state)
-    return np.concatenate([c.real, c.imag, a.real, a.imag])
-
-
-def state_from_flat(y: np.ndarray, dims: tuple[int, int]) -> RestrictedState:
-    n_plus, n_minus = dims
-    dn = n_plus * n_plus
-    n = n_plus + n_minus
-    dh = n * n
-    y = np.asarray(y)
-    c = y[:dn] + 1j * y[dn : 2 * dn]
-    a = y[2 * dn : 2 * dn + dh] + 1j * y[2 * dn + dh :]
-    return RestrictedState(
-        c.reshape(n_plus, n_plus), BlockOperator.from_full(a.reshape(n, n), n_plus)
-    )
 
 
 def named_restricted_hamiltonian(

@@ -35,14 +35,6 @@ def test_bracket_dimension_mismatch(so3):
         la.bracket_eval(so3, [1, 0], [0, 1, 0])
 
 
-def test_element_wrappers_validate(so3):
-    el = la.AlgebraElement(so3, [1.0, 0.0, 0.0])
-    out = la.bracket_eval(so3, el, la.AlgebraElement(so3, [0.0, 1.0, 0.0]))
-    assert np.allclose(out, [0, 0, 1])
-    with pytest.raises(DimensionMismatchError):
-        la.AlgebraElement(so3, [1.0, 0.0])
-
-
 def test_construction_rejects_broken_antisymmetry():
     c = np.zeros((2, 2, 2))
     c[0, 0, 1] = 1.0  # missing the mirrored -1

@@ -233,10 +233,3 @@ def test_qstate_json_roundtrip(rng):
     back = qm.qstate_from_json(qm.qstate_to_json(state))
     assert np.max(np.abs(back.v - state.v)) == 0.0
     assert np.max(np.abs(back.rho - state.rho)) == 0.0
-
-
-def test_flat_coordinates_roundtrip(rng):
-    state = rand_state(rng, 3)
-    back = qm.state_from_flat(qm.flat_coordinates(state), 3)
-    assert np.max(np.abs(back.v - state.v)) == 0.0
-    assert np.max(np.abs(back.rho - state.rho)) == 0.0

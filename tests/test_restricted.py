@@ -386,10 +386,3 @@ def test_block_json_roundtrip(rng):
     x = rs.random_block(3, 2, rng)
     back = rs.block_from_json(rs.block_to_json(x))
     assert np.max(np.abs((back - x).to_full())) == 0.0
-
-
-def test_flat_roundtrip(rng):
-    state = rand_state(rng, (3, 2))
-    back = rs.state_from_flat(rs.flat_coordinates(state), (3, 2))
-    assert np.max(np.abs(back.kappa - state.kappa)) == 0.0
-    assert np.max(np.abs((back.sigma - state.sigma).to_full())) == 0.0
