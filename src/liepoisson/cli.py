@@ -132,26 +132,40 @@ def _ints(node, field: str, low: int) -> tuple[int, ...]:
     return tuple(_int(v, field, low) for v in _typed(node, list, field))
 
 
-def _floats(node, n: int, field: str) -> np.ndarray:
+def _is_number(v) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return type(v) in (int, float)
+
+
+def _floats(node, n: int | None, field: str) -> np.ndarray:
+    """A JSON list of ``n`` finite numbers (any number of them when ``n`` is None)."""
+    if not (isinstance(node, list) and all(map(_is_number, node))):
+        raise ConfigError(f"not a vector of numbers: {node!r}", field)
     try:
         v = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ConfigError(f"not a vector of numbers: {exc}", field)
-    if v.shape != (n,) or not np.isfinite(v).all():
-        raise ConfigError(f"needs {n} finite numbers, got {node!r}", field)
+    if (n is not None and v.shape != (n,)) or not np.isfinite(v).all():
+        raise ConfigError(f"needs {n or 'only'} finite numbers, got {node!r}", field)
     return v
 
 
 def _scalar(v):
-    if isinstance(v, (list, tuple)):
+    """A JSON number, or an [re, im] pair of exactly two JSON numbers."""
+    if _is_number(v):
+        return float(v)
+    if isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)):
         return complex(v[0], v[1])
-    return float(v)
+    raise TypeError(f"{v!r} is not a number or an [re, im] pair of numbers")
 
 
 def _cmatrix(rows, field: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A matrix given as a JSON list of rows, each a JSON list of scalars."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ConfigError(f"not a list of rows: {rows!r}", field)
     try:
         m = np.array([[_scalar(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"not a matrix of scalars: {exc}", field)
     if m.ndim != 2 or (shape is not None and m.shape != shape):
         raise ConfigError(f"needs a matrix of shape {shape or '(m, n)'}, got {m.shape}", field)
@@ -159,7 +173,7 @@ def _cmatrix(rows, field: str, shape: tuple[int, int] | None = None) -> np.ndarr
 
 
 def _cvector(vals, field: str) -> np.ndarray:
-    return _cmatrix([vals], field)[0]
+    return _cmatrix([_typed(vals, list, field)], field)[0]
 
 
 def _algebra_ref(node, field: str) -> tuple[LieAlgebra, DualPairing]:
@@ -192,7 +206,7 @@ def _extension_spec_from_config(body: dict) -> ExtensionSpec:
         try:
             a, i, j, v = entry
             val = _to_field(np.array(_scalar(v)), n.dtype, "omega")
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad omega triplet {entry!r}: {exc}", "omega")
         if not all(type(k) is int and 0 <= k < d for k, d in ((a, n.dim), (i, h.dim), (j, h.dim))):
             raise ConfigError(f"omega indices {entry[:3]} are not indices in range", "omega")
@@ -409,6 +423,9 @@ def _named_function(name, params: dict, pairing: DualPairing, field: str):
     for key in ("coeffs", "inertia"):
         if key in params:
             params = {**params, key: _floats(params[key], pairing.predual_dim, f"{field}.{key}")}
+    if "coefficients" in params:  # trace_poly: any number of them
+        coefficients = _floats(params["coefficients"], None, f"{field}.coefficients")
+        params = {**params, "coefficients": coefficients}
     try:
         return build_named_function(name, params, pairing)
     except ValueError as exc:
@@ -614,15 +631,22 @@ def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
 
 def _integrator_config(doc: dict) -> IntegratorConfig:
     cfg = _typed(doc.get("integrator", {}), dict, "integrator")
+
+    def number(key: str, default: float) -> float:
+        return float(_floats([cfg.get(key, default)], 1, f"integrator.{key}")[0])
+
+    def count(key: str, default: int) -> int:
+        return _int(cfg.get(key, default), f"integrator.{key}", 1)
+
     try:
         return IntegratorConfig(
             method=cfg.get("method", "midpoint"),
-            dt=float(cfg.get("dt", 1e-2)),
-            steps=int(cfg.get("steps", 100)),
-            newton_tol=float(cfg.get("newton_tol", 1e-12)),
-            newton_max_iter=int(cfg.get("newton_max_iter", 50)),
+            dt=number("dt", 1e-2),
+            steps=count("steps", 100),
+            newton_tol=number("newton_tol", 1e-12),
+            newton_max_iter=count("newton_max_iter", 50),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad integrator settings: {exc}", "integrator")
 
 

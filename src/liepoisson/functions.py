@@ -7,6 +7,8 @@ predual slots flattened row-major against the trace pairing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import DualPairing
@@ -109,7 +111,11 @@ def build_named_function(name: str, params: dict, pairing: DualPairing) -> Smoot
             raise ConfigError("rigid_body needs an inertia triple", "hamiltonian.inertia")
         return rigid_body_energy(params["inertia"])
     if name == "trace_poly":
-        n = int(round(np.sqrt(pairing.predual_dim)))
+        n = math.isqrt(pairing.predual_dim)
+        if n * n != pairing.predual_dim:
+            raise ValueError(
+                f"trace_poly needs a square predual dimension, got {pairing.predual_dim}"
+            )
         return trace_polynomial(n, params.get("coefficients", [1.0]))
     if name == "norm_squared":
         return norm_squared()

@@ -3,9 +3,20 @@
 Fields act on flat real state vectors; systems with complex or structured
 states adapt through flatten/unflatten helpers.  Two methods are provided:
 classic RK4 as the baseline and the implicit midpoint rule, whose stage
-equation is solved by a damped-free Newton iteration on
+equation
 
-    z = y + (dt/2) f(z),        y_next = 2 z - y.
+    z = y + (dt/2) f(z),        y_next = 2 z - y
+
+is solved by simplified Newton (Hairer & Wanner, *Solving ODEs II*,
+§IV.8): one iteration matrix ``M = inv(I - dt/2 J)`` serves every step of
+an ``integrate_flow`` call, so an iteration costs one field evaluation and
+one mat-vec, ``z <- z - M r``.  ``J`` is a finite-difference Jacobian,
+rebuilt at the current iterate only when an iteration fails to shrink the
+residual norm by ``tolerances.NEWTON_CONTRACTION``.  The iteration stops
+when ``|r| < newton_tol * max(1, |z|)``, and the step is taken from the
+corrected iterate ``z - M r``.  A stage that simplified Newton cannot
+solve within ``newton_max_iter`` iterations is solved again by full
+Newton, with a fresh Jacobian at every iteration.
 
 Midpoint conserves quadratic invariants of the flow (energy of quadratic
 Hamiltonians, quadratic Casimirs) up to the Newton tolerance per step.
@@ -19,6 +30,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import IntegratorFailureError, NumericBlowupError
+from .tolerances import NEWTON_CONTRACTION
 
 __all__ = [
     "IntegratorConfig",
@@ -33,6 +45,10 @@ _METHODS = ("rk4", "midpoint")
 
 @dataclass(frozen=True)
 class IntegratorConfig:
+    """A fixed-step run.  ``newton_tol`` is relative: a midpoint stage is
+    solved once its residual norm is below ``newton_tol * max(1, |z|)``,
+    within ``newton_max_iter`` iterations."""
+
     method: str = "midpoint"
     dt: float = 1e-2
     steps: int = 100
@@ -46,6 +62,10 @@ class IntegratorConfig:
             raise ValueError("dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
+        if not self.newton_tol > 0:
+            raise ValueError("newton_tol must be positive")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
 
 
 @dataclass
@@ -82,24 +102,53 @@ def _fd_jacobian(f, z, f0, h):
     return jac
 
 
-def _midpoint_step(f, y, dt, tol, max_iter, step_index):
-    z = y + 0.5 * dt * f(y)  # explicit Euler predictor for the stage
-    eye = np.eye(y.size)
-    for _ in range(max_iter):
-        fz = f(z)
-        residual = z - y - 0.5 * dt * fz
-        if np.linalg.norm(residual) < tol:
-            return 2.0 * z - y
-        jac = eye - 0.5 * dt * _fd_jacobian(f, z, fz, 1e-7 * max(1.0, np.linalg.norm(z)))
+class _MidpointSolver:
+    """Simplified Newton for the midpoint stages of one run; keeps the
+    iteration matrix ``m = inv(I - dt/2 J)`` from step to step."""
+
+    def __init__(self, f, dim: int, cfg: IntegratorConfig):
+        self.f = f
+        self.half_dt = 0.5 * cfg.dt
+        self.tol = cfg.newton_tol
+        self.max_iter = cfg.newton_max_iter
+        self.eye = np.eye(dim)
+        self.m = None
+
+    def _refresh(self, z, fz, step_index):
+        jac = _fd_jacobian(self.f, z, fz, 1e-7 * max(1.0, np.linalg.norm(z)))
         try:
-            delta = np.linalg.solve(jac, residual)
+            self.m = np.linalg.inv(self.eye - self.half_dt * jac)
         except np.linalg.LinAlgError as exc:
             raise IntegratorFailureError(f"singular Newton system: {exc}", step_index)
-        z = z - delta
-    raise IntegratorFailureError(
-        f"Newton iteration did not reach tol {tol:g} in {max_iter} iterations",
-        step_index,
-    )
+
+    def step(self, y, step_index):
+        """One step from ``y``.  A stage that simplified Newton cannot
+        solve is solved again by full Newton, which rebuilds the Jacobian
+        at every iteration, so every stage full Newton solves is solved."""
+        try:
+            return self._solve(y, step_index, fresh=False)
+        except IntegratorFailureError:
+            return self._solve(y, step_index, fresh=True)
+
+    def _solve(self, y, step_index, fresh: bool):
+        z = y + self.half_dt * self.f(y)  # explicit Euler predictor for the stage
+        prev = np.inf
+        for _ in range(self.max_iter):
+            fz = self.f(z)
+            residual = z - y - self.half_dt * fz
+            norm = np.linalg.norm(residual)
+            done = norm < self.tol * max(1.0, np.linalg.norm(z))
+            contracted = not fresh and norm <= NEWTON_CONTRACTION * prev
+            if self.m is None or not (done or contracted):
+                self._refresh(z, fz, step_index)
+            z = z - self.m @ residual
+            if done:
+                return 2.0 * z - y
+            prev = norm
+        raise IntegratorFailureError(
+            f"Newton iteration did not reach tol {self.tol:g} in {self.max_iter} iterations",
+            step_index,
+        )
 
 
 def integrate_flow(
@@ -123,13 +172,12 @@ def integrate_flow(
             tracked[name][i] = float(fn(y))
 
     record(0, y)
+    midpoint = _MidpointSolver(field_fn, y.size, cfg) if cfg.method == "midpoint" else None
     for i in range(1, n_steps + 1):
         if cfg.method == "rk4":
             y = _rk4_step(field_fn, y, cfg.dt)
         else:
-            y = _midpoint_step(
-                field_fn, y, cfg.dt, cfg.newton_tol, cfg.newton_max_iter, i
-            )
+            y = midpoint.step(y, i)
         if not np.all(np.isfinite(y)):
             raise NumericBlowupError("state left the range of finite floats", i)
         record(i, y)

@@ -29,3 +29,8 @@ SUBSPACE_TOL = 1e-8
 # of a finite-difference gradient against an analytic one.
 FD_STEP = 1e-5
 FD_CHECK_TOL = 1e-5
+
+# Simplified Newton keeps its midpoint iteration matrix while each
+# iteration shrinks the stage residual norm by at least this factor, and
+# rebuilds the Jacobian at the first iteration that does not.
+NEWTON_CONTRACTION = 0.5

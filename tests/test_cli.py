@@ -278,6 +278,7 @@ def test_outdir_environment_override(tmp_path, monkeypatch):
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+SHIPPED = {p.name: json.loads(p.read_text()) for p in CONFIGS}
 NO_OUTPUT = {
     ("rigidbody.json", "bracket-table"),
     ("sequence.json", "simulate"),
@@ -341,6 +342,42 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
       "checks": ["wstar_split"]}, "sequence.wstar.ideal_blocks"),
     ("initial-null", "simulate",
      _with(rigid_config(), "rigid_body.initial", [None, 0.0, 1.0]), "rigid_body.initial"),
+    ("initial-string-numbers", "simulate",
+     _with(rigid_config(), "rigid_body.initial", ["0.2", "-0.3", "0.9"]), "rigid_body.initial"),
+    ("trace_poly-nonsquare-hamiltonian", "simulate",
+     _with(SHIPPED["rigidbody.json"], "hamiltonian", {"name": "trace_poly"}), "hamiltonian"),
+    ("trace_poly-nonsquare-casimir", "simulate",
+     _with(SHIPPED["rigidbody.json"], "casimirs", [{"name": "t", "fn": "trace_poly"}]),
+     "casimirs"),
+    ("trace_poly-coefficients-text", "simulate",
+     _with(SHIPPED["rigidbody.json"], "casimirs",
+           [{"name": "t", "fn": "trace_poly", "coefficients": "ab"}]), "casimirs.coefficients"),
+    ("v0-string", "simulate", _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", "12"), "v0"),
+    ("v0-string-numbers", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", ["1", "2"]), "v0"),
+    ("v0-bool", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [True, 0.5]), "v0"),
+    ("v0-long-pair", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [[1.0, 0.0, 7.0], 0.5]), "v0"),
+    ("rho0-string-numbers", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.rho0", [["0.6", 0.0], [0.1, 0.2]]),
+     "rho0"),
+    ("H0-bool", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "hamiltonian.H0", [[True, 0.0], [0.0, 0.3]]),
+     "hamiltonian.H0"),
+    ("kappa0-long-pair", "simulate",
+     _with(SHIPPED["restricted.json"], "restricted.kappa0",
+           [[1.0, 0.0, 0.0], [0.0, [1.0, 0.0, 7.0], 0.0], [0.0, 0.0, 1.0]]), "restricted.kappa0"),
+    ("c_predual-string-numbers", "verify",
+     _with(SHIPPED["heisenberg.json"], "extension.c_predual", [["1"]]), "c_predual"),
+    ("newton-max-iter-zero", "simulate",
+     _with(rigid_config(), "integrator.newton_max_iter", 0), "integrator.newton_max_iter"),
+    ("newton-tol-negative", "simulate",
+     _with(rigid_config(), "integrator.newton_tol", -1.0), "integrator"),
+    ("steps-bool", "simulate", _with(rigid_config(), "integrator.steps", True), "integrator.steps"),
+    ("dt-string", "simulate", _with(rigid_config(), "integrator.dt", "0.01"), "integrator.dt"),
+    ("omega-value-bool", "verify",
+     _with(heisenberg_config(), "extension.omega", [[0, 0, 1, True]]), "omega"),
 ]
 
 
@@ -353,3 +390,16 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, doc, f
     assert code == 2
     assert "Traceback" not in err
     assert f"(field: {field})" in err
+
+
+def test_shipped_semidirect_midpoint_1000_steps(tmp_path):
+    # |y| grows to about 1e4 under linear_rho; the relative Newton
+    # tolerance keeps every stage solvable
+    doc = _with(SHIPPED["semidirect_qm.json"], "integrator", {"method": "midpoint", "steps": 1000})
+    out = tmp_path / "qm.csv"
+    assert cli.run_cli(["simulate", write(tmp_path, "qm.json", doc), "--out", str(out)]) == 0
+    header, *lines = out.read_text().strip().splitlines()
+    assert len(lines) == 1001
+    tr = np.array([float(line.split(",")[header.split(",").index("trace_rho")]) for line in lines])
+    tol = cli.IntegratorConfig().newton_tol
+    assert np.max(np.abs(tr - tr[0])) / max(1.0, abs(tr[0])) <= 1000 * tol

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,10 @@ def test_config_validation():
         it.IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         it.IntegratorConfig(steps=0)
+    with pytest.raises(ValueError):
+        it.IntegratorConfig(newton_tol=0.0)
+    with pytest.raises(ValueError):
+        it.IntegratorConfig(newton_max_iter=0)
 
 
 def test_zero_hamiltonian_constant_trajectory():
@@ -103,3 +110,81 @@ def test_blowup_reports_step():
         with pytest.raises(NumericBlowupError) as err:
             it.integrate_flow(field, np.array([2.0]), cfg)
     assert 1 <= err.value.step <= 50
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def counted(fn):
+    """``fn`` with a call counter in ``.calls``."""
+
+    def f(*args):
+        f.calls += 1
+        return fn(*args)
+
+    f.calls = 0
+    return f
+
+
+def full_newton_step(f, y, dt, tol, max_iter=50):
+    """Reference midpoint step: Newton with a fresh forward-difference
+    Jacobian at every iteration, stopped on the relative residual test,
+    stepping from the corrected iterate."""
+    h = 0.5 * dt
+    z = y + h * f(y)
+    for _ in range(max_iter):
+        fz = f(z)
+        residual = z - y - h * fz
+        eps = 1e-7 * max(1.0, np.linalg.norm(z))
+        jac = np.column_stack([(f(z + eps * e) - fz) / eps for e in np.eye(y.size)])
+        corrected = z - np.linalg.solve(np.eye(y.size) - h * jac, residual)
+        if np.linalg.norm(residual) < tol * max(1.0, np.linalg.norm(z)):
+            return 2.0 * corrected - y
+        z = corrected
+    raise AssertionError("reference Newton did not converge")
+
+
+def swinging_field(y):
+    """A rotation of (y0, y1) whose rate 40 cos(5 y2) swings with the clock
+    y2 (y2' = 1): over a few steps of dt 0.05 the Jacobian changes by more
+    than the kept iteration matrix can absorb."""
+    k = 40.0 * np.cos(5.0 * y[2])
+    return np.array([-k * y[1], k * y[0], 1.0])
+
+
+def test_midpoint_on_shipped_rigid_body_at_most_5_evals_per_step():
+    doc = json.loads((CONFIGS / "rigidbody.json").read_text())
+    body, integ = doc["rigid_body"], doc["integrator"]
+    alg = la.so3()
+    field = counted(
+        po.hamiltonian_field(fn.rigid_body_energy(body["inertia"]), alg, la.identity_pairing(alg))
+    )
+    cfg = it.IntegratorConfig(integ["method"], integ["dt"], integ["steps"])
+    assert cfg.method == "midpoint"
+    it.integrate_flow(field, np.array(body["initial"]), cfg)
+    assert field.calls / cfg.steps <= 5.0
+
+
+@pytest.mark.parametrize("max_iter", [3, 4, 50])
+def test_sharp_jacobian_refreshes_and_matches_full_newton(monkeypatch, max_iter):
+    builds = counted(it._fd_jacobian)
+    monkeypatch.setattr(it, "_fd_jacobian", builds)
+    cfg = it.IntegratorConfig("midpoint", dt=0.05, steps=200, newton_max_iter=max_iter)
+    traj = it.integrate_flow(swinging_field, np.array([1.0, 0.0, 0.0]), cfg)
+    assert builds.calls > 1  # the first build, then at least one refresh
+    for y, y_next in zip(traj.states[:-1], traj.states[1:]):
+        ref = full_newton_step(swinging_field, y, cfg.dt, cfg.newton_tol, max_iter)
+        assert np.linalg.norm(y_next - ref) <= cfg.newton_tol * max(1.0, np.linalg.norm(ref))
+
+
+def test_midpoint_order_two_on_rigid_body():
+    field, _, _ = rigid_body_field()
+    b0 = np.array([0.2, -0.3, 0.9])
+    t_end = 1.0
+    ref = it.integrate_flow(field, b0, it.IntegratorConfig("rk4", 1e-3, 1000)).states[-1]
+    errors = []
+    for n in (10, 20, 40, 80):
+        cfg = it.IntegratorConfig("midpoint", t_end / n, n)
+        errors.append(np.linalg.norm(it.integrate_flow(field, b0, cfg).states[-1] - ref))
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(np.abs(orders - 2.0) < 0.1), orders
