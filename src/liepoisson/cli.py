@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ from .extension import (
     check_predual_closure,
     direct_sum_pairing,
 )
-from .functions import NAMED_FUNCTIONS, build_named_function, rigid_body_energy
+from .functions import NAMED_FUNCTIONS, build_named_function, linear, quadratic, rigid_body_energy
 from .integrators import IntegratorConfig, integrate_flow
 from .linalg import orthonormal_columns
 from .sequences import (
@@ -73,6 +74,7 @@ from .sequences import (
 from .tolerances import (
     COMPATIBILITY_PASS,
     CONSTRUCTION_TOL,
+    MAX_TRAJECTORY_VALUES,
     SUBSPACE_TOL,
     VERIFICATION_TOL,
 )
@@ -160,7 +162,7 @@ def _scalar(v):
 
 
 def _cmatrix(rows, field: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """A matrix given as a JSON list of rows, each a JSON list of scalars."""
+    """A matrix given as a JSON list of rows, each a JSON list of finite scalars."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise ConfigError(f"not a list of rows: {rows!r}", field)
     try:
@@ -169,6 +171,8 @@ def _cmatrix(rows, field: str, shape: tuple[int, int] | None = None) -> np.ndarr
         raise ConfigError(f"not a matrix of scalars: {exc}", field)
     if m.ndim != 2 or (shape is not None and m.shape != shape):
         raise ConfigError(f"needs a matrix of shape {shape or '(m, n)'}, got {m.shape}", field)
+    if not np.isfinite(m).all():
+        raise ConfigError(f"needs finite numbers, got {rows!r}", field)
     return m
 
 
@@ -288,8 +292,8 @@ def _predual_basis(body: dict, key: str, alg: LieAlgebra) -> np.ndarray:
         return np.eye(alg.dim)
     rows = _to_field(_cmatrix(node, key), alg.dtype, key)
     try:
-        if rows.shape[1] != alg.dim or rows.shape[0] > alg.dim or not np.isfinite(rows).all():
-            raise ValueError(f"needs at most {alg.dim} rows of {alg.dim} finite numbers")
+        if rows.shape[1] != alg.dim or rows.shape[0] > alg.dim:
+            raise ValueError(f"needs at most {alg.dim} rows of {alg.dim} numbers")
         orthonormal_columns(rows.T)  # the independence test check_predual_closure makes
     except ValueError as exc:
         raise ConfigError(f"{exc}, got {node!r}", key)
@@ -399,13 +403,15 @@ class _SimSystem:
     labels: list[str]
     state0: np.ndarray
     field: Callable[[np.ndarray], np.ndarray]
-    tracked: dict[str, Callable[[np.ndarray], float]]  # "H", then the casimirs columns
+    # "H", then the casimirs columns: each maps a stack of states (..., dim)
+    # to one value per state
+    tracked: dict[str, Callable[[np.ndarray], np.ndarray]]
 
 
-def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], float]]:
+def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
     """The ``casimirs`` columns: each entry is a function name from
     ``known``, or an object {"name": column, "fn": function, params...};
-    ``make(fn, params)`` returns the column's function of the predual point."""
+    ``make(fn, params)`` returns the column's function of predual points."""
     out = {}
     for entry in _typed(doc.get("casimirs", []), list, "casimirs"):
         entry = {"fn": entry} if isinstance(entry, str) else _typed(entry, dict, "casimirs")
@@ -418,14 +424,18 @@ def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], flo
 
 
 def _named_function(name, params: dict, pairing: DualPairing, field: str):
-    """build_named_function, with its vector parameters checked against the
+    """build_named_function, with its parameters checked against the
     pairing and its errors naming ``field``."""
+    d = pairing.predual_dim
     for key in ("coeffs", "inertia"):
         if key in params:
-            params = {**params, key: _floats(params[key], pairing.predual_dim, f"{field}.{key}")}
+            params = {**params, key: _floats(params[key], d, f"{field}.{key}")}
     if "coefficients" in params:  # trace_poly: any number of them
         coefficients = _floats(params["coefficients"], None, f"{field}.coefficients")
         params = {**params, "coefficients": coefficients}
+    if "gram" in params:  # quadratic
+        gram = _cmatrix(params["gram"], f"{field}.gram", (d, d))
+        params = {**params, "gram": _to_field(gram, pairing.algebra.dtype, f"{field}.gram")}
     try:
         return build_named_function(name, params, pairing)
     except ValueError as exc:
@@ -463,7 +473,7 @@ def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFun
     order = np.argsort(np.concatenate([re, im]))
 
     def point(y):
-        return y[re] + 1j * y[im]
+        return y[..., re] + 1j * y[..., im]
 
     def flat(b):
         return np.concatenate([b.real, b.imag])[order]
@@ -489,23 +499,15 @@ def _pairing_sim(doc: dict, alg, pairing, labels, b0, default_h=None) -> _SimSys
     return _sim(alg, pairing, labels, b0, h, observables)
 
 
-def _closed_form_sim(doc: dict, spec: ExtensionSpec, labels, c0, a0, h: poisson.PairFunction,
-                     table: dict) -> _SimSystem:
-    """A system whose Hamiltonian ``h`` (with both partial gradients) and
-    observables ``table`` are closed forms in the (c, a) coordinates of
-    ``spec``, simulated on the predual of its built extension."""
-    ext = build_extension(spec)
-    dn = spec.n.dim
-
-    def stacked(f):
-        return lambda b: f(b[:dn], b[dn:])
-
-    def grad(b):
-        return np.concatenate([h.grad_c(b[:dn], b[dn:]), h.grad_a(b[:dn], b[dn:])])
-
-    columns = _observables(doc, table, lambda fn, _params: stacked(table[fn]))
-    return _sim(ext, direct_sum_pairing(spec, ext), labels, np.concatenate([c0, a0]),
-                poisson.SmoothFunction(stacked(h.eval), grad), columns)
+def _built_sim(doc: dict, ext: LieAlgebra, pairing: DualPairing, labels, b0,
+               h: poisson.SmoothFunction, table: dict) -> _SimSystem:
+    """A system on the predual of a built extension whose observables come
+    from ``table``, as functions of the (c, a) slots of predual points."""
+    dn = ext.built_from.n.dim
+    columns = _observables(
+        doc, table, lambda fn, _params: lambda b, f=table[fn]: f(b[..., :dn], b[..., dn:])
+    )
+    return _sim(ext, pairing, labels, b0, h, columns)
 
 
 def _sim_rigid_body(body: dict, doc: dict, seed: int) -> _SimSystem:
@@ -525,60 +527,111 @@ def _complex_labels(name: str, shape: tuple[int, ...]) -> list[str]:
     return [f"{name}{s}_re" for s in idx] + [f"{name}{s}_im" for s in idx]
 
 
+def _built(spec: ExtensionSpec) -> tuple[LieAlgebra, DualPairing]:
+    """The built extension of ``spec`` and its direct-sum pairing."""
+    ext = build_extension(spec)
+    return ext, direct_sum_pairing(spec, ext)
+
+
 def _sim_extension(body: dict, doc: dict, seed: int) -> _SimSystem:
     spec = _extension_spec_from_config(body)
-    ext = build_extension(spec)
+    ext, pairing = _built(spec)
     init = _typed(_require(body, "initial", "extension"), dict, "extension.initial")
     b0 = []
     for key, dim in (("c", spec.n.dim), ("a", spec.h.dim)):
         field, node = f"extension.initial.{key}", _require(init, key, "initial")
         # a complex extension also takes [re, im] pairs
         v = _floats(node, dim, field) if ext.dtype is float else _cvector(node, field)
-        if v.shape != (dim,) or not np.isfinite(v).all():
+        if v.shape != (dim,):
             raise ConfigError(f"needs {dim} finite numbers, got {node!r}", field)
         b0.append(v)
     if ext.dtype is float:
         labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [f"a{i + 1}" for i in range(spec.h.dim)]
     else:
         labels = _complex_labels("c", (spec.n.dim,)) + _complex_labels("a", (spec.h.dim,))
-    return _pairing_sim(doc, ext, direct_sum_pairing(spec, ext), labels, np.concatenate(b0))
+    return _pairing_sim(doc, ext, pairing, labels, np.concatenate(b0))
 
 
-# functions of c = (Re v, Im v) and a = (Re rho, Im rho), rho row-major
+# The semidirect system lives on its realified extension: a point is
+# c = (Re v, Im v) and a = (Re rho, Im rho), rho row-major, and an algebra
+# element (g_v, g_rho) has the same layout.  Observables are functions of
+# (c, a); Hamiltonians take their parsed parameters, n and the pairing.
 _QM_OBSERVABLES = {
-    "v_norm_sq": lambda c, a: float(c @ c),
-    "trace_rho_re": lambda c, a: float(np.trace(a[: a.size // 2].reshape(c.size // 2, -1))),
-    "rho_frobenius_sq": lambda c, a: float(a @ a),
+    "v_norm_sq": lambda c, a: np.sum(c * c, axis=-1),
+    "trace_rho_re": lambda c, a: np.trace(
+        a[..., : a.shape[-1] // 2].reshape(*a.shape[:-1], c.shape[-1] // 2, -1),
+        axis1=-2, axis2=-1),
+    "rho_frobenius_sq": lambda c, a: np.sum(a * a, axis=-1),
 }
+
+
+def _qm_hamiltonian(name: str, params: dict, n: int, pairing: DualPairing):
+    """"linear_rho" Re trace(rho H0), "quadratic_v" 1/2 Re <v | A v> (with
+    the hermitian part of A) and "coupled", their sum plus coupling
+    Re <v | rho v>, whose gradient adds coupling ((rho + rho^H) v, v v^H)."""
+    if name == "linear_rho":
+        h0 = params["H0"]
+        return linear(pairing, np.concatenate([np.zeros(2 * n), h0.real.ravel(), h0.imag.ravel()]))
+    if name == "quadratic_v":
+        a = 0.5 * (params["A"] + params["A"].conj().T)
+        q = np.zeros((pairing.predual_dim,) * 2)
+        q[: 2 * n, : 2 * n] = np.block([[a.real, -a.imag], [a.imag, a.real]])
+        return quadratic(pairing, q)
+    if name != "coupled":
+        raise KeyError(f"unknown semidirect hamiltonian {name!r}")
+    lin, quad = (_qm_hamiltonian(part, params, n, pairing) for part in ("linear_rho", "quadratic_v"))
+    lam = params.get("coupling", 1.0)
+
+    def parts(b):
+        v = b[..., :n] + 1j * b[..., n : 2 * n]
+        r = b[..., 2 * n : 2 * n + n * n] + 1j * b[..., 2 * n + n * n :]
+        return v, r.reshape(*b.shape[:-1], n, n)
+
+    def _eval(b):
+        v, rho = parts(b)
+        vrv = np.einsum("...i,...ij,...j->...", v.conj(), rho, v)
+        return lin.eval(b) + quad.eval(b) + lam * np.real(vrv)
+
+    def _grad(b):
+        v, rho = parts(b)
+        gv, gr = (rho + rho.conj().T) @ v, np.outer(v, v.conj())
+        coupling = np.concatenate([gv.real, gv.imag, gr.real.ravel(), gr.imag.ravel()])
+        return lin.grad(b) + quad.grad(b) + lam * coupling
+
+    return poisson.SmoothFunction(_eval, _grad)
 
 
 def _sim_semidirect_qm(body: dict, doc: dict, seed: int) -> _SimSystem:
     n = _qm_n(body)
     v0 = _cvector(_require(body, "v0", "semidirect_qm"), "v0")
-    rho0 = _cmatrix(_require(body, "rho0", "semidirect_qm"), "rho0")
-    try:
-        state0 = quantum.QState(v0, rho0)
-    except LiePoissonError as exc:
-        raise ConfigError(str(exc), "semidirect_qm")
-    if state0.n != n:
+    rho0 = _cmatrix(_require(body, "rho0", "semidirect_qm"), "rho0", (n, n))
+    if v0.size != n:
         raise ConfigError("v0 length does not match n", "semidirect_qm.v0")
-
+    ext, pairing = _built(quantum.semidirect_extension_spec(n))
     square = partial(_cmatrix, shape=(n, n))
     h = _hamiltonian(
         doc,
         {"H0": square, "A": square, "coupling": lambda v, field: _floats([v], 1, field)[0]},
-        lambda name, params: quantum.NAMED_HAMILTONIANS[name](params),
+        partial(_qm_hamiltonian, n=n, pairing=pairing),
     )
     labels = _complex_labels("v", (n,)) + _complex_labels("rho", (n, n))
-    return _closed_form_sim(doc, quantum.semidirect_extension_spec(n), labels,
-                            *quantum.state_coordinates(state0), quantum.as_pair_function(h, n),
-                            _QM_OBSERVABLES)
+    b0 = np.concatenate([v0.real, v0.imag, rho0.real.ravel(), rho0.imag.ravel()])
+    return _built_sim(doc, ext, pairing, labels, b0, h, _QM_OBSERVABLES)
 
 
-# functions of c = kappa and a = sigma, both row-major
+def _kappa_trace(c, k: int):
+    """Re trace(kappa^k) of row-major kappa slots c."""
+    n = math.isqrt(c.shape[-1])
+    power = np.linalg.matrix_power(c.reshape(*c.shape[:-1], n, n), k)
+    return np.real(np.trace(power, axis1=-2, axis2=-1))
+
+
+# functions of c = kappa and a = sigma, both row-major; every Re tr(kappa^k)
+# is a Casimir, since the flow moves kappa by conjugation
 _RESTRICTED_OBSERVABLES = {
-    "kappa_frobenius_sq": lambda c, a: float(np.sum(np.abs(c) ** 2)),
-    "sigma_frobenius_sq": lambda c, a: float(np.sum(np.abs(a) ** 2)),
+    "kappa_frobenius_sq": lambda c, a: np.sum(np.abs(c) ** 2, axis=-1),
+    "sigma_frobenius_sq": lambda c, a: np.sum(np.abs(a) ** 2, axis=-1),
+    **{f"kappa_trace_{k}": lambda c, a, k=k: _kappa_trace(c, k) for k in (2, 3, 4)},
 }
 
 
@@ -596,7 +649,22 @@ def _block_from_config(node, dims: tuple[int, int], seed: int, field: str):
             raise ConfigError(f"bad block operator: {exc}", field)
     if block.dims != dims:
         raise ConfigError(f"block has dims {block.dims}, the system has {dims}", field)
-    return block
+    return block.to_full()
+
+
+def _restricted_hamiltonian(name: str, params: dict, dims, pairing: DualPairing):
+    """The named Hamiltonians over the (kappa, sigma) coordinates of the
+    built extension: "linear_kappa" Re tr(kappa A), "linear_sigma"
+    Re tr(sigma X0), "quadratic" 1/2 Re (tr kappa^2 + tr sigma^2), which is
+    1/2 Re <b, b> in the trace pairing."""
+    dn, da = dims[0] ** 2, sum(dims) ** 2
+    if name == "linear_kappa":
+        return linear(pairing, np.concatenate([params["A"].ravel(), np.zeros(da)]))
+    if name == "linear_sigma":
+        return linear(pairing, np.concatenate([np.zeros(dn), params["X0"].ravel()]))
+    if name == "quadratic":
+        return quadratic(pairing, pairing.gram)
+    raise KeyError(f"unknown restricted hamiltonian {name!r}")
 
 
 def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
@@ -606,27 +674,22 @@ def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
         rng = np.random.default_rng(_int(kappa_node.get("seed", seed), "restricted.kappa0.seed", 0))
         kappa0 = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
     else:
-        kappa0 = _cmatrix(kappa_node, "restricted.kappa0")
-    sigma_node = _require(body, "sigma0", "restricted")
-    sigma0 = _block_from_config(sigma_node, dims, seed, "restricted.sigma0")
-    try:
-        state0 = restricted.RestrictedState(kappa0, sigma0)
-    except LiePoissonError as exc:
-        raise ConfigError(str(exc), "restricted")
-
+        kappa0 = _cmatrix(kappa_node, "restricted.kappa0", (n_plus, n_plus))
+    sigma0 = _block_from_config(_require(body, "sigma0", "restricted"), dims, seed,
+                                "restricted.sigma0")
+    ext, pairing = _built(restricted.restricted_extension_spec(*dims))
     h = _hamiltonian(
         doc,
         {
             "A": partial(_cmatrix, shape=(n_plus, n_plus)),
             "X0": lambda v, field: _block_from_config(v, dims, seed, field),
         },
-        lambda name, params: restricted.named_restricted_hamiltonian(name, params, dims),
+        partial(_restricted_hamiltonian, dims=dims, pairing=pairing),
     )
     n = n_plus + n_minus
     labels = _complex_labels("kappa", (n_plus, n_plus)) + _complex_labels("sigma", (n, n))
-    return _closed_form_sim(doc, restricted.restricted_extension_spec(*dims), labels,
-                            *restricted.state_coordinates(state0),
-                            restricted.as_pair_function(h, dims), _RESTRICTED_OBSERVABLES)
+    b0 = np.concatenate([kappa0.ravel(), sigma0.ravel()])
+    return _built_sim(doc, ext, pairing, labels, b0, h, _RESTRICTED_OBSERVABLES)
 
 
 def _integrator_config(doc: dict) -> IntegratorConfig:
@@ -650,18 +713,30 @@ def _integrator_config(doc: dict) -> IntegratorConfig:
         raise ConfigError(f"bad integrator settings: {exc}", "integrator")
 
 
+def _csv(columns: list[str], table: np.ndarray) -> str:
+    """CSV text: the header, then one line per row of ``table``, each entry
+    formatted ``%.17e``.  Rows are converted one at a time, so no Python
+    copy of the whole table is held next to the text."""
+    line = ",".join(["%.17e"] * table.shape[1]) + "\n"
+    return "".join([",".join(columns) + "\n", *(line % tuple(row.tolist()) for row in table)])
+
+
 def run_simulate(doc: dict, seed: int) -> str:
     name, entry, body = _lookup(doc)
     if entry.simulate is None:
         raise ConfigError(f"system {name!r} cannot be simulated", "system")
     system = entry.simulate(body, doc, seed)
     cfg = _integrator_config(doc)
-    traj = integrate_flow(system.field, system.state0, cfg, system.tracked)
-    lines = [",".join(["t", *system.labels, *system.tracked])]
-    for i, t in enumerate(traj.times):
-        row = [t, *traj.states[i], *(series[i] for series in traj.tracked.values())]
-        lines.append(",".join(f"{v:.17e}" for v in row))
-    return "\n".join(lines) + "\n"
+    values = (cfg.steps + 1) * (1 + len(system.labels) + len(system.tracked))
+    if values > MAX_TRAJECTORY_VALUES:
+        raise ConfigError(
+            f"{cfg.steps} steps would store {values} values, more than {MAX_TRAJECTORY_VALUES}",
+            "integrator.steps",
+        )
+    traj = integrate_flow(system.field, system.state0, cfg)
+    series = [f(traj.states) for f in system.tracked.values()]
+    table = np.column_stack([traj.times, traj.states, *series])
+    return _csv(["t", *system.labels, *system.tracked], table)
 
 
 def run_bracket_table(doc: dict) -> dict:

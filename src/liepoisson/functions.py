@@ -31,23 +31,28 @@ NAMED_FUNCTIONS = ("linear", "quadratic", "rigid_body", "trace_poly", "norm_squa
 def linear(pairing: DualPairing, x0) -> SmoothFunction:
     """f(b) = Re <b, x0>; the gradient is the constant x0."""
     x0 = np.asarray(x0, dtype=pairing.algebra.dtype)
+    gx = pairing.gram @ x0
+    d = pairing.predual_dim
     return SmoothFunction(
-        eval=lambda b: pairing.real_pair(b, x0),
-        grad=lambda b: x0,
+        eval=lambda b: np.real(np.einsum("...i,i->...", b, gx)),
+        affine=(np.zeros((d, d)), x0),
     )
 
 
 def quadratic(pairing: DualPairing, q=None) -> SmoothFunction:
-    """f(b) = 1/2 Re(b^T Q b) for symmetric Q (identity by default).
+    """f(b) = 1/2 Re(b^T Q b), identity Q by default.
 
-    The gradient solves gram @ x = Q b; with the identity gram and Q = I
+    Only the symmetric part (Q + Q^T)/2 enters f, so it is the one used;
+    the gradient solves gram @ x = Q b.  With the identity gram and Q = I
     this is f(b) = 1/2 <b, b> with gradient b.
     """
     g = pairing.gram
-    qm = np.eye(pairing.predual_dim, dtype=g.dtype) if q is None else np.asarray(q, dtype=g.dtype)
+    d = pairing.predual_dim
+    qm = np.eye(d, dtype=g.dtype) if q is None else np.asarray(q, dtype=g.dtype)
+    qm = 0.5 * (qm + qm.T)
     return SmoothFunction(
-        eval=lambda b: 0.5 * float(np.real(np.asarray(b) @ qm @ np.asarray(b))),
-        grad=lambda b: np.linalg.solve(g, qm @ np.asarray(b, dtype=g.dtype)),
+        eval=lambda b: 0.5 * np.real(np.einsum("...i,ij,...j->...", b, qm, b)),
+        affine=(np.linalg.solve(g, qm), np.zeros(d, dtype=g.dtype)),
     )
 
 
@@ -58,17 +63,14 @@ def rigid_body_energy(inertia) -> SmoothFunction:
     if np.any(inertia <= 0):
         raise ValueError("inertia moments must be positive")
     return SmoothFunction(
-        eval=lambda b: float(0.5 * np.sum(np.asarray(b) ** 2 / inertia)),
-        grad=lambda b: np.asarray(b) / inertia,
+        eval=lambda b: 0.5 * np.sum(np.asarray(b) ** 2 / inertia, axis=-1),
+        affine=(np.diag(1.0 / inertia), np.zeros(inertia.size)),
     )
 
 
 def norm_squared() -> SmoothFunction:
     """f(b) = sum |b_i|^2; the Casimir of so(3)* under the identity gram."""
-    return SmoothFunction(
-        eval=lambda b: float(np.sum(np.abs(np.asarray(b)) ** 2)),
-        grad=None,
-    )
+    return SmoothFunction(eval=lambda b: np.sum(np.abs(np.asarray(b)) ** 2, axis=-1))
 
 
 def trace_polynomial(n: int, coeffs) -> SmoothFunction:
@@ -78,13 +80,13 @@ def trace_polynomial(n: int, coeffs) -> SmoothFunction:
     coeffs = list(coeffs)
 
     def _eval(b):
-        m = np.asarray(b).reshape(n, n)
+        m = np.asarray(b).reshape(*np.shape(b)[:-1], n, n)
         acc = np.eye(n, dtype=m.dtype)
         total = 0.0
         for ck in coeffs:
             acc = acc @ m
-            total += np.real(ck * np.trace(acc))
-        return float(total)
+            total = total + np.real(ck * np.trace(acc, axis1=-2, axis2=-1))
+        return total
 
     def _grad(b):
         m = np.asarray(b).reshape(n, n)

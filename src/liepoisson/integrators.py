@@ -178,7 +178,7 @@ def integrate_flow(
             y = _rk4_step(field_fn, y, cfg.dt)
         else:
             y = midpoint.step(y, i)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NumericBlowupError("state left the range of finite floats", i)
         record(i, y)
     return Trajectory(times, states, tracked)

@@ -19,6 +19,7 @@ __all__ = [
     "projector_distance",
     "coo",
     "join",
+    "sum_by_key",
     "max_abs_of_sum",
     "cyclic_terms",
 ]
@@ -83,18 +84,24 @@ def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, order[np.repeat(lo, counts) + offset]
 
 
+def sum_by_key(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct integer keys in increasing order, and the sum of the
+    values at each."""
+    if keys.size == 0:
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+    return k[starts], np.add.reduceat(values[order], starts)
+
+
 def max_abs_of_sum(shape: tuple[int, ...], terms) -> float:
     """Max norm of the array of ``shape`` that is the sum of sparse terms,
     each given as (index arrays, values) with repeats allowed; entries that
     no term reaches are 0."""
     keys = np.concatenate([np.ravel_multi_index(idx, shape) for idx, _ in terms])
     values = np.concatenate([v for _, v in terms])
-    if keys.size == 0:
-        return 0.0
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
-    return float(np.max(np.abs(np.add.reduceat(values[order], starts))))
+    return float(np.max(np.abs(sum_by_key(keys, values)[1]), initial=0.0))
 
 
 def cyclic_terms(lead, i, j, k, values) -> list:

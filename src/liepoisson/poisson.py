@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import DualPairing, LieAlgebra, _coords, bracket_eval
 from .errors import NumericDomainError
 from .extension import ExtensionSpec, coadjoint_extension
-from .linalg import coo
+from .linalg import coo, join, sum_by_key
 from .tolerances import FD_STEP
 
 __all__ = [
@@ -50,14 +50,24 @@ __all__ = [
 class SmoothFunction:
     """A scalar function of one predual point.
 
-    ``grad``, when given, returns the algebra element representing the
-    derivative through the pairing; otherwise central finite differences
-    with relative step ``fd_step`` are used.
+    ``eval`` also takes a stack of points along the last axis and then
+    returns one value per point.  ``grad``, when given, returns the algebra
+    element representing the derivative through the pairing; otherwise
+    central finite differences with relative step ``fd_step`` are used.
+    ``affine = (A, x0)`` declares an exact affine gradient, Dh(b) = A b + x0;
+    it stands in for a missing ``grad``, and :func:`hamiltonian_field`
+    folds it into its compiled tensor.
     """
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
     fd_step: float = FD_STEP
+    affine: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.grad is None and self.affine is not None:
+            a, x0 = self.affine
+            self.grad = lambda b: a @ b + x0
 
     def __call__(self, b) -> float:
         v = self.eval(np.asarray(b))
@@ -158,22 +168,51 @@ def hamiltonian_field(
         K[m, i, l] = -sum_{j, k} Ginv[j, m] c[k, i, j] G[l, k].
 
     K folds the gram and its inverse into the structure constants; it is
-    complex for a complex algebra and is kept as its nonzeros, whose
-    products each call adds up per m.
+    complex for a complex algebra and is kept as its nonzeros.  For a
+    function with an affine gradient Dh(b) = A b + x0 the gradient is
+    folded in as well, from the nonzeros of K and A: the field is the
+    quadratic form sum_{p <= l} Q[m, p, l] b_p b_l with Q[m, p, l] =
+    sum_i K[m, i, l] A[i, p] (plus its transpose in (p, l) off the
+    diagonal), plus L b with L[m, l] = sum_i K[m, i, l] x0_i, each part
+    kept only when it is nonzero.  A call then makes no gradient call.
+    Any other function pays one gradient call per field call, and its
+    products are summed over the nonzeros of K.
     """
     g = pairing.gram
+    d = alg.dim
     # [i, j, k] @ -G^T -> [i, j, l]; then Ginv^T @ -> [i, m, l]
     k = np.linalg.inv(g).T @ (alg.structure_constants.transpose(1, 2, 0) @ -g.T)
     (m, i, l), v = coo(k.transpose(1, 0, 2))
-    rows, starts = np.unique(m, return_index=True)
+    if h.affine is None:
+        rows, starts = np.unique(m, return_index=True)
 
-    def field(b: np.ndarray) -> np.ndarray:
-        x = functional_derivative(h, b, pairing)
-        out = np.zeros(alg.dim, dtype=v.dtype)
-        out[rows] = np.add.reduceat(v * x[i] * b[l], starts)
-        return out
+        def field(b: np.ndarray) -> np.ndarray:
+            x = functional_derivative(h, b, pairing)
+            out = np.zeros(d, dtype=v.dtype)
+            out[rows] = np.add.reduceat(v * x[i] * b[l], starts)
+            return out
 
-    return field
+        return field
+
+    a, x0 = (np.asarray(part, dtype=alg.dtype) for part in h.affine)
+    (ai, ap), av = coo(a)
+    s, t = join(i, ai)
+    lo, hi = np.minimum(ap[t], l[s]), np.maximum(ap[t], l[s])
+    keys, qv = sum_by_key(np.ravel_multi_index((m[s], lo, hi), (d, d, d)), v[s] * av[t])
+    keys, qv = keys[qv != 0], qv[qv != 0]
+    qm, qp, ql = np.unravel_index(keys, (d, d, d))
+    rows, starts = np.unique(qm, return_index=True)
+    lin = np.zeros((d, d), dtype=v.dtype)
+    np.add.at(lin, (m, l), v * x0[i])
+    linear = lin.any()
+
+    def affine_field(b: np.ndarray) -> np.ndarray:
+        out = np.zeros(d, dtype=v.dtype)
+        if qv.size:
+            out[rows] = np.add.reduceat(qv * b[qp] * b[ql], starts)
+        return out + lin @ b if linear else out
+
+    return affine_field
 
 
 def hamiltonian_vector_field(

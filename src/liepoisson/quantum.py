@@ -37,7 +37,7 @@ import numpy as np
 from .algebra import DualPairing, abelian, gl, matrix_trace_gram, realify
 from .errors import DimensionMismatchError
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
-from .poisson import PairFunction, fd_gradient
+from .poisson import fd_gradient
 from .tolerances import FD_STEP
 
 __all__ = [
@@ -47,13 +47,9 @@ __all__ = [
     "qm_bracket",
     "qm_hamilton_rhs",
     "matrix_element_representative",
-    "linear_rho",
-    "quadratic_v",
-    "coupled",
     "semidirect_extension_spec",
     "state_coordinates",
     "state_from_coordinates",
-    "as_pair_function",
     "qstate_to_json",
     "qstate_from_json",
 ]
@@ -143,62 +139,6 @@ def matrix_element_representative(v: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# named Hamiltonians
-# ---------------------------------------------------------------------------
-
-
-def linear_rho(h0) -> QMFunction:
-    """h = Re trace(rho H0); for hermitian H0 the flow is v_dot = -H0 v,
-    rho_dot = [H0, rho]."""
-    h0 = np.asarray(h0, dtype=complex)
-    return QMFunction(
-        eval=lambda s: float(np.real(np.trace(s.rho @ h0))),
-        grad_v=lambda s: np.zeros(s.n, dtype=complex),
-        grad_rho=lambda s: h0,
-    )
-
-
-def quadratic_v(a) -> QMFunction:
-    """h = 1/2 Re <v | A v> with A hermitian; dh/dv = A v."""
-    a = np.asarray(a, dtype=complex)
-    a = 0.5 * (a + a.conj().T)
-    return QMFunction(
-        eval=lambda s: float(0.5 * np.real(np.vdot(s.v, a @ s.v))),
-        grad_v=lambda s: a @ s.v,
-        grad_rho=lambda s: np.zeros((s.n, s.n), dtype=complex),
-    )
-
-
-def coupled(h0, a, coupling: float) -> QMFunction:
-    """h = Re trace(rho H0) + 1/2 Re <v | A v> + coupling Re <v | rho v>."""
-    base_rho = linear_rho(h0)
-    base_v = quadratic_v(a)
-    lam = float(coupling)
-
-    def _eval(s):
-        return (
-            base_rho.eval(s)
-            + base_v.eval(s)
-            + lam * float(np.real(np.vdot(s.v, s.rho @ s.v)))
-        )
-
-    def _grad_v(s):
-        return base_v.grad_v(s) + lam * (s.rho + s.rho.conj().T) @ s.v
-
-    def _grad_rho(s):
-        return base_rho.grad_rho(s) + lam * np.outer(s.v, np.conj(s.v))
-
-    return QMFunction(eval=_eval, grad_v=_grad_v, grad_rho=_grad_rho)
-
-
-NAMED_HAMILTONIANS = {
-    "linear_rho": lambda p: linear_rho(p["H0"]),
-    "quadratic_v": lambda p: quadratic_v(p["A"]),
-    "coupled": lambda p: coupled(p["H0"], p["A"], p.get("coupling", 1.0)),
-}
-
-
-# ---------------------------------------------------------------------------
 # the equivalent realified extension
 # ---------------------------------------------------------------------------
 
@@ -256,29 +196,6 @@ def state_from_coordinates(c: np.ndarray, a: np.ndarray, n: int) -> QState:
     v = c[:n] + 1j * c[n:]
     rho = a[: n * n].reshape(n, n) + 1j * a[n * n :].reshape(n, n)
     return QState(v, rho)
-
-
-def as_pair_function(f: QMFunction, n: int) -> PairFunction:
-    """Transport a state function to the realified extension coordinates,
-    carrying analytic gradients along."""
-
-    def _eval(c, a):
-        return f.eval(state_from_coordinates(c, a, n))
-
-    grad_c = None
-    grad_a = None
-    if f.grad_v is not None:
-        def grad_c(c, a):
-            gv = f.grad_v(state_from_coordinates(c, a, n))
-            return np.concatenate([np.real(gv), np.imag(gv)])
-    if f.grad_rho is not None:
-        def grad_a(c, a):
-            gr = f.grad_rho(state_from_coordinates(c, a, n))
-            return np.concatenate(
-                [np.real(gr).reshape(-1), np.imag(gr).reshape(-1)]
-            )
-
-    return PairFunction(eval=_eval, grad_c=grad_c, grad_a=grad_a, fd_step=f.fd_step)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from .algebra import (
 )
 from .errors import DimensionMismatchError
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
-from .poisson import PairFunction, fd_gradient
+from .poisson import fd_gradient
 from .tolerances import FD_STEP
 
 __all__ = [
@@ -66,8 +66,6 @@ __all__ = [
     "restricted_hamiltonian_field",
     "restricted_extension_spec",
     "state_coordinates",
-    "named_restricted_hamiltonian",
-    "as_pair_function",
     "random_block",
     "diagonal_block",
     "block_to_json",
@@ -432,67 +430,6 @@ def restricted_extension_spec(n_plus: int, n_minus: int) -> ExtensionSpec:
 def state_coordinates(state: RestrictedState) -> tuple[np.ndarray, np.ndarray]:
     """(c, a) coordinates of a state for the equivalent extension spec."""
     return state.kappa.reshape(-1), _sigma_vec(state.sigma)
-
-
-def named_restricted_hamiltonian(
-    name: str, params: dict, dims: tuple[int, int]
-) -> RestrictedFunction:
-    """Hamiltonians addressable from configs: "linear_kappa" (matrix A),
-    "linear_sigma" (block X0), "quadratic" (sum of the two squares)."""
-    n_plus, n_minus = dims
-    if name == "linear_kappa":
-        a0 = np.asarray(params["A"], dtype=complex)
-        return RestrictedFunction(
-            eval=lambda st: float(np.real(np.trace(st.kappa @ a0))),
-            grad_kappa=lambda st: a0,
-            grad_sigma=lambda st: BlockOperator.zero(n_plus, n_minus),
-        )
-    if name == "linear_sigma":
-        x0 = params["X0"]
-        if not isinstance(x0, BlockOperator):
-            x0 = block_from_json(x0)
-        return RestrictedFunction(
-            eval=lambda st: float(np.real(block_pairing(st.sigma, x0))),
-            grad_kappa=lambda st: np.zeros((n_plus, n_plus), dtype=complex),
-            grad_sigma=lambda st: x0,
-        )
-    if name == "quadratic":
-        return RestrictedFunction(
-            eval=lambda st: float(
-                0.5 * np.real(np.trace(st.kappa @ st.kappa))
-                + 0.5 * np.real(block_pairing(st.sigma, st.sigma))
-            ),
-            grad_kappa=lambda st: st.kappa,
-            grad_sigma=lambda st: st.sigma,
-        )
-    raise KeyError(f"unknown restricted hamiltonian {name!r}")
-
-
-def as_pair_function(f: RestrictedFunction, dims: tuple[int, int]) -> PairFunction:
-    """Transport a restricted function to the coordinates of the
-    equivalent extension spec, carrying analytic gradients along."""
-    n_plus, n_minus = dims
-
-    def _state(c, a):
-        return RestrictedState(
-            np.asarray(c).reshape(n_plus, n_plus), _sigma_from_vec(a, dims)
-        )
-
-    grad_c = None
-    grad_a = None
-    if f.grad_kappa is not None:
-        def grad_c(c, a):
-            return np.asarray(f.grad_kappa(_state(c, a)), dtype=complex).reshape(-1)
-    if f.grad_sigma is not None:
-        def grad_a(c, a):
-            return _sigma_vec(f.grad_sigma(_state(c, a))).astype(complex)
-
-    return PairFunction(
-        eval=lambda c, a: f.eval(_state(c, a)),
-        grad_c=grad_c,
-        grad_a=grad_a,
-        fd_step=f.fd_step,
-    )
 
 
 # ---------------------------------------------------------------------------

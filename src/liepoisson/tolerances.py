@@ -1,4 +1,4 @@
-"""Numeric thresholds used across the package.
+"""Numeric thresholds and resource bounds used across the package.
 
 Every tolerance that appears in a contract lives here, so that tests and
 library code agree on one set of numbers.
@@ -25,12 +25,15 @@ GRAM_CONDITION_TOL = 1e-10
 # subspaces count as equal.
 SUBSPACE_TOL = 1e-8
 
-# Relative step for central finite differences, and the accuracy expected
-# of a finite-difference gradient against an analytic one.
+# Relative step for central finite differences.
 FD_STEP = 1e-5
-FD_CHECK_TOL = 1e-5
 
 # Simplified Newton keeps its midpoint iteration matrix while each
 # iteration shrinks the stage residual norm by at least this factor, and
 # rebuilds the Jacobian at the first iteration that does not.
 NEWTON_CONTRACTION = 0.5
+
+# Largest number of values a simulated trajectory may store: (steps + 1)
+# rows of the time, the state coordinates and the tracked columns.  As
+# float64 that is 80 MB, and about 250 MB of CSV text.
+MAX_TRAJECTORY_VALUES = 10_000_000

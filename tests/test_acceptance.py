@@ -18,6 +18,13 @@ from liepoisson import quantum as qm
 from liepoisson import restricted as rs
 from liepoisson import sequences as sq
 
+from closed_forms import (
+    coupled,
+    linear_rho,
+    named_restricted_hamiltonian,
+    quadratic_v,
+    restricted_pair_function,
+)
 from conftest import vector_rep_spec
 from test_quantum import crandom, hermitian, linear_coordinate_functions
 from test_sequences import random_exact_sequence
@@ -158,7 +165,7 @@ def test_criterion_04_cross_module_oracle():
     rng = np.random.default_rng(104)
     dims = (3, 2)
     spec = rs.restricted_extension_spec(*dims)
-    h = rs.named_restricted_hamiltonian("quadratic", {}, dims)
+    h = named_restricted_hamiltonian("quadratic", {}, dims)
     worst = 0.0
     for _ in range(50):
         state = rs.RestrictedState(crandom(rng, 3, 3), rs.random_block(*dims, rng))
@@ -175,11 +182,11 @@ def test_criterion_04_cross_module_oracle():
         )
         lhs = rs.restricted_poisson_bracket(f, h, state)
         rhs = po.extension_poisson_bracket(
-            rs.as_pair_function(f, dims), rs.as_pair_function(h, dims), c0, a0, spec
+            restricted_pair_function(f, dims), restricted_pair_function(h, dims), c0, a0, spec
         )
         worst = max(worst, abs(lhs - rhs))
         kd, sd = rs.restricted_hamiltonian_field(h, state)
-        cd, ad_ = po.extension_hamiltonian_field(rs.as_pair_function(h, dims), c0, a0, spec)
+        cd, ad_ = po.extension_hamiltonian_field(restricted_pair_function(h, dims), c0, a0, spec)
         worst = max(worst, float(np.max(np.abs(kd.reshape(-1) - cd))))
         worst = max(worst, float(np.max(np.abs(sd.to_full().reshape(-1) - ad_))))
     _check(4, "restricted-vs-generic-extension", worst < 1e-10, f"max residual {worst:.2e}")
@@ -382,7 +389,7 @@ def _worlds():
         lambda ev, grad=None: qm.QMFunction(ev),
         lambda rng: qm.QState(crandom(rng, n), crandom(rng, n, n)),
     )
-    world.polys = [qm.linear_rho(h0), qm.quadratic_v(a_h), qm.coupled(h0, a_h, 0.4)]
+    world.polys = [linear_rho(h0), quadratic_v(a_h), coupled(h0, a_h, 0.4)]
     out.append(world)
 
     return out
@@ -443,7 +450,7 @@ def test_criterion_08_semidirect_quantum_consistency():
     rng = np.random.default_rng(108)
     n = 4
     h0, a = hermitian(rng, n), hermitian(rng, n)
-    hamiltonians = [qm.linear_rho(h0), qm.quadratic_v(a), qm.coupled(h0, a, 0.7)]
+    hamiltonians = [linear_rho(h0), quadratic_v(a), coupled(h0, a, 0.7)]
     coords = linear_coordinate_functions(n)
     worst = 0.0
     for h in hamiltonians:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liepoisson import cli
+from liepoisson.errors import LiePoissonError
 
 
 def write(tmp_path, name, doc):
@@ -378,6 +379,25 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("dt-string", "simulate", _with(rigid_config(), "integrator.dt", "0.01"), "integrator.dt"),
     ("omega-value-bool", "verify",
      _with(heisenberg_config(), "extension.omega", [[0, 0, 1, True]]), "omega"),
+    ("quadratic-gram-shape", "simulate",
+     _with(SHIPPED["rigidbody.json"], "hamiltonian",
+           {"name": "quadratic", "gram": [[1, 0], [0, 1]]}), "hamiltonian.gram"),
+    ("quadratic-gram-text", "simulate",
+     _with(SHIPPED["rigidbody.json"], "hamiltonian",
+           {"name": "quadratic", "gram": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}), "hamiltonian.gram"),
+    ("quadratic-gram-complex-in-real", "simulate",
+     _with(SHIPPED["rigidbody.json"], "hamiltonian",
+           {"name": "quadratic", "gram": [[1, 0, 0], [0, [1, 1], 0], [0, 0, 1]]}),
+     "hamiltonian.gram"),
+    ("casimir-gram-shape", "simulate",
+     _with(SHIPPED["rigidbody.json"], "casimirs",
+           [{"name": "q", "fn": "quadratic", "gram": [[1, 0, 0]]}]), "casimirs.gram"),
+    ("rho0-shape", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.rho0", [[1.0, 0.0, 0.0]] * 3), "rho0"),
+    ("v0-infinite", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [float("inf"), 0.5]), "v0"),
+    ("steps-beyond-storage", "simulate",
+     _with(rigid_config(), "integrator.steps", 10**12), "integrator.steps"),
 ]
 
 
@@ -403,3 +423,37 @@ def test_shipped_semidirect_midpoint_1000_steps(tmp_path):
     tr = np.array([float(line.split(",")[header.split(",").index("trace_rho")]) for line in lines])
     tol = cli.IntegratorConfig().newton_tol
     assert np.max(np.abs(tr - tr[0])) / max(1.0, abs(tr[0])) <= 1000 * tol
+
+
+def test_storage_bound_is_checked_before_integrating(tmp_path, capsys, monkeypatch):
+    reached = []
+
+    def stop(field, state0, cfg, observables=None):
+        reached.append(cfg.steps)
+        raise LiePoissonError("stopped before integrating")
+
+    monkeypatch.setattr(cli, "integrate_flow", stop)
+    # a row of configs/restricted.json holds t, 68 state coordinates, H and kappa_hs
+    largest = cli.MAX_TRAJECTORY_VALUES // 71 - 1
+    for steps, code in ((10**12, 2), (largest + 1, 2), (largest, 1)):
+        doc = _with(SHIPPED["restricted.json"], "integrator.steps", steps)
+        assert cli.run_cli(["simulate", write(tmp_path, "cfg.json", doc)]) == code
+    err = capsys.readouterr().err
+    assert err.count("(field: integrator.steps)") == 2
+    assert reached == [largest]
+
+
+def test_quadratic_uses_the_symmetric_part_of_its_gram(tmp_path):
+    """f = 1/2 b^T Q b sees only (Q + Q^T)/2, so the gradient must too: H
+    then drifts under RK4 as little as for the symmetric matrix itself."""
+    rows = {}
+    for tag, gram in (("skew", [[1, 2, 0], [0, 2, 0], [0, 0, 3]]),
+                      ("sym", [[1, 1, 0], [1, 2, 0], [0, 0, 3]])):
+        doc = _with(SHIPPED["rigidbody.json"], "hamiltonian", {"name": "quadratic", "gram": gram})
+        doc["integrator"] = {"method": "rk4", "dt": 0.01, "steps": 2000}
+        out = tmp_path / f"{tag}.csv"
+        assert cli.run_cli(["simulate", write(tmp_path, f"{tag}.json", doc), "--out", str(out)]) == 0
+        rows[tag] = np.loadtxt(out, delimiter=",", skiprows=1)
+    h = rows["skew"][:, 4]
+    assert np.max(np.abs(h - h[0])) < 1e-9
+    assert np.max(np.abs(rows["skew"] - rows["sym"])) < 1e-12

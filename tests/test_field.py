@@ -16,6 +16,15 @@ from liepoisson import integrators as it
 from liepoisson import poisson as po
 from liepoisson import quantum as qm
 from liepoisson import restricted as rs
+from liepoisson.tolerances import VERIFICATION_TOL
+
+from closed_forms import (
+    QM_NAMED_HAMILTONIANS,
+    coupled,
+    named_restricted_hamiltonian,
+    qm_pair_function,
+    restricted_pair_function,
+)
 
 
 def _close(got, want, tol=1e-13):
@@ -82,8 +91,8 @@ def test_field_matches_restricted_closed_form(dims, name):
         "A": rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus)),
         "X0": rs.random_block(*dims, rng),
     }
-    f = rs.named_restricted_hamiltonian(name, params, dims)
-    field = _extension_field(rs.restricted_extension_spec(*dims), rs.as_pair_function(f, dims))
+    f = named_restricted_hamiltonian(name, params, dims)
+    field = _extension_field(rs.restricted_extension_spec(*dims), restricted_pair_function(f, dims))
     for _ in range(3):
         kappa = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
         state = rs.RestrictedState(kappa, rs.random_block(*dims, rng))
@@ -100,8 +109,8 @@ def test_field_matches_semidirect_closed_form(n, name):
     def cm():
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
-    f = qm.NAMED_HAMILTONIANS[name]({"H0": cm(), "A": cm(), "coupling": 0.7})
-    field = _extension_field(qm.semidirect_extension_spec(n), qm.as_pair_function(f, n))
+    f = QM_NAMED_HAMILTONIANS[name]({"H0": cm(), "A": cm(), "coupling": 0.7})
+    field = _extension_field(qm.semidirect_extension_spec(n), qm_pair_function(f, n))
     for _ in range(3):
         state = qm.QState(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
         want = np.concatenate(qm.state_coordinates(qm.QState(*qm.qm_hamilton_rhs(f, state))))
@@ -142,7 +151,7 @@ def test_restricted_simulate_follows_the_closed_form(tmp_path):
         "integrator": {"method": "rk4", "dt": 0.01, "steps": 20},
     }
     cols, rows = _simulate(tmp_path, doc)
-    h = rs.named_restricted_hamiltonian("quadratic", {}, dims)
+    h = named_restricted_hamiltonian("quadratic", {}, dims)
 
     def split(y):
         c, a = y[:9] + 1j * y[9:18], y[18:43] + 1j * y[43:]
@@ -178,7 +187,7 @@ def test_semidirect_simulate_follows_the_closed_form(tmp_path):
         "integrator": {"method": "rk4", "dt": 0.01, "steps": 30},
     }
     cols, rows = _simulate(tmp_path, doc)
-    h = qm.coupled(h0, h0, 0.3)
+    h = coupled(h0, h0, 0.3)
 
     def field(y):
         state = qm.state_from_coordinates(y[: 2 * n], y[2 * n :], n)
@@ -220,3 +229,196 @@ def test_complex_extension_simulates_with_midpoint_conservation(tmp_path):
     bound = steps * it.IntegratorConfig().newton_tol
     for k in (-2, -1):
         assert np.max(np.abs(rows[:, k] - rows[0, k])) <= bound * max(1.0, abs(rows[0, k]))
+
+
+# ---------------------------------------------------------------------------
+# compiled affine fields, row-vectorized observables, CSV rows
+# ---------------------------------------------------------------------------
+
+_COMPLEX_EXTENSION = {
+    "n": {"dim": 1, "field": "complex"},
+    "h": {"dim": 2, "field": "complex", "gram": [[1.0, [0.0, 0.5]], [[0.0, 0.5], 2.0]]},
+    "omega": [[0, 0, 1, [1.0, 0.5]]],
+    "initial": {"c": [[1.0, 0.2]], "a": [[0.5, -0.1], 0.25]},
+}
+_HEISENBERG = {"n": "abelian1", "h": "abelian2", "omega": [[0, 0, 1, 1.0]]}
+
+
+def _affine_hamiltonians():
+    """(id, algebra, pairing, function) for every affine named Hamiltonian
+    of every simulated system, with seeded parameters."""
+    rng = np.random.default_rng(8)
+
+    def cm(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    so3 = la.so3()
+    p = la.identity_pairing(so3)
+    yield "rigid_body", so3, p, fn.rigid_body_energy([1.0, 2.0, 3.5])
+    yield "so3-linear", so3, p, fn.linear(p, rng.normal(size=3))
+    yield "so3-quadratic-gram", so3, p, fn.quadratic(p, rng.normal(size=(3, 3)))
+    for tag, body in (("heisenberg", _HEISENBERG), ("complex-extension", _COMPLEX_EXTENSION)):
+        e, p = cli._built(cli._extension_spec_from_config(body))
+        draw = cm(3) if e.dtype is complex else rng.normal(size=3)
+        yield f"{tag}-linear", e, p, fn.linear(p, draw)
+        yield f"{tag}-quadratic", e, p, fn.quadratic(p)
+    dims = (3, 2)
+    e, p = cli._built(rs.restricted_extension_spec(*dims))
+    params = {"A": cm(3, 3), "X0": cm(5, 5)}
+    for name in ("linear_kappa", "linear_sigma", "quadratic"):
+        yield f"restricted-{name}", e, p, cli._restricted_hamiltonian(name, params, dims, p)
+    e, p = cli._built(qm.semidirect_extension_spec(2))
+    for name in ("linear_rho", "quadratic_v"):
+        h = cli._qm_hamiltonian(name, {"H0": cm(2, 2), "A": cm(2, 2)}, 2, p)
+        yield f"semidirect-{name}", e, p, h
+
+
+@pytest.mark.parametrize("alg,pairing,h", [c[1:] for c in _affine_hamiltonians()],
+                         ids=[c[0] for c in _affine_hamiltonians()])
+def test_compiled_affine_field_matches_the_gradient_path(alg, pairing, h):
+    assert h.affine is not None
+    compiled = po.hamiltonian_field(h, alg, pairing)
+    per_call = po.hamiltonian_field(po.SmoothFunction(h.eval, h.grad), alg, pairing)
+    rng = np.random.default_rng(alg.dim)
+    for _ in range(4):
+        b = rng.normal(size=alg.dim)
+        b = b + 1j * rng.normal(size=alg.dim) if alg.dtype is complex else b
+        _close(compiled(b), per_call(b))
+
+
+def _restricted_point(rng, dims):
+    kappa = rng.normal(size=(dims[0],) * 2) + 1j * rng.normal(size=(dims[0],) * 2)
+    return rs.RestrictedState(kappa, rs.random_block(*dims, rng))
+
+
+@pytest.mark.parametrize("name", ["linear_kappa", "linear_sigma", "quadratic"])
+def test_restricted_hamiltonians_match_the_closed_forms(name):
+    rng = np.random.default_rng(21)
+    dims = (3, 2)
+    params = {"A": rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
+              "X0": rs.random_block(*dims, rng)}
+    oracle = named_restricted_hamiltonian(name, params, dims)
+    e, p = cli._built(rs.restricted_extension_spec(*dims))
+    h = cli._restricted_hamiltonian(name, {**params, "X0": params["X0"].to_full()}, dims, p)
+    field = po.hamiltonian_field(h, e, p)
+    for _ in range(3):
+        state = _restricted_point(rng, dims)
+        b = np.concatenate(rs.state_coordinates(state))
+        want = np.concatenate(rs.state_coordinates(
+            rs.RestrictedState(*rs.restricted_hamiltonian_field(oracle, state))))
+        _close(field(b), want)
+        assert h.eval(b) == pytest.approx(oracle.eval(state), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("name", ["linear_rho", "quadratic_v", "coupled"])
+def test_semidirect_hamiltonians_match_the_closed_forms(name):
+    rng = np.random.default_rng(22)
+    n = 3
+
+    def cm():
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    params = {"H0": cm(), "A": cm(), "coupling": 0.7}
+    oracle = QM_NAMED_HAMILTONIANS[name](params)
+    e, p = cli._built(qm.semidirect_extension_spec(n))
+    h = cli._qm_hamiltonian(name, params, n, p)
+    field = po.hamiltonian_field(h, e, p)
+    for _ in range(3):
+        state = qm.QState(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
+        b = np.concatenate(qm.state_coordinates(state))
+        want = np.concatenate(qm.state_coordinates(qm.QState(*qm.qm_hamilton_rhs(oracle, state))))
+        _close(field(b), want)
+        assert h.eval(b) == pytest.approx(oracle.eval(state), rel=1e-13, abs=1e-13)
+
+
+def _sim_docs():
+    rng = np.random.default_rng(23)
+    every = [{"name": f, "fn": f} for f in ("norm_squared", "quadratic")]
+    yield "rigid_body", {
+        "system": "rigid_body",
+        "rigid_body": {"inertia": [1.0, 2.0, 3.0], "initial": [0.2, -0.3, 0.9]},
+        "casimirs": every + [{"name": "lin", "fn": "linear", "coeffs": [0.3, -1.0, 2.0]},
+                             {"name": "q", "fn": "quadratic", "gram": rng.normal(size=(3, 3)).tolist()}],
+    }
+    yield "abelian1+so3", {
+        "system": "extension",
+        "extension": {"n": "abelian1", "h": "so3", "initial": {"c": [1.0], "a": [1, 2, 3]}},
+        "hamiltonian": {"name": "trace_poly", "coefficients": [0.5, -1.0, 0.25]},
+        "casimirs": every,
+    }
+    yield "complex-extension", {
+        "system": "extension", "extension": _COMPLEX_EXTENSION, "hamiltonian": {"name": "quadratic"},
+        "casimirs": every + [{"name": "lin", "fn": "linear", "coeffs": [1.0, 0.5, -2.0]}],
+    }
+    yield "restricted", {
+        "system": "restricted",
+        "restricted": {"n_plus": 3, "n_minus": 2, "kappa0": {"constructor": "random"},
+                       "sigma0": {"constructor": "random_block"}},
+        "hamiltonian": {"name": "linear_kappa", "A": _cplx(rng.normal(size=(3, 3)))},
+        "casimirs": sorted(cli._RESTRICTED_OBSERVABLES),
+    }
+    yield "semidirect", {
+        "system": "semidirect_qm",
+        "semidirect_qm": {"n": 2, "v0": [1.0, [0.0, 0.5]], "rho0": [[0.6, 0.1], [0.2, 0.4]]},
+        "hamiltonian": {"name": "coupled", "H0": [[1.0, 0.0], [0.0, 0.3]],
+                        "A": [[0.5, [0.0, 1.0]], [0.0, 2.0]], "coupling": 0.4},
+        "casimirs": sorted(cli._QM_OBSERVABLES),
+    }
+
+
+@pytest.mark.parametrize("doc", [d for _, d in _sim_docs()], ids=[t for t, _ in _sim_docs()])
+def test_tracked_columns_are_row_vectorized(doc):
+    """Every tracked column, H included, maps a (T, dim) stack of flat states
+    to the T values it takes on each row alone."""
+    name, entry, body = cli._lookup(doc)
+    system = entry.simulate(body, doc, 0)
+    rng = np.random.default_rng(24)
+    states = rng.normal(size=(7, system.state0.size))
+    assert len(system.tracked) == 1 + len(doc["casimirs"])
+    for column, f in system.tracked.items():
+        stacked = f(states)
+        assert stacked.shape == (7,), column
+        rows = np.array([f(row) for row in states])
+        assert np.allclose(stacked, rows, rtol=1e-14, atol=1e-14), column
+
+
+def test_csv_rows_match_per_value_formatting():
+    rng = np.random.default_rng(25)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1.0, np.inf, -np.inf, np.nan]
+    for shape in ((1, 1), (5, 3), (40, 13)):
+        table = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        table.flat[: len(special)] = special[: table.size]
+        want = "".join(",".join(f"{v:.17e}" for v in row) + "\n" for row in table)
+        assert cli._csv(["t"] * shape[1], table) == ",".join(["t"] * shape[1]) + "\n" + want
+
+
+def test_restricted_spectral_casimirs(tmp_path):
+    """Every Re tr(kappa^k) is a Casimir of the restricted flow.  Midpoint
+    keeps the quadratic one to the Newton tolerance per step; it does not
+    keep the cubic and quartic ones, which RK4 follows within its bound of
+    the verification tolerance per step."""
+    rng = np.random.default_rng(26)
+    steps = 80
+    state = _restricted_point(rng, (3, 2))
+    kappa, sigma = state.kappa, state.sigma.to_full()
+    scale = 4.0 / np.sqrt(np.sum(np.abs(kappa) ** 2) + np.sum(np.abs(sigma) ** 2))
+    doc = {
+        "system": "restricted",
+        "restricted": {"n_plus": 3, "n_minus": 2, "kappa0": _cplx(scale * kappa),
+                       "sigma0": rs.block_to_json(state.sigma * scale)},
+        "hamiltonian": {"name": "quadratic"},
+        "casimirs": ["kappa_trace_2", "kappa_trace_3", "kappa_trace_4"],
+    }
+
+    def drift(method, column):
+        doc["integrator"] = {"method": method, "dt": 0.01, "steps": steps}
+        cols, rows = _simulate(tmp_path, doc)
+        s = rows[:, cols.index(column)]
+        return np.max(np.abs(s - s[0])) / max(1.0, abs(s[0]))
+
+    k3 = np.trace(np.linalg.matrix_power(scale * kappa, 3)).real
+    assert abs(k3) > 0.1  # the cubic Casimir is not trivially 0
+    assert drift("midpoint", "kappa_trace_2") <= steps * it.IntegratorConfig().newton_tol
+    assert drift("midpoint", "H") <= steps * it.IntegratorConfig().newton_tol
+    for column in ("kappa_trace_3", "kappa_trace_4"):
+        assert drift("rk4", column) <= steps * VERIFICATION_TOL

@@ -6,6 +6,8 @@ from liepoisson import poisson as po
 from liepoisson import quantum as qm
 from liepoisson.errors import DimensionMismatchError
 
+from closed_forms import coupled, linear_rho, qm_pair_function, quadratic_v
+
 
 def crandom(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -75,8 +77,8 @@ def test_rho_only_bracket(rng):
     n = 3
     state = rand_state(rng, n)
     x1, x2 = crandom(rng, n, n), crandom(rng, n, n)
-    f = qm.linear_rho(x1)
-    g = qm.linear_rho(x2)
+    f = linear_rho(x1)
+    g = linear_rho(x2)
     expected = np.real(np.trace(state.rho @ (x1 @ x2 - x2 @ x1)))
     assert qm.qm_bracket(f, g, state) == pytest.approx(float(expected))
 
@@ -85,8 +87,8 @@ def test_v_only_functions_commute(rng):
     # the Hilbert slot alone carries the trivial structure
     n = 3
     state = rand_state(rng, n)
-    f = qm.quadratic_v(hermitian(rng, n))
-    g = qm.quadratic_v(hermitian(rng, n))
+    f = quadratic_v(hermitian(rng, n))
+    g = quadratic_v(hermitian(rng, n))
     assert qm.qm_bracket(f, g, state) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -116,7 +118,7 @@ def test_mixed_linear_matches_extension_bracket(rng):
         )
         lhs = qm.qm_bracket(f, g, state)
         rhs = po.extension_poisson_bracket(
-            qm.as_pair_function(f, n), qm.as_pair_function(g, n), c0, a0, spec
+            qm_pair_function(f, n), qm_pair_function(g, n), c0, a0, spec
         )
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
@@ -125,11 +127,11 @@ def test_mixed_linear_matches_extension_bracket(rng):
 def test_field_matches_extension_field(rng):
     n = 3
     spec = qm.semidirect_extension_spec(n)
-    h = qm.coupled(hermitian(rng, n), hermitian(rng, n), 0.4)
+    h = coupled(hermitian(rng, n), hermitian(rng, n), 0.4)
     state = rand_state(rng, n)
     c0, a0 = qm.state_coordinates(state)
     vd, rd = qm.qm_hamilton_rhs(h, state)
-    cd, ad_ = po.extension_hamiltonian_field(qm.as_pair_function(h, n), c0, a0, spec)
+    cd, ad_ = po.extension_hamiltonian_field(qm_pair_function(h, n), c0, a0, spec)
     flow = qm.state_from_coordinates(cd, ad_, n)
     assert np.max(np.abs(flow.v - vd)) < 1e-12
     assert np.max(np.abs(flow.rho - rd)) < 1e-12
@@ -139,7 +141,7 @@ def test_hermitian_generator_flow(rng):
     n = 4
     h0 = hermitian(rng, n)
     state = rand_state(rng, n)
-    vd, rd = qm.qm_hamilton_rhs(qm.linear_rho(h0), state)
+    vd, rd = qm.qm_hamilton_rhs(linear_rho(h0), state)
     assert np.max(np.abs(vd + h0 @ state.v)) < 1e-13
     assert np.max(np.abs(rd - (h0 @ state.rho - state.rho @ h0))) < 1e-13
 
@@ -147,7 +149,7 @@ def test_hermitian_generator_flow(rng):
 def test_v_only_hamiltonian_outer_product(rng):
     n = 3
     a = hermitian(rng, n)
-    h = qm.quadratic_v(a)
+    h = quadratic_v(a)
     state = rand_state(rng, n)
     vd, rd = qm.qm_hamilton_rhs(h, state)
     assert np.max(np.abs(vd)) == 0.0
@@ -171,9 +173,9 @@ def test_flow_satisfies_bracket_contract(maker, rng):
     n = 4
     h0, a = hermitian(rng, n), hermitian(rng, n)
     h = {
-        "linear_rho": lambda: qm.linear_rho(h0),
-        "quadratic_v": lambda: qm.quadratic_v(a),
-        "coupled": lambda: qm.coupled(h0, a, 0.7),
+        "linear_rho": lambda: linear_rho(h0),
+        "quadratic_v": lambda: quadratic_v(a),
+        "coupled": lambda: coupled(h0, a, 0.7),
     }[maker]()
     worst = 0.0
     for _ in range(5):
@@ -189,7 +191,7 @@ def test_flow_satisfies_bracket_contract(maker, rng):
 def test_bracket_consistency_polynomial_hamiltonian(rng):
     # 50 random states, polynomial h: |d/dt f - {f, h}| stays small
     n = 3
-    h = qm.coupled(hermitian(rng, n), hermitian(rng, n), 0.3)
+    h = coupled(hermitian(rng, n), hermitian(rng, n), 0.3)
     coords = linear_coordinate_functions(n)
     worst = 0.0
     for _ in range(50):
@@ -202,7 +204,7 @@ def test_bracket_consistency_polynomial_hamiltonian(rng):
 
 def test_fd_gradients_match_analytic(rng):
     n = 3
-    h = qm.coupled(hermitian(rng, n), hermitian(rng, n), 0.5)
+    h = coupled(hermitian(rng, n), hermitian(rng, n), 0.5)
     state = rand_state(rng, n)
     gv_a, gr_a = qm.qm_gradients(h, state)
     gv_f, gr_f = qm.qm_gradients(qm.QMFunction(eval=h.eval), state)

@@ -8,6 +8,8 @@ from liepoisson import poisson as po
 from liepoisson import restricted as rs
 from liepoisson.errors import DimensionMismatchError
 
+from closed_forms import named_restricted_hamiltonian, restricted_pair_function
+
 
 def crandom(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -300,7 +302,7 @@ def test_field_linear_sigma_hamiltonian(rng):
     dims = (3, 2)
     state = rand_state(rng, dims)
     x0 = rs.random_block(*dims, rng)
-    h = rs.named_restricted_hamiltonian("linear_sigma", {"X0": x0}, dims)
+    h = named_restricted_hamiltonian("linear_sigma", {"X0": x0}, dims)
     kd, sd = rs.restricted_hamiltonian_field(h, state)
     _, _, omega_star = rs.restricted_dual_maps(x0, np.zeros((3, 3)), state.kappa)
     expected_kd = -(-(x0.pp @ state.kappa - state.kappa @ x0.pp))
@@ -317,7 +319,7 @@ def test_field_linear_sigma_hamiltonian(rng):
 
 def test_field_bracket_consistency(rng):
     dims = (3, 2)
-    h = rs.named_restricted_hamiltonian("quadratic", {}, dims)
+    h = named_restricted_hamiltonian("quadratic", {}, dims)
     worst = 0.0
     for _ in range(20):
         state = rand_state(rng, dims)
@@ -354,7 +356,7 @@ def test_bracket_matches_extension_bracket(rng):
         g = linear_function(crandom(rng, 3, 3), rs.random_block(*dims, rng))
         lhs = rs.restricted_poisson_bracket(f, g, state)
         rhs = po.extension_poisson_bracket(
-            rs.as_pair_function(f, dims), rs.as_pair_function(g, dims), c0, a0, spec
+            restricted_pair_function(f, dims), restricted_pair_function(g, dims), c0, a0, spec
         )
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
@@ -363,14 +365,14 @@ def test_bracket_matches_extension_bracket(rng):
 def test_field_matches_extension_field(rng):
     dims = (3, 2)
     spec = rs.restricted_extension_spec(*dims)
-    h = rs.named_restricted_hamiltonian("quadratic", {}, dims)
+    h = named_restricted_hamiltonian("quadratic", {}, dims)
     worst = 0.0
     for _ in range(10):
         state = rand_state(rng, dims)
         c0, a0 = rs.state_coordinates(state)
         kd, sd = rs.restricted_hamiltonian_field(h, state)
         cd, ad_ = po.extension_hamiltonian_field(
-            rs.as_pair_function(h, dims), c0, a0, spec
+            restricted_pair_function(h, dims), c0, a0, spec
         )
         worst = max(worst, float(np.max(np.abs(kd.reshape(-1) - cd))))
         worst = max(worst, float(np.max(np.abs(sd.to_full().reshape(-1) - ad_))))
