@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,24 @@ class DualPairing:
     @property
     def predual_dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def coadjoint_tensor(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """The nonzeros ``((m, i, l), v)``, row-major, of the tensor K with
+        ``(-ad*_x b)_m = sum_{i, l} K[m, i, l] x_i b_l``; built on first use.
+
+        ad*_x b solves G^T b' = ad_x^T G^T b (see :func:`ad_star`), so
+        K[m, i, l] = -sum_{j, k} Ginv[j, m] c[k, i, j] G[l, k]: the gram and
+        its inverse folded into the structure constants.  It is complex for
+        a complex algebra; the dense array is not kept.
+        """
+        g = self.gram
+        # [i, j, k] @ -G^T -> [i, j, l]; then Ginv^T @ -> [i, m, l]
+        k = np.linalg.inv(g).T @ (self.algebra.structure_constants.transpose(1, 2, 0) @ -g.T)
+        idx, v = coo(k.transpose(1, 0, 2))
+        for a in (*idx, v):
+            a.setflags(write=False)
+        return idx, v
 
     def pair(self, b, x):
         """<b, x> with b in the predual model and x in the algebra."""

@@ -408,10 +408,18 @@ class _SimSystem:
     tracked: dict[str, Callable[[np.ndarray], np.ndarray]]
 
 
-def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+def _check_keys(entry: dict, allowed, field: str):
+    """Refuse a key of a function entry that ``allowed`` does not list."""
+    for key in entry:
+        if key not in allowed:
+            raise ConfigError(f"unknown key, expected one of {sorted(allowed)}", f"{field}.{key}")
+
+
+def _observables(doc: dict, known: dict, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
     """The ``casimirs`` columns: each entry is a function name from
-    ``known``, or an object {"name": column, "fn": function, params...};
-    ``make(fn, params)`` returns the column's function of predual points."""
+    ``known``, or an object {"name": column, "fn": function, params...}
+    whose params ``known[function]`` lists; ``make(fn, params)`` returns
+    the column's function of predual points."""
     out = {}
     for entry in _typed(doc.get("casimirs", []), list, "casimirs"):
         entry = {"fn": entry} if isinstance(entry, str) else _typed(entry, dict, "casimirs")
@@ -419,6 +427,7 @@ def _observables(doc: dict, known, make) -> dict[str, Callable[[np.ndarray], np.
         col = entry.get("name", fn)
         if not (isinstance(fn, str) and fn in known and isinstance(col, str)):
             raise ConfigError(f"bad entry {entry!r}: fn must be one of {sorted(known)}", "casimirs")
+        _check_keys(entry, ("name", "fn", *known[fn]), "casimirs")
         out[col] = make(fn, {k: v for k, v in entry.items() if k not in ("name", "fn")})
     return out
 
@@ -442,11 +451,15 @@ def _named_function(name, params: dict, pairing: DualPairing, field: str):
         raise ConfigError(str(exc), field)
 
 
-def _hamiltonian(doc: dict, parsers: dict, make):
-    """The configured Hamiltonian ``make(name, params)``, each parameter
-    with a parser parsed by ``parsers[key](value, field)``."""
+def _hamiltonian(doc: dict, known: dict, parsers: dict, make):
+    """The configured Hamiltonian ``make(name, params)``: a name from
+    ``known`` with the params ``known[name]`` lists, each parameter with a
+    parser parsed by ``parsers[key](value, field)``.  An unknown name is
+    left to ``make`` to refuse."""
     ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
     name = _require(ham_cfg, "name", "hamiltonian")
+    if isinstance(name, str) and name in known:
+        _check_keys(ham_cfg, ("name", *known[name]), "hamiltonian")
     params = {k: parsers[k](v, f"hamiltonian.{k}") if k in parsers else v
               for k, v in ham_cfg.items()}
     try:
@@ -491,7 +504,8 @@ def _pairing_sim(doc: dict, alg, pairing, labels, b0, default_h=None) -> _SimSys
     if default_h is not None and doc.get("hamiltonian") is None:
         h = default_h
     else:
-        h = _hamiltonian(doc, {}, partial(_named_function, pairing=pairing, field="hamiltonian"))
+        h = _hamiltonian(doc, NAMED_FUNCTIONS, {},
+                         partial(_named_function, pairing=pairing, field="hamiltonian"))
     observables = _observables(
         doc, NAMED_FUNCTIONS,
         lambda fn, params: _named_function(fn, params, pairing, "casimirs").eval,
@@ -505,7 +519,8 @@ def _built_sim(doc: dict, ext: LieAlgebra, pairing: DualPairing, labels, b0,
     from ``table``, as functions of the (c, a) slots of predual points."""
     dn = ext.built_from.n.dim
     columns = _observables(
-        doc, table, lambda fn, _params: lambda b, f=table[fn]: f(b[..., :dn], b[..., dn:])
+        doc, dict.fromkeys(table, ()),
+        lambda fn, _params: lambda b, f=table[fn]: f(b[..., :dn], b[..., dn:]),
     )
     return _sim(ext, pairing, labels, b0, h, columns)
 
@@ -565,6 +580,10 @@ _QM_OBSERVABLES = {
 }
 
 
+# each semidirect Hamiltonian and the parameters it takes
+_QM_HAMILTONIANS = {"linear_rho": ("H0",), "quadratic_v": ("A",), "coupled": ("H0", "A", "coupling")}
+
+
 def _qm_hamiltonian(name: str, params: dict, n: int, pairing: DualPairing):
     """"linear_rho" Re trace(rho H0), "quadratic_v" 1/2 Re <v | A v> (with
     the hermitian part of A) and "coupled", their sum plus coupling
@@ -610,7 +629,7 @@ def _sim_semidirect_qm(body: dict, doc: dict, seed: int) -> _SimSystem:
     ext, pairing = _built(quantum.semidirect_extension_spec(n))
     square = partial(_cmatrix, shape=(n, n))
     h = _hamiltonian(
-        doc,
+        doc, _QM_HAMILTONIANS,
         {"H0": square, "A": square, "coupling": lambda v, field: _floats([v], 1, field)[0]},
         partial(_qm_hamiltonian, n=n, pairing=pairing),
     )
@@ -652,6 +671,10 @@ def _block_from_config(node, dims: tuple[int, int], seed: int, field: str):
     return block.to_full()
 
 
+# each restricted Hamiltonian and the parameters it takes
+_RESTRICTED_HAMILTONIANS = {"linear_kappa": ("A",), "linear_sigma": ("X0",), "quadratic": ()}
+
+
 def _restricted_hamiltonian(name: str, params: dict, dims, pairing: DualPairing):
     """The named Hamiltonians over the (kappa, sigma) coordinates of the
     built extension: "linear_kappa" Re tr(kappa A), "linear_sigma"
@@ -679,7 +702,7 @@ def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
                                 "restricted.sigma0")
     ext, pairing = _built(restricted.restricted_extension_spec(*dims))
     h = _hamiltonian(
-        doc,
+        doc, _RESTRICTED_HAMILTONIANS,
         {
             "A": partial(_cmatrix, shape=(n_plus, n_plus)),
             "X0": lambda v, field: _block_from_config(v, dims, seed, field),

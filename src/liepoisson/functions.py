@@ -25,7 +25,14 @@ __all__ = [
     "NAMED_FUNCTIONS",
 ]
 
-NAMED_FUNCTIONS = ("linear", "quadratic", "rigid_body", "trace_poly", "norm_squared")
+# each named function and the parameters its config entry may give
+NAMED_FUNCTIONS = {
+    "linear": ("coeffs",),
+    "quadratic": ("gram",),
+    "rigid_body": ("inertia",),
+    "trace_poly": ("coefficients",),
+    "norm_squared": (),
+}
 
 
 def linear(pairing: DualPairing, x0) -> SmoothFunction:
@@ -68,9 +75,20 @@ def rigid_body_energy(inertia) -> SmoothFunction:
     )
 
 
-def norm_squared() -> SmoothFunction:
-    """f(b) = sum |b_i|^2; the Casimir of so(3)* under the identity gram."""
-    return SmoothFunction(eval=lambda b: np.sum(np.abs(np.asarray(b)) ** 2, axis=-1))
+def norm_squared(pairing: DualPairing) -> SmoothFunction:
+    """f(b) = sum |b_i|^2; the Casimir of so(3)* under the identity gram.
+
+    Its realified covector is 2 conj(b), so the gradient solves
+    gram @ x = 2 conj(b): the affine Dh(b) = 2 G^-1 b on a real pairing.
+    """
+    g2inv = np.linalg.solve(pairing.gram, 2.0 * np.eye(pairing.predual_dim))
+
+    def _eval(b):
+        return np.sum(np.abs(np.asarray(b)) ** 2, axis=-1)
+
+    if pairing.algebra.dtype is float:
+        return SmoothFunction(eval=_eval, affine=(g2inv, np.zeros(pairing.predual_dim)))
+    return SmoothFunction(eval=_eval, grad=lambda b: g2inv @ np.conj(b))
 
 
 def trace_polynomial(n: int, coeffs) -> SmoothFunction:
@@ -120,5 +138,5 @@ def build_named_function(name: str, params: dict, pairing: DualPairing) -> Smoot
             )
         return trace_polynomial(n, params.get("coefficients", [1.0]))
     if name == "norm_squared":
-        return norm_squared()
+        return norm_squared(pairing)
     raise ConfigError(f"unknown function {name!r}", "hamiltonian.name")

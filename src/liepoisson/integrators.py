@@ -14,9 +14,12 @@ one mat-vec, ``z <- z - M r``.  ``J`` is a finite-difference Jacobian,
 rebuilt at the current iterate only when an iteration fails to shrink the
 residual norm by ``tolerances.NEWTON_CONTRACTION``.  The iteration stops
 when ``|r| < newton_tol * max(1, |z|)``, and the step is taken from the
-corrected iterate ``z - M r``.  A stage that simplified Newton cannot
-solve within ``newton_max_iter`` iterations is solved again by full
-Newton, with a fresh Jacobian at every iteration.
+corrected iterate ``z - M r``.  Each stage starts from the last one's
+increment, ``z0 = y + (z_prev - y_prev)``, which costs no field
+evaluation; the first stage starts from an explicit Euler step.  A stage
+that simplified Newton cannot solve within ``newton_max_iter`` iterations
+is solved again by full Newton, from an explicit Euler step and with a
+fresh Jacobian at every iteration.
 
 Midpoint conserves quadratic invariants of the flow (energy of quadratic
 Hamiltonians, quadratic Casimirs) up to the Newton tolerance per step.
@@ -24,6 +27,7 @@ Hamiltonians, quadratic Casimirs) up to the Newton tolerance per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -113,6 +117,7 @@ class _MidpointSolver:
         self.max_iter = cfg.newton_max_iter
         self.eye = np.eye(dim)
         self.m = None
+        self.increment = None  # z - y of the last solved stage
 
     def _refresh(self, z, fz, step_index):
         jac = _fd_jacobian(self.f, z, fz, 1e-7 * max(1.0, np.linalg.norm(z)))
@@ -126,24 +131,31 @@ class _MidpointSolver:
         solve is solved again by full Newton, which rebuilds the Jacobian
         at every iteration, so every stage full Newton solves is solved."""
         try:
-            return self._solve(y, step_index, fresh=False)
+            z = self._solve(y, step_index, fresh=False)
         except IntegratorFailureError:
-            return self._solve(y, step_index, fresh=True)
+            z = self._solve(y, step_index, fresh=True)
+        self.increment = z - y
+        return 2.0 * z - y
 
     def _solve(self, y, step_index, fresh: bool):
-        z = y + self.half_dt * self.f(y)  # explicit Euler predictor for the stage
-        prev = np.inf
+        """The stage ``z``.  It starts from the last stage's increment, or
+        from an explicit Euler step on the first stage and in full Newton."""
+        if fresh or self.increment is None:
+            z = y + self.half_dt * self.f(y)
+        else:
+            z = y + self.increment
+        prev = math.inf
         for _ in range(self.max_iter):
             fz = self.f(z)
             residual = z - y - self.half_dt * fz
-            norm = np.linalg.norm(residual)
-            done = norm < self.tol * max(1.0, np.linalg.norm(z))
+            norm = math.sqrt(residual @ residual)
+            done = norm < self.tol * max(1.0, math.sqrt(z @ z))
             contracted = not fresh and norm <= NEWTON_CONTRACTION * prev
             if self.m is None or not (done or contracted):
                 self._refresh(z, fz, step_index)
             z = z - self.m @ residual
             if done:
-                return 2.0 * z - y
+                return z
             prev = norm
         raise IntegratorFailureError(
             f"Newton iteration did not reach tol {self.tol:g} in {self.max_iter} iterations",

@@ -156,44 +156,46 @@ def lie_poisson_bracket(
     return pairing.real_pair(b, bracket_eval(alg, df, dg))
 
 
+def _per_call_field(
+    h: SmoothFunction, pairing: DualPairing
+) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> X_h(b), one gradient call per field call, summed over the
+    nonzeros of the pairing's coadjoint tensor."""
+    (m, i, l), v = pairing.coadjoint_tensor
+    rows, starts = np.unique(m, return_index=True)
+    d = pairing.predual_dim
+
+    def field(b: np.ndarray) -> np.ndarray:
+        x = functional_derivative(h, b, pairing)
+        out = np.zeros(d, dtype=v.dtype)
+        out[rows] = np.add.reduceat(v * x[i] * b[l], starts)
+        return out
+
+    return field
+
+
 def hamiltonian_field(
     h: SmoothFunction, alg: LieAlgebra, pairing: DualPairing
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The field b -> X_h(b) = -ad*_{Dh(b)} b of h, compiled once.
+    """The field b -> X_h(b) = -ad*_{Dh(b)} b of h on the predual of
+    ``alg``, the algebra of ``pairing``:
 
-    ad*_x b solves G^T b' = ad_x^T G^T b (see :func:`algebra.ad_star`), so
-    with x = Dh(b)
+        X_h(b)_m = sum_{i, l} K[m, i, l] x_i b_l,      x = Dh(b),
 
-        X_h(b)_m = sum_{i, l} K[m, i, l] x_i b_l,
-        K[m, i, l] = -sum_{j, k} Ginv[j, m] c[k, i, j] G[l, k].
-
-    K folds the gram and its inverse into the structure constants; it is
-    complex for a complex algebra and is kept as its nonzeros.  For a
-    function with an affine gradient Dh(b) = A b + x0 the gradient is
-    folded in as well, from the nonzeros of K and A: the field is the
-    quadratic form sum_{p <= l} Q[m, p, l] b_p b_l with Q[m, p, l] =
-    sum_i K[m, i, l] A[i, p] (plus its transpose in (p, l) off the
-    diagonal), plus L b with L[m, l] = sum_i K[m, i, l] x0_i, each part
-    kept only when it is nonzero.  A call then makes no gradient call.
-    Any other function pays one gradient call per field call, and its
-    products are summed over the nonzeros of K.
+    with K the pairing's :attr:`~algebra.DualPairing.coadjoint_tensor`,
+    built once per pairing.  For a function with an affine gradient
+    Dh(b) = A b + x0 the gradient is folded in as well, from the nonzeros
+    of K and A: the field is the quadratic form sum_{p <= l} Q[m, p, l]
+    b_p b_l with Q[m, p, l] = sum_i K[m, i, l] A[i, p] (plus its transpose
+    in (p, l) off the diagonal), plus L b with L[m, l] = sum_i K[m, i, l]
+    x0_i, each part kept only when it is nonzero.  A call then makes no
+    gradient call.  Any other function pays one gradient call per field
+    call, and its products are summed over the nonzeros of K.
     """
-    g = pairing.gram
-    d = alg.dim
-    # [i, j, k] @ -G^T -> [i, j, l]; then Ginv^T @ -> [i, m, l]
-    k = np.linalg.inv(g).T @ (alg.structure_constants.transpose(1, 2, 0) @ -g.T)
-    (m, i, l), v = coo(k.transpose(1, 0, 2))
     if h.affine is None:
-        rows, starts = np.unique(m, return_index=True)
-
-        def field(b: np.ndarray) -> np.ndarray:
-            x = functional_derivative(h, b, pairing)
-            out = np.zeros(d, dtype=v.dtype)
-            out[rows] = np.add.reduceat(v * x[i] * b[l], starts)
-            return out
-
-        return field
-
+        return _per_call_field(h, pairing)
+    d = alg.dim
+    (m, i, l), v = pairing.coadjoint_tensor
     a, x0 = (np.asarray(part, dtype=alg.dtype) for part in h.affine)
     (ai, ap), av = coo(a)
     s, t = join(i, ai)
@@ -218,10 +220,10 @@ def hamiltonian_field(
 def hamiltonian_vector_field(
     h: SmoothFunction, b, alg: LieAlgebra, pairing: DualPairing
 ) -> np.ndarray:
-    """X_h(b) = -ad*_{Dh(b)} b, a predual vector: :func:`hamiltonian_field`
-    at one point."""
+    """X_h(b) = -ad*_{Dh(b)} b at one point, a predual vector: one gradient
+    call, summed over the pairing's coadjoint tensor."""
     b = _coords(b, pairing.predual_dim)
-    return hamiltonian_field(h, alg, pairing)(b)
+    return _per_call_field(h, pairing)(b)
 
 
 def product_bracket(

@@ -489,7 +489,7 @@ def test_criterion_10_dynamics_sanity():
     alg = la.so3()
     pairing = la.identity_pairing(alg)
     h = fn.rigid_body_energy([1.0, 2.0, 3.0])
-    cas = fn.norm_squared()
+    cas = fn.norm_squared(pairing)
     traj = it.integrate_flow(
         lambda b: po.hamiltonian_vector_field(h, b, alg, pairing),
         np.array([0.2, -0.3, 0.9]),

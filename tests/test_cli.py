@@ -398,6 +398,22 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
      _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [float("inf"), 0.5]), "v0"),
     ("steps-beyond-storage", "simulate",
      _with(rigid_config(), "integrator.steps", 10**12), "integrator.steps"),
+    ("quadratic-gramm", "simulate",
+     _with(SHIPPED["rigidbody.json"], "hamiltonian",
+           {"name": "quadratic", "gramm": [[1, 0, 0], [0, 2, 0], [0, 0, 3]]}), "hamiltonian.gramm"),
+    ("norm_squared-casimir-gram", "simulate",
+     _with(SHIPPED["rigidbody.json"], "casimirs",
+           [{"name": "c", "fn": "norm_squared", "gram": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]),
+     "casimirs.gram"),
+    ("restricted-quadratic-H0", "simulate",
+     _with(SHIPPED["restricted.json"], "hamiltonian.H0", [[1.0, 0.0], [0.0, 1.0]]),
+     "hamiltonian.H0"),
+    ("kappa_trace_2-param", "simulate",
+     _with(SHIPPED["restricted.json"], "casimirs",
+           [{"name": "k2", "fn": "kappa_trace_2", "power": 3}]), "casimirs.power"),
+    ("semidirect-linear_rho-A", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "hamiltonian.A", [[1.0, 0.0], [0.0, 1.0]]),
+     "hamiltonian.A"),
 ]
 
 

@@ -422,3 +422,88 @@ def test_restricted_spectral_casimirs(tmp_path):
     assert drift("midpoint", "H") <= steps * it.IntegratorConfig().newton_tol
     for column in ("kappa_trace_3", "kappa_trace_4"):
         assert drift("rk4", column) <= steps * VERIFICATION_TOL
+
+
+# ---------------------------------------------------------------------------
+# norm_squared's exact gradient, the cached coadjoint tensor
+# ---------------------------------------------------------------------------
+
+
+def _spd(rng, d):
+    m = rng.normal(size=(d, d))
+    return m @ m.T + d * np.eye(d)
+
+
+def _norm_squared_pairings():
+    """(id, algebra, pairing) with non-identity grams, real and complex."""
+    so3 = la.so3()
+    yield "so3-spd-gram", so3, la.DualPairing(so3, _spd(np.random.default_rng(31), 3))
+    e, p = cli._built(cli._extension_spec_from_config(_COMPLEX_EXTENSION))
+    assert e.dtype is complex and np.any(p.gram.imag)
+    yield "complex-extension", e, p
+
+
+@pytest.mark.parametrize("alg,pairing", [c[1:] for c in _norm_squared_pairings()],
+                         ids=[c[0] for c in _norm_squared_pairings()])
+def test_norm_squared_gradient_matches_finite_differences(alg, pairing):
+    f = fn.norm_squared(pairing)
+    assert (f.affine is not None) == (alg.dtype is float)
+    fd = po.SmoothFunction(f.eval)  # no gradient: the finite-difference path
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        b = rng.normal(size=alg.dim)
+        b = b + 1j * rng.normal(size=alg.dim) if alg.dtype is complex else b
+        _close(po.functional_derivative(f, b, pairing),
+               po.functional_derivative(fd, b, pairing), tol=1e-8)
+
+
+def test_norm_squared_compiled_field_matches_the_gradient_path():
+    rng = np.random.default_rng(33)
+    so3 = la.so3()
+    e, p = cli._built(cli._extension_spec_from_config(_HEISENBERG))
+    for alg, pairing in ((so3, la.DualPairing(so3, _spd(rng, 3))), (e, p)):
+        h = fn.norm_squared(pairing)
+        compiled = po.hamiltonian_field(h, alg, pairing)
+        per_call = po.hamiltonian_field(po.SmoothFunction(h.eval, h.grad), alg, pairing)
+        for _ in range(4):
+            b = rng.normal(size=alg.dim)
+            _close(compiled(b), per_call(b))
+
+
+def test_norm_squared_heisenberg_flow_satisfies_the_bracket_contract():
+    """d/dt f = {f, h} along the Heisenberg flow of h = |b|^2: the time
+    derivative of f along an RK4 trajectory (central differences) and its
+    exact value Re <X_h, Df> both match the bracket."""
+    e, p = cli._built(cli._extension_spec_from_config(_HEISENBERG))
+    h = fn.norm_squared(p)
+    field = po.hamiltonian_field(h, e, p)
+    dt = 1e-3
+    traj = it.integrate_flow(field, np.array([1.0, 0.6, -0.8]), it.IntegratorConfig("rk4", dt, 400))
+    assert np.ptp(traj.states[:, 1]) > 0.1  # the h slot moves
+    rng = np.random.default_rng(34)
+    fs = [fn.linear(p, x) for x in np.eye(3)] + [fn.quadratic(p, rng.normal(size=(3, 3)))]
+    for f in fs:
+        values = f.eval(traj.states)
+        for k in range(1, 400, 37):
+            b = traj.states[k]
+            bracket = po.lie_poisson_bracket(f, h, b, e, p)
+            exact = p.real_pair(field(b), po.functional_derivative(f, b, p))
+            assert abs(exact - bracket) <= 1e-12 * max(1.0, abs(bracket))
+            assert abs((values[k + 1] - values[k - 1]) / (2 * dt) - bracket) <= 1e-5
+
+
+def test_coadjoint_tensor_is_built_once_per_pairing(monkeypatch):
+    e, p = cli._built(rs.restricted_extension_spec(3, 2))
+    builds = []
+    coo = la.coo
+    monkeypatch.setattr(la, "coo", lambda a: builds.append(a.shape) or coo(a))
+    h = cli._restricted_hamiltonian("quadratic", {}, (3, 2), p)
+    rng = np.random.default_rng(35)
+    b = rng.normal(size=e.dim) + 1j * rng.normal(size=e.dim)
+    first = po.hamiltonian_vector_field(h, b, e, p)
+    second = po.hamiltonian_vector_field(h, b, e, p)
+    compiled = po.hamiltonian_field(h, e, p)(b)
+    assert builds == [(e.dim,) * 3]
+    _close(second, first, tol=1e-15)
+    _close(compiled, first)
+    _close(first, -la.ad_star(p, po.functional_derivative(h, b, p), b))

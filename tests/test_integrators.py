@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from liepoisson import algebra as la
+from liepoisson import cli
 from liepoisson import functions as fn
 from liepoisson import integrators as it
 from liepoisson import poisson as po
@@ -18,7 +19,7 @@ def rigid_body_field(inertia=(1.0, 2.0, 3.0)):
     return (
         lambda b: po.hamiltonian_vector_field(h, b, alg, pairing),
         h,
-        fn.norm_squared(),
+        fn.norm_squared(pairing),
     )
 
 
@@ -188,3 +189,17 @@ def test_midpoint_order_two_on_rigid_body():
         errors.append(np.linalg.norm(it.integrate_flow(field, b0, cfg).states[-1] - ref))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(np.abs(orders - 2.0) < 0.1), orders
+
+
+@pytest.mark.parametrize("config,bound", [("rigidbody.json", 3.75), ("semidirect_qm.json", 2.2)])
+def test_warm_started_midpoint_evals_per_step_on_shipped_configs(config, bound):
+    """Each stage starts from the last stage's increment, so a step on the
+    shipped configs costs fewer evaluations than an Euler start allows."""
+    doc = json.loads((CONFIGS / config).read_text())
+    doc["integrator"]["method"] = "midpoint"
+    _, entry, body = cli._lookup(doc)
+    system = entry.simulate(body, doc, 0)
+    field = counted(system.field)
+    cfg = cli._integrator_config(doc)
+    it.integrate_flow(field, system.state0, cfg)
+    assert field.calls / cfg.steps <= bound
