@@ -52,7 +52,6 @@ from .integrators import (
     integrate_flow,
 )
 from .poisson import (
-    PairFunction,
     SmoothFunction,
     extension_hamiltonian_field,
     extension_poisson_bracket,

@@ -408,11 +408,21 @@ class _SimSystem:
     tracked: dict[str, Callable[[np.ndarray], np.ndarray]]
 
 
+# the function parameters that an entry may leave out
+_OPTIONAL_PARAMS = ("gram", "coefficients", "coupling")
+
+
 def _check_keys(entry: dict, allowed, field: str):
-    """Refuse a key of a function entry that ``allowed`` does not list."""
+    """Refuse a key of a function entry that ``allowed`` does not list, and
+    a parameter that ``allowed`` lists but the entry leaves out, unless it
+    is optional.  ``name`` and ``fn`` are checked by the callers."""
     for key in entry:
         if key not in allowed:
             raise ConfigError(f"unknown key, expected one of {sorted(allowed)}", f"{field}.{key}")
+    for key in allowed:
+        if key not in entry and key not in ("name", "fn", *_OPTIONAL_PARAMS):
+            fn = entry.get("fn", entry.get("name"))
+            raise ConfigError(f"missing parameter of {fn!r}", f"{field}.{key}")
 
 
 def _observables(doc: dict, known: dict, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
@@ -454,18 +464,15 @@ def _named_function(name, params: dict, pairing: DualPairing, field: str):
 def _hamiltonian(doc: dict, known: dict, parsers: dict, make):
     """The configured Hamiltonian ``make(name, params)``: a name from
     ``known`` with the params ``known[name]`` lists, each parameter with a
-    parser parsed by ``parsers[key](value, field)``.  An unknown name is
-    left to ``make`` to refuse."""
+    parser parsed by ``parsers[key](value, field)``."""
     ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
     name = _require(ham_cfg, "name", "hamiltonian")
-    if isinstance(name, str) and name in known:
-        _check_keys(ham_cfg, ("name", *known[name]), "hamiltonian")
+    if not (isinstance(name, str) and name in known):
+        raise ConfigError(f"unknown function {name!r}", "hamiltonian.name")
+    _check_keys(ham_cfg, ("name", *known[name]), "hamiltonian")
     params = {k: parsers[k](v, f"hamiltonian.{k}") if k in parsers else v
               for k, v in ham_cfg.items()}
-    try:
-        return make(name, params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"unknown hamiltonian {name!r} or missing parameter {exc}", "hamiltonian")
+    return make(name, params)
 
 
 def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFunction,
@@ -596,8 +603,6 @@ def _qm_hamiltonian(name: str, params: dict, n: int, pairing: DualPairing):
         q = np.zeros((pairing.predual_dim,) * 2)
         q[: 2 * n, : 2 * n] = np.block([[a.real, -a.imag], [a.imag, a.real]])
         return quadratic(pairing, q)
-    if name != "coupled":
-        raise KeyError(f"unknown semidirect hamiltonian {name!r}")
     lin, quad = (_qm_hamiltonian(part, params, n, pairing) for part in ("linear_rho", "quadratic_v"))
     lam = params.get("coupling", 1.0)
 
@@ -685,9 +690,7 @@ def _restricted_hamiltonian(name: str, params: dict, dims, pairing: DualPairing)
         return linear(pairing, np.concatenate([params["A"].ravel(), np.zeros(da)]))
     if name == "linear_sigma":
         return linear(pairing, np.concatenate([np.zeros(dn), params["X0"].ravel()]))
-    if name == "quadratic":
-        return quadratic(pairing, pairing.gram)
-    raise KeyError(f"unknown restricted hamiltonian {name!r}")
+    return quadratic(pairing, pairing.gram)
 
 
 def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:

@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from .algebra import DualPairing
-from .errors import ConfigError
 from .poisson import SmoothFunction
 
 __all__ = [
@@ -119,16 +118,14 @@ def trace_polynomial(n: int, coeffs) -> SmoothFunction:
 
 
 def build_named_function(name: str, params: dict, pairing: DualPairing) -> SmoothFunction:
-    """Resolve a config entry {"name": ..., params} against a pairing."""
+    """Resolve a config entry {"name": ..., params} against a pairing.  A
+    missing required parameter raises KeyError, an unknown name or a bad
+    value ValueError."""
     if name == "linear":
-        if "coeffs" not in params:
-            raise ConfigError("linear function needs coefficients", "hamiltonian.coeffs")
         return linear(pairing, params["coeffs"])
     if name == "quadratic":
         return quadratic(pairing, params.get("gram"))
     if name == "rigid_body":
-        if "inertia" not in params:
-            raise ConfigError("rigid_body needs an inertia triple", "hamiltonian.inertia")
         return rigid_body_energy(params["inertia"])
     if name == "trace_poly":
         n = math.isqrt(pairing.predual_dim)
@@ -139,4 +136,4 @@ def build_named_function(name: str, params: dict, pairing: DualPairing) -> Smoot
         return trace_polynomial(n, params.get("coefficients", [1.0]))
     if name == "norm_squared":
         return norm_squared(pairing)
-    raise ConfigError(f"unknown function {name!r}", "hamiltonian.name")
+    raise ValueError(f"unknown function {name!r}")

@@ -1,9 +1,9 @@
 """Fixed-step time integration with conservation diagnostics.
 
-Fields act on flat real state vectors; systems with complex or structured
-states adapt through flatten/unflatten helpers.  Two methods are provided:
-classic RK4 as the baseline and the implicit midpoint rule, whose stage
-equation
+Fields act on flat real state vectors; a system with complex predual
+coordinates is integrated in their real and imaginary parts.  Two methods
+are provided: classic RK4 as the baseline and the implicit midpoint rule,
+whose stage equation
 
     z = y + (dt/2) f(z),        y_next = 2 z - y
 

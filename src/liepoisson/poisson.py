@@ -33,14 +33,13 @@ from .tolerances import FD_STEP
 
 __all__ = [
     "SmoothFunction",
-    "PairFunction",
     "functional_derivative",
+    "slot_derivatives",
     "fd_gradient",
     "lie_poisson_bracket",
     "hamiltonian_field",
     "hamiltonian_vector_field",
     "product_bracket",
-    "extension_partial_derivatives",
     "extension_poisson_bracket",
     "extension_hamiltonian_field",
 ]
@@ -53,7 +52,7 @@ class SmoothFunction:
     ``eval`` also takes a stack of points along the last axis and then
     returns one value per point.  ``grad``, when given, returns the algebra
     element representing the derivative through the pairing; otherwise
-    central finite differences with relative step ``fd_step`` are used.
+    :func:`functional_derivative` takes central finite differences.
     ``affine = (A, x0)`` declares an exact affine gradient, Dh(b) = A b + x0;
     it stands in for a missing ``grad``, and :func:`hamiltonian_field`
     folds it into its compiled tensor.
@@ -61,7 +60,6 @@ class SmoothFunction:
 
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = FD_STEP
     affine: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
@@ -74,31 +72,6 @@ class SmoothFunction:
         if not np.isfinite(v):
             raise NumericDomainError("function evaluated to a non-finite value")
         return float(v)
-
-
-@dataclass
-class PairFunction:
-    """A scalar function of two predual points (c, a), with optional
-    analytic partial gradients valued in the respective algebras."""
-
-    eval: Callable[[np.ndarray, np.ndarray], float]
-    grad_c: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    grad_a: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    fd_step: float = FD_STEP
-
-    def freeze_second(self, a) -> SmoothFunction:
-        return SmoothFunction(
-            lambda c: self.eval(c, a),
-            None if self.grad_c is None else (lambda c: self.grad_c(c, a)),
-            self.fd_step,
-        )
-
-    def freeze_first(self, c) -> SmoothFunction:
-        return SmoothFunction(
-            lambda a: self.eval(c, a),
-            None if self.grad_a is None else (lambda a: self.grad_a(c, a)),
-            self.fd_step,
-        )
 
 
 def fd_gradient(fun: Callable[[np.ndarray], float], b: np.ndarray, step: float) -> np.ndarray:
@@ -140,10 +113,32 @@ def functional_derivative(
     b = _coords(b, pairing.predual_dim)
     if f.grad is not None:
         return np.asarray(f.grad(b), dtype=pairing.algebra.dtype)
-    raw = fd_gradient(f.eval, b.astype(pairing.algebra.dtype), f.fd_step)
+    raw = fd_gradient(f.eval, b.astype(pairing.algebra.dtype), FD_STEP)
     # raw[k] is the derivative along e_k (packed with -i along i e_k for
     # complex points); the representing element solves gram @ x = raw.
     return np.linalg.solve(pairing.gram, raw)
+
+
+def slot_derivatives(
+    f: SmoothFunction, b, pairing1: DualPairing, pairing2: DualPairing
+) -> tuple[np.ndarray, np.ndarray]:
+    """Df(b) at a flat point b = (p1, p2) of the product of two preduals,
+    split by slot: the functional derivative of f in each slot, the other
+    slot held fixed, through that slot's pairing.  The gradients of an
+    extension's predual (c, a) are these slots under its n and h pairings."""
+    d1 = pairing1.predual_dim
+    b = _coords(b, d1 + pairing2.predual_dim)
+
+    def slot(put, part, pairing):
+        grad = None if f.grad is None else (lambda x: np.asarray(f.grad(put(x)))[part])
+        return functional_derivative(
+            SmoothFunction(lambda x: f.eval(put(x)), grad), b[part], pairing
+        )
+
+    return (
+        slot(lambda x: np.concatenate([x, b[d1:]]), np.s_[:d1], pairing1),
+        slot(lambda x: np.concatenate([b[:d1], x]), np.s_[d1:], pairing2),
+    )
 
 
 def lie_poisson_bracket(
@@ -227,52 +222,37 @@ def hamiltonian_vector_field(
 
 
 def product_bracket(
-    f: PairFunction,
-    g: PairFunction,
-    p1,
-    p2,
+    f: SmoothFunction,
+    g: SmoothFunction,
+    b,
     alg1: LieAlgebra,
     pairing1: DualPairing,
     alg2: LieAlgebra,
     pairing2: DualPairing,
 ) -> float:
-    """Bracket of the product structure: freeze one slot, bracket in the
-    other, and add.  Pullbacks along the two projections commute."""
-    p1 = _coords(p1, pairing1.predual_dim)
-    p2 = _coords(p2, pairing2.predual_dim)
-    term1 = lie_poisson_bracket(
-        f.freeze_second(p2), g.freeze_second(p2), p1, alg1, pairing1
-    )
-    term2 = lie_poisson_bracket(
-        f.freeze_first(p1), g.freeze_first(p1), p2, alg2, pairing2
-    )
-    return term1 + term2
-
-
-def extension_partial_derivatives(
-    f: PairFunction, c, a, spec: ExtensionSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dc in n, df/da in h) at the point (c, a)."""
-    c = _coords(c, spec.n.dim)
-    a = _coords(a, spec.h.dim)
-    dc = functional_derivative(f.freeze_second(a), c, spec.n_pairing)
-    da = functional_derivative(f.freeze_first(c), a, spec.h_pairing)
-    return dc, da
+    """Bracket of the product structure at the flat point b = (p1, p2): the
+    Lie-Poisson bracket of each slot with the other held fixed, summed.
+    Pullbacks along the two projections commute."""
+    f1, f2 = slot_derivatives(f, b, pairing1, pairing2)
+    g1, g2 = slot_derivatives(g, b, pairing1, pairing2)
+    p1, p2 = np.split(np.asarray(b), [pairing1.predual_dim])
+    term1 = pairing1.real_pair(p1, bracket_eval(alg1, f1, g1))
+    return term1 + pairing2.real_pair(p2, bracket_eval(alg2, f2, g2))
 
 
 def extension_poisson_bracket(
-    f: PairFunction, g: PairFunction, c, a, spec: ExtensionSpec
+    f: SmoothFunction, g: SmoothFunction, b, spec: ExtensionSpec
 ) -> float:
-    """Bracket on the predual of a built extension:
+    """Bracket on the predual of a built extension, at the flat point
+    b = (c, a):
 
     {f, g}(c, a) = Re <a, [df/da, dg/da]>
                  + Re <c, [df/dc, dg/dc] - phi(dg/da) df/dc
                           + phi(df/da) dg/dc + omega(df/da, dg/da)>.
     """
-    c = _coords(c, spec.n.dim)
-    a = _coords(a, spec.h.dim)
-    fc, fa = extension_partial_derivatives(f, c, a, spec)
-    gc, ga = extension_partial_derivatives(g, c, a, spec)
+    fc, fa = slot_derivatives(f, b, spec.n_pairing, spec.h_pairing)
+    gc, ga = slot_derivatives(g, b, spec.n_pairing, spec.h_pairing)
+    c, a = np.split(np.asarray(b), [spec.n.dim])
     term_a = spec.h_pairing.real_pair(a, bracket_eval(spec.h, fa, ga))
     inner = (
         bracket_eval(spec.n, fc, gc)
@@ -283,12 +263,9 @@ def extension_poisson_bracket(
     return term_a + spec.n_pairing.real_pair(c, inner)
 
 
-def extension_hamiltonian_field(
-    h: PairFunction, c, a, spec: ExtensionSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minus the coadjoint action applied with (dh/dc, dh/da)."""
-    c = _coords(c, spec.n.dim)
-    a = _coords(a, spec.h.dim)
-    hc, ha = extension_partial_derivatives(h, c, a, spec)
-    cdot, adot = coadjoint_extension(spec, (hc, ha), (c, a))
-    return -cdot, -adot
+def extension_hamiltonian_field(h: SmoothFunction, b, spec: ExtensionSpec) -> np.ndarray:
+    """Minus the coadjoint action applied with (dh/dc, dh/da) at the flat
+    point b = (c, a), as a flat vector (c_dot, a_dot)."""
+    hc, ha = slot_derivatives(h, b, spec.n_pairing, spec.h_pairing)
+    cdot, adot = coadjoint_extension(spec, (hc, ha), np.split(np.asarray(b), [spec.n.dim]))
+    return -np.concatenate([cdot, adot])

@@ -2,12 +2,19 @@
 slot: states are pairs (v, rho) with v a complex n-vector and rho an n x n
 complex matrix.
 
-Gradient conventions for a real-valued f(v, rho):
+The whole system is the realification of a semidirect extension with an
+abelian ideal, :func:`semidirect_extension_spec`, and the closed forms
+below take real-valued functions of its flat predual point b = (c, a),
+c = (Re v, Im v) and a = (Re rho, Im rho) with rho row-major.  Their slot
+gradients are :func:`~liepoisson.poisson.functional_derivative` split by
+the spec's pairings: the identity on c and diag(T, -T) on a, with T the
+trace gram.  Read back as complex quantities they are
 
     d/dt f(v + t u, rho)   = Re <u | df/dv>        (inner product, v slot)
     d/dt f(v, rho + t dr)  = Re trace(dr df/drho)  (trace pairing, rho slot)
 
-The bracket is
+so df/dv is the conjugate and df/drho the transpose of the raw partials
+d/dRe - i d/dIm.  The bracket is
 
     {f, g}(v, rho) = Re trace(rho [df/drho, dg/drho])
                    + Re <v | (df/drho)(dg/dv) - (dg/drho)(df/dv)>,
@@ -21,112 +28,71 @@ The outer-product coupling term uses dh/dv (a vector); it is the form
 derived from the bracket contract d/dt f = {f, h}, which the tests
 enforce for a basis of coordinate functions.  Functions of v alone
 bracket to zero: the Hilbert slot alone carries the trivial structure.
-
-The whole system is the realification of a semidirect extension with an
-abelian ideal, and :func:`semidirect_extension_spec` produces that
-equivalent datum for cross-checking against the generic machinery.
+Both closed forms agree with the generic extension operations on the
+spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+import functools
 
 import numpy as np
 
-from .algebra import DualPairing, abelian, gl, matrix_trace_gram, realify
-from .errors import DimensionMismatchError
+from .algebra import DualPairing, _coords, abelian, gl, matrix_trace_gram, realify
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
-from .poisson import fd_gradient
-from .tolerances import FD_STEP
+from .poisson import SmoothFunction, slot_derivatives
 
 __all__ = [
-    "QState",
-    "QMFunction",
-    "qm_gradients",
     "qm_bracket",
     "qm_hamilton_rhs",
     "matrix_element_representative",
     "semidirect_extension_spec",
-    "state_coordinates",
-    "state_from_coordinates",
-    "qstate_to_json",
-    "qstate_from_json",
 ]
 
 
-@dataclass(frozen=True)
-class QState:
-    """A point (v, rho); no hermiticity or positivity is imposed."""
-
-    v: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.v, dtype=complex)
-        rho = np.atleast_2d(np.asarray(self.rho, dtype=complex))
-        if v.ndim != 1 or rho.shape != (v.size, v.size):
-            raise DimensionMismatchError(
-                f"shapes v {v.shape} and rho {rho.shape} are inconsistent"
-            )
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "rho", rho)
-
-    @property
-    def n(self) -> int:
-        return self.v.size
+@functools.cache
+def _slot_pairings(n: int) -> tuple[DualPairing, DualPairing]:
+    """The pairings of :func:`semidirect_extension_spec` at this n, built
+    once per size."""
+    spec = semidirect_extension_spec(n)
+    return spec.n_pairing, spec.h_pairing
 
 
-@dataclass
-class QMFunction:
-    """A real-valued function of a :class:`QState` with optional analytic
-    gradients (see the module docstring for the conventions)."""
-
-    eval: Callable[[QState], float]
-    grad_v: Callable[[QState], np.ndarray] | None = None
-    grad_rho: Callable[[QState], np.ndarray] | None = None
-    fd_step: float = FD_STEP
+def _complex(c, a, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, rho) from realified slot coordinates c and a."""
+    return c[:n] + 1j * c[n:], (a[: n * n] + 1j * a[n * n :]).reshape(n, n)
 
 
-def qm_gradients(f: QMFunction, state: QState) -> tuple[np.ndarray, np.ndarray]:
-    """(df/dv, df/drho), analytic or by realified central differences."""
-    n = state.n
-    if f.grad_v is not None:
-        gv = np.asarray(f.grad_v(state), dtype=complex)
-    else:
-        def fv(vec):
-            return f.eval(QState(vec, state.rho))
-        raw = fd_gradient(fv, state.v, f.fd_step)
-        # raw = d/dRe - i d/dIm; the sesquilinear representative with
-        # Re <u | g> matching both real directions is the conjugate
-        gv = np.conj(raw)
-    if f.grad_rho is not None:
-        gr = np.asarray(f.grad_rho(state), dtype=complex)
-    else:
-        def fr(vec):
-            return f.eval(QState(state.v, vec.reshape(n, n)))
-        raw = fd_gradient(fr, state.rho.reshape(-1), f.fd_step)
-        gr = raw.reshape(n, n).T
-    return gv, gr
+def _point(b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return _complex(*np.split(_coords(b, 2 * n + 2 * n * n), [2 * n]), n)
 
 
-def qm_bracket(f: QMFunction, g: QMFunction, state: QState) -> float:
+def _gradients(f: SmoothFunction, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(df/dv, df/drho) at the flat point b."""
+    return _complex(*slot_derivatives(f, b, *_slot_pairings(n)), n)
+
+
+def qm_bracket(f: SmoothFunction, g: SmoothFunction, b, n: int) -> float:
     """Re trace(rho [F, G]) + Re <v | F g_v - G f_v> with F = df/drho,
-    G = dg/drho; antisymmetric, and zero when both depend on v alone."""
-    fv, fr = qm_gradients(f, state)
-    gv, gr = qm_gradients(g, state)
+    G = dg/drho, at the flat point b; antisymmetric, and zero when both
+    depend on v alone."""
+    v, rho = _point(b, n)
+    fv, fr = _gradients(f, b, n)
+    gv, gr = _gradients(g, b, n)
     comm = fr @ gr - gr @ fr
-    term1 = np.real(np.trace(state.rho @ comm))
-    term2 = np.real(np.vdot(state.v, fr @ gv - gr @ fv))
+    term1 = np.real(np.trace(rho @ comm))
+    term2 = np.real(np.vdot(v, fr @ gv - gr @ fv))
     return float(term1 + term2)
 
 
-def qm_hamilton_rhs(h: QMFunction, state: QState) -> tuple[np.ndarray, np.ndarray]:
-    """(v_dot, rho_dot) of the flow of h; d/dt f = {f, h} along it."""
-    hv, hr = qm_gradients(h, state)
-    v_dot = -(hr.conj().T) @ state.v
-    rho_dot = hr @ state.rho - state.rho @ hr + np.outer(hv, np.conj(state.v))
-    return v_dot, rho_dot
+def qm_hamilton_rhs(h: SmoothFunction, b, n: int) -> np.ndarray:
+    """(v_dot, rho_dot) of the flow of h at the flat point b, realified in
+    the layout of b; d/dt f = {f, h} along it."""
+    v, rho = _point(b, n)
+    hv, hr = _gradients(h, b, n)
+    v_dot = -(hr.conj().T) @ v
+    rho_dot = hr @ rho - rho @ hr + np.outer(hv, np.conj(v))
+    return np.concatenate([v_dot.real, v_dot.imag, rho_dot.real.ravel(), rho_dot.imag.ravel()])
 
 
 def matrix_element_representative(v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -178,43 +144,3 @@ def semidirect_extension_spec(n: int) -> ExtensionSpec:
         DualPairing(n_alg, np.eye(2 * n)),
         DualPairing(h_alg, h_gram),
     )
-
-
-def state_coordinates(state: QState) -> tuple[np.ndarray, np.ndarray]:
-    """(c, a) coordinates of a state for the realified extension spec."""
-    c = np.concatenate([np.real(state.v), np.imag(state.v)])
-    a = np.concatenate(
-        [np.real(state.rho).reshape(-1), np.imag(state.rho).reshape(-1)]
-    )
-    return c, a
-
-
-def state_from_coordinates(c: np.ndarray, a: np.ndarray, n: int) -> QState:
-    """Inverse of :func:`state_coordinates`."""
-    c = np.asarray(c)
-    a = np.asarray(a)
-    v = c[:n] + 1j * c[n:]
-    rho = a[: n * n].reshape(n, n) + 1j * a[n * n :].reshape(n, n)
-    return QState(v, rho)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def qstate_to_json(state: QState) -> dict:
-    return {
-        "v": [[float(z.real), float(z.imag)] for z in state.v],
-        "rho": [
-            [[float(z.real), float(z.imag)] for z in row] for row in state.rho
-        ],
-    }
-
-
-def qstate_from_json(doc: dict) -> QState:
-    v = np.array([complex(p[0], p[1]) for p in doc["v"]])
-    rho = np.array(
-        [[complex(p[0], p[1]) for p in row] for row in doc["rho"]]
-    )
-    return QState(v, rho)

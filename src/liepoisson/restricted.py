@@ -31,12 +31,24 @@ In the bracket and field formulas below, commutators between kappa-slot
 quantities carry the negative-commutator sign of the ideal; writing them
 with the plain matrix commutator and the sign made explicit keeps the
 cross-check against the generic extension machinery exact.
+
+The closed-form bracket and field take a real-valued function of the
+flat predual point b = (c, a) of :func:`restricted_extension_spec`:
+c = kappa and a = sigma (as its full matrix), both row-major and complex.
+Their slot gradients are :func:`~liepoisson.poisson.functional_derivative`
+split by that spec's trace pairings,
+
+    d/dt f(kappa + t dk, sigma)  = Re trace(dk df/dkappa)
+    d/dt f(kappa, sigma + t ds)  = Re trace(ds df/dsigma),
+
+so each gradient is the transpose of the matrix of raw partials
+d/dRe - i d/dIm.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -44,18 +56,16 @@ from .algebra import (
     DualPairing,
     LieAlgebra,
     _commutator_constants,
+    _coords,
     gl,
     matrix_trace_gram,
 )
 from .errors import DimensionMismatchError
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
-from .poisson import fd_gradient
-from .tolerances import FD_STEP
+from .poisson import SmoothFunction, slot_derivatives
 
 __all__ = [
     "BlockOperator",
-    "RestrictedState",
-    "RestrictedFunction",
     "block_norm",
     "block_pairing",
     "restricted_phi",
@@ -65,9 +75,7 @@ __all__ = [
     "restricted_poisson_bracket",
     "restricted_hamiltonian_field",
     "restricted_extension_spec",
-    "state_coordinates",
     "random_block",
-    "diagonal_block",
     "block_to_json",
     "block_from_json",
 ]
@@ -139,28 +147,6 @@ class BlockOperator:
         return BlockOperator(s * self.pp, s * self.pm, s * self.mp, s * self.mm)
 
     __rmul__ = __mul__
-
-
-@dataclass(frozen=True)
-class RestrictedState:
-    """A point (kappa, sigma) of the predual: kappa is an (n+ x n+) matrix
-    in the compact-model slot, sigma a block predual point."""
-
-    kappa: np.ndarray
-    sigma: BlockOperator
-
-    def __post_init__(self):
-        k = np.atleast_2d(np.asarray(self.kappa, dtype=complex))
-        n_plus = self.sigma.dims[0]
-        if k.shape != (n_plus, n_plus):
-            raise DimensionMismatchError(
-                f"kappa shape {k.shape} does not match n+ = {n_plus}"
-            )
-        object.__setattr__(self, "kappa", k)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.sigma.dims
 
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,91 +248,65 @@ def restricted_dual_maps(
     return phi_star, phidot_star, omega_star
 
 
+# the Poisson structure on flat (kappa, sigma) points
 # ---------------------------------------------------------------------------
-# functions of (kappa, sigma) and the Poisson structure
-# ---------------------------------------------------------------------------
 
 
-@dataclass
-class RestrictedFunction:
-    """A real-valued function of a :class:`RestrictedState`.
-
-    Analytic gradients, when given, are the dual-side representatives:
-    ``grad_kappa`` returns an (n+ x n+) matrix G with directional
-    derivative Re trace(d_kappa G); ``grad_sigma`` returns a
-    :class:`BlockOperator` X with derivative Re <d_sigma, X>.  Without
-    them, realified central differences are used.
-    """
-
-    eval: Callable[[RestrictedState], float]
-    grad_kappa: Callable[[RestrictedState], np.ndarray] | None = None
-    grad_sigma: Callable[[RestrictedState], BlockOperator] | None = None
-    fd_step: float = FD_STEP
+@functools.cache
+def _slot_pairings(n_plus: int, n_minus: int) -> tuple[DualPairing, DualPairing]:
+    """The trace pairings of :func:`restricted_extension_spec` at these
+    dims, built once per size."""
+    spec = restricted_extension_spec(n_plus, n_minus)
+    return spec.n_pairing, spec.h_pairing
 
 
-def _sigma_vec(sigma: BlockOperator) -> np.ndarray:
-    return sigma.to_full().reshape(-1)
-
-def _sigma_from_vec(v: np.ndarray, dims: tuple[int, int]) -> BlockOperator:
-    n = dims[0] + dims[1]
-    return BlockOperator.from_full(np.asarray(v).reshape(n, n), dims[0])
+def _blocks(c, a, dims: tuple[int, int]) -> tuple[np.ndarray, BlockOperator]:
+    """(kappa, sigma) from their row-major slot coordinates."""
+    n_plus, n = dims[0], sum(dims)
+    return np.reshape(c, (n_plus, n_plus)), BlockOperator.from_full(np.reshape(a, (n, n)), n_plus)
 
 
-def restricted_gradients(
-    f: RestrictedFunction, state: RestrictedState
-) -> tuple[np.ndarray, BlockOperator]:
-    """(df/dkappa, df/dsigma) at the state, analytic or by differences."""
-    n_plus, n_minus = state.dims
-    if f.grad_kappa is not None:
-        gk = np.asarray(f.grad_kappa(state), dtype=complex)
-    else:
-        def fk(v):
-            return f.eval(RestrictedState(v.reshape(n_plus, n_plus), state.sigma))
-        raw = fd_gradient(fk, state.kappa.reshape(-1).astype(complex), f.fd_step)
-        # raw is d/dRe - i d/dIm of coordinates of kappa; the trace-pairing
-        # representative G satisfies vec(G) = gram^{-1} raw, i.e. G = unvec(raw)^T
-        gk = raw.reshape(n_plus, n_plus).T
-    if f.grad_sigma is not None:
-        gs = f.grad_sigma(state)
-    else:
-        def fs(v):
-            return f.eval(RestrictedState(state.kappa, _sigma_from_vec(v, state.dims)))
-        raw = fd_gradient(fs, _sigma_vec(state.sigma).astype(complex), f.fd_step)
-        n = n_plus + n_minus
-        gs = BlockOperator.from_full(raw.reshape(n, n).T, n_plus)
-    return gk, gs
+def _point(b, dims: tuple[int, int]) -> tuple[np.ndarray, BlockOperator]:
+    dn = dims[0] ** 2
+    return _blocks(*np.split(_coords(b, dn + sum(dims) ** 2), [dn]), dims)
+
+
+def _gradients(f: SmoothFunction, b, dims) -> tuple[np.ndarray, BlockOperator]:
+    """(df/dkappa, df/dsigma) at the flat point b."""
+    return _blocks(*slot_derivatives(f, b, *_slot_pairings(*dims)), dims)
 
 
 def restricted_poisson_bracket(
-    f: RestrictedFunction, g: RestrictedFunction, state: RestrictedState
+    f: SmoothFunction, g: SmoothFunction, b, dims: tuple[int, int]
 ) -> float:
     """{f, g}(kappa, sigma) =
         Re <sigma, [df/dsigma, dg/dsigma]>
       + Re trace(kappa (-[df/dkappa, dg/dkappa]
                         - [(dg/dsigma)_pp, df/dkappa]
                         + [(df/dsigma)_pp, dg/dkappa]
-                        + omega(df/dsigma, dg/dsigma))).
+                        + omega(df/dsigma, dg/dsigma)))
 
+    at the flat point b = (kappa, sigma) of the block model at ``dims``.
     The leading minus of the kappa-kappa commutator is the negative
     commutator of the ideal slot; with it the bracket coincides with the
     generic extension bracket of the equivalent cocycle data.
     """
-    fk, fs = restricted_gradients(f, state)
-    gk, gs = restricted_gradients(g, state)
-    term_sigma = np.real(block_pairing(state.sigma, _block_comm(fs, gs)))
+    kappa, sigma = _point(b, dims)
+    fk, fs = _gradients(f, b, dims)
+    gk, gs = _gradients(g, b, dims)
+    term_sigma = np.real(block_pairing(sigma, _block_comm(fs, gs)))
     inner = (
         -_comm(fk, gk)
         - _comm(gs.pp, fk)
         + _comm(fs.pp, gk)
         + restricted_omega(fs, gs)
     )
-    return float(term_sigma + np.real(np.trace(state.kappa @ inner)))
+    return float(term_sigma + np.real(np.trace(kappa @ inner)))
 
 
-def restricted_hamiltonian_field(
-    h: RestrictedFunction, state: RestrictedState
-) -> tuple[np.ndarray, BlockOperator]:
-    """(kappa_dot, sigma_dot) of the Hamiltonian flow of h:
+def restricted_hamiltonian_field(h: SmoothFunction, b, dims: tuple[int, int]) -> np.ndarray:
+    """(kappa_dot, sigma_dot) of the Hamiltonian flow of h at the flat point
+    b, flat in the layout of b:
 
     kappa_dot = [kappa, dh/dkappa] - [kappa, (dh/dsigma)_pp]
     sigma_dot = -omega(dh/dsigma, .)* kappa + (phi(.) dh/dkappa)* kappa
@@ -355,21 +315,19 @@ def restricted_hamiltonian_field(
     The kappa-kappa commutator again carries the negative-commutator sign;
     the contract d/dt f = {f, h} holds along the field.
     """
-    hk, hs = restricted_gradients(h, state)
-    kappa = state.kappa
+    kappa, sigma = _point(b, dims)
+    hk, hs = _gradients(h, b, dims)
     phi_star, phidot_star, omega_star = restricted_dual_maps(hs, hk, kappa)
     # ad*_{hk} kappa = [hk, kappa] for the negative-commutator slot, and
     # phi(hs)* kappa = -[hs_pp, kappa] = phi_star
     kappa_dot = -_comm(hk, kappa) - phi_star
     sigma_dot = (
-        BlockOperator.zero(*state.dims)
+        BlockOperator.zero(*dims)
         - omega_star
         + phidot_star
-        - BlockOperator.from_full(
-            _comm(state.sigma.to_full(), hs.to_full()), state.dims[0]
-        )
+        - BlockOperator.from_full(_comm(sigma.to_full(), hs.to_full()), dims[0])
     )
-    return kappa_dot, sigma_dot
+    return np.concatenate([kappa_dot.ravel(), sigma_dot.to_full().ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +385,6 @@ def restricted_extension_spec(n_plus: int, n_minus: int) -> ExtensionSpec:
     )
 
 
-def state_coordinates(state: RestrictedState) -> tuple[np.ndarray, np.ndarray]:
-    """(c, a) coordinates of a state for the equivalent extension spec."""
-    return state.kappa.reshape(-1), _sigma_vec(state.sigma)
-
-
 # ---------------------------------------------------------------------------
 # constructors and serialization
 # ---------------------------------------------------------------------------
@@ -443,18 +396,6 @@ def random_block(n_plus: int, n_minus: int, rng: np.random.Generator) -> BlockOp
         return rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))
     return BlockOperator(
         g(n_plus, n_plus), g(n_plus, n_minus), g(n_minus, n_plus), g(n_minus, n_minus)
-    )
-
-
-def diagonal_block(diag_plus, diag_minus) -> BlockOperator:
-    """Diagonal blocks from two coefficient lists, zero off-diagonal."""
-    dp = np.asarray(diag_plus, dtype=complex)
-    dm = np.asarray(diag_minus, dtype=complex)
-    return BlockOperator(
-        np.diag(dp),
-        np.zeros((dp.size, dm.size)),
-        np.zeros((dm.size, dp.size)),
-        np.diag(dm),
     )
 
 

@@ -1,87 +1,113 @@
 """The closed-form Hamiltonians of the restricted and semidirect systems,
-and their transport to the (c, a) coordinates of the equivalent extension
-specs: the references that the generic extension operations and the
-simulated Hamiltonians are checked against."""
+as functions of the flat (c, a) points of the equivalent extension specs:
+the references that the generic extension operations and the simulated
+Hamiltonians are checked against.  Their gradients are written by hand,
+with no ``affine`` part, so they stay independent of the compiled field.
+
+A restricted point is (kappa, sigma) row-major and complex, sigma as its
+full matrix; a semidirect point is (Re v, Im v, Re rho, Im rho), rho
+row-major."""
 
 import numpy as np
 
 from liepoisson import poisson as po
-from liepoisson import quantum as qm
 from liepoisson import restricted as rs
 
 
-def named_restricted_hamiltonian(name: str, params: dict, dims) -> rs.RestrictedFunction:
+def restricted_point(kappa, sigma) -> np.ndarray:
+    """The flat point of ``kappa`` and ``sigma`` (a BlockOperator)."""
+    return np.concatenate([np.ravel(kappa), sigma.to_full().ravel()]).astype(complex)
+
+
+def restricted_split(b, dims) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa, full sigma) of a flat restricted point."""
+    n_plus, n = dims[0], sum(dims)
+    return b[: n_plus**2].reshape(n_plus, n_plus), b[n_plus**2 :].reshape(n, n)
+
+
+def qm_point(v, rho) -> np.ndarray:
+    """The flat realified point of ``v`` and ``rho``."""
+    v, rho = np.asarray(v, dtype=complex), np.asarray(rho, dtype=complex)
+    return np.concatenate([v.real, v.imag, rho.real.ravel(), rho.imag.ravel()])
+
+
+def qm_split(b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v, rho) of a flat semidirect point."""
+    rho = b[2 * n : 2 * n + n * n] + 1j * b[2 * n + n * n :]
+    return b[:n] + 1j * b[n : 2 * n], rho.reshape(n, n)
+
+
+def named_restricted_hamiltonian(name: str, params: dict, dims) -> po.SmoothFunction:
     """"linear_kappa" Re tr(kappa A), "linear_sigma" Re <sigma, X0> and
     "quadratic" (half the sum of the two squares), with analytic gradients."""
-    n_plus, n_minus = dims
     if name == "linear_kappa":
         a0 = np.asarray(params["A"], dtype=complex)
-        return rs.RestrictedFunction(
-            eval=lambda st: float(np.real(np.trace(st.kappa @ a0))),
-            grad_kappa=lambda st: a0,
-            grad_sigma=lambda st: rs.BlockOperator.zero(n_plus, n_minus),
+        grad = restricted_point(a0, rs.BlockOperator.zero(*dims))
+        return po.SmoothFunction(
+            eval=lambda b: float(np.real(np.trace(restricted_split(b, dims)[0] @ a0))),
+            grad=lambda b: grad,
         )
     if name == "linear_sigma":
         x0 = params["X0"]
-        return rs.RestrictedFunction(
-            eval=lambda st: float(np.real(rs.block_pairing(st.sigma, x0))),
-            grad_kappa=lambda st: np.zeros((n_plus, n_plus), dtype=complex),
-            grad_sigma=lambda st: x0,
+        grad = restricted_point(np.zeros((dims[0], dims[0])), x0)
+        return po.SmoothFunction(
+            eval=lambda b: float(np.real(np.trace(restricted_split(b, dims)[1] @ x0.to_full()))),
+            grad=lambda b: grad,
         )
     if name == "quadratic":
-        return rs.RestrictedFunction(
-            eval=lambda st: float(
-                0.5 * np.real(np.trace(st.kappa @ st.kappa))
-                + 0.5 * np.real(rs.block_pairing(st.sigma, st.sigma))
-            ),
-            grad_kappa=lambda st: st.kappa,
-            grad_sigma=lambda st: st.sigma,
-        )
+
+        def _eval(b):
+            kappa, sigma = restricted_split(b, dims)
+            return float(0.5 * np.real(np.trace(kappa @ kappa) + np.trace(sigma @ sigma)))
+
+        return po.SmoothFunction(eval=_eval, grad=lambda b: np.asarray(b, dtype=complex))
     raise KeyError(f"unknown restricted hamiltonian {name!r}")
 
 
-def linear_rho(h0) -> qm.QMFunction:
+def linear_rho(h0) -> po.SmoothFunction:
     """h = Re trace(rho H0); for hermitian H0 the flow is v_dot = -H0 v,
     rho_dot = [H0, rho]."""
     h0 = np.asarray(h0, dtype=complex)
-    return qm.QMFunction(
-        eval=lambda s: float(np.real(np.trace(s.rho @ h0))),
-        grad_v=lambda s: np.zeros(s.n, dtype=complex),
-        grad_rho=lambda s: h0,
+    n = h0.shape[0]
+    grad = qm_point(np.zeros(n), h0)
+    return po.SmoothFunction(
+        eval=lambda b: float(np.real(np.trace(qm_split(b, n)[1] @ h0))),
+        grad=lambda b: grad,
     )
 
 
-def quadratic_v(a) -> qm.QMFunction:
+def quadratic_v(a) -> po.SmoothFunction:
     """h = 1/2 Re <v | A v> with A hermitian; dh/dv = A v."""
     a = np.asarray(a, dtype=complex)
     a = 0.5 * (a + a.conj().T)
-    return qm.QMFunction(
-        eval=lambda s: float(0.5 * np.real(np.vdot(s.v, a @ s.v))),
-        grad_v=lambda s: a @ s.v,
-        grad_rho=lambda s: np.zeros((s.n, s.n), dtype=complex),
+    n = a.shape[0]
+
+    def _eval(b):
+        v = qm_split(b, n)[0]
+        return float(0.5 * np.real(np.vdot(v, a @ v)))
+
+    return po.SmoothFunction(
+        eval=_eval, grad=lambda b: qm_point(a @ qm_split(b, n)[0], np.zeros((n, n)))
     )
 
 
-def coupled(h0, a, coupling: float) -> qm.QMFunction:
+def coupled(h0, a, coupling: float) -> po.SmoothFunction:
     """h = Re trace(rho H0) + 1/2 Re <v | A v> + coupling Re <v | rho v>."""
     base_rho = linear_rho(h0)
     base_v = quadratic_v(a)
     lam = float(coupling)
+    n = np.shape(h0)[0]
 
-    def _eval(s):
-        return (
-            base_rho.eval(s)
-            + base_v.eval(s)
-            + lam * float(np.real(np.vdot(s.v, s.rho @ s.v)))
-        )
+    def _eval(b):
+        v, rho = qm_split(b, n)
+        return base_rho.eval(b) + base_v.eval(b) + lam * float(np.real(np.vdot(v, rho @ v)))
 
-    def _grad_v(s):
-        return base_v.grad_v(s) + lam * (s.rho + s.rho.conj().T) @ s.v
+    def _grad(b):
+        v, rho = qm_split(b, n)
+        extra = qm_point((rho + rho.conj().T) @ v, np.outer(v, np.conj(v)))
+        return base_rho.grad(b) + base_v.grad(b) + lam * extra
 
-    def _grad_rho(s):
-        return base_rho.grad_rho(s) + lam * np.outer(s.v, np.conj(s.v))
-
-    return qm.QMFunction(eval=_eval, grad_v=_grad_v, grad_rho=_grad_rho)
+    return po.SmoothFunction(eval=_eval, grad=_grad)
 
 
 QM_NAMED_HAMILTONIANS = {
@@ -89,44 +115,3 @@ QM_NAMED_HAMILTONIANS = {
     "quadratic_v": lambda p: quadratic_v(p["A"]),
     "coupled": lambda p: coupled(p["H0"], p["A"], p.get("coupling", 1.0)),
 }
-
-
-def restricted_pair_function(f: rs.RestrictedFunction, dims) -> po.PairFunction:
-    """``f`` on the coordinates of the restricted extension spec, with its
-    analytic gradients carried along."""
-    n_plus, n_minus = dims
-    n = n_plus + n_minus
-
-    def _state(c, a):
-        sigma = rs.BlockOperator.from_full(np.asarray(a).reshape(n, n), n_plus)
-        return rs.RestrictedState(np.asarray(c).reshape(n_plus, n_plus), sigma)
-
-    grad_c = grad_a = None
-    if f.grad_kappa is not None:
-        def grad_c(c, a):
-            return np.asarray(f.grad_kappa(_state(c, a)), dtype=complex).reshape(-1)
-    if f.grad_sigma is not None:
-        def grad_a(c, a):
-            return f.grad_sigma(_state(c, a)).to_full().reshape(-1).astype(complex)
-
-    return po.PairFunction(lambda c, a: f.eval(_state(c, a)), grad_c, grad_a, f.fd_step)
-
-
-def qm_pair_function(f: qm.QMFunction, n: int) -> po.PairFunction:
-    """``f`` on the realified coordinates of the semidirect extension spec,
-    with its analytic gradients carried along."""
-
-    def _state(c, a):
-        return qm.state_from_coordinates(c, a, n)
-
-    grad_c = grad_a = None
-    if f.grad_v is not None:
-        def grad_c(c, a):
-            gv = f.grad_v(_state(c, a))
-            return np.concatenate([np.real(gv), np.imag(gv)])
-    if f.grad_rho is not None:
-        def grad_a(c, a):
-            gr = f.grad_rho(_state(c, a))
-            return np.concatenate([np.real(gr).reshape(-1), np.imag(gr).reshape(-1)])
-
-    return po.PairFunction(lambda c, a: f.eval(_state(c, a)), grad_c, grad_a, f.fd_step)

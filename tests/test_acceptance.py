@@ -22,8 +22,10 @@ from closed_forms import (
     coupled,
     linear_rho,
     named_restricted_hamiltonian,
+    qm_point,
     quadratic_v,
-    restricted_pair_function,
+    restricted_point,
+    restricted_split,
 )
 from conftest import vector_rep_spec
 from test_quantum import crandom, hermitian, linear_coordinate_functions
@@ -168,27 +170,23 @@ def test_criterion_04_cross_module_oracle():
     h = named_restricted_hamiltonian("quadratic", {}, dims)
     worst = 0.0
     for _ in range(50):
-        state = rs.RestrictedState(crandom(rng, 3, 3), rs.random_block(*dims, rng))
-        c0, a0 = rs.state_coordinates(state)
+        b = restricted_point(crandom(rng, 3, 3), rs.random_block(*dims, rng))
         # analytic linear test functions; a 1e-10 tolerance is out of reach
         # for finite differences
         a_mat, x_blk = crandom(rng, 3, 3), rs.random_block(*dims, rng)
-        f = rs.RestrictedFunction(
-            eval=lambda st, A=a_mat, X=x_blk: float(
-                np.real(np.trace(st.kappa @ A)) + np.real(rs.block_pairing(st.sigma, X))
+        f = po.SmoothFunction(
+            eval=lambda b, A=a_mat, X=x_blk: float(
+                np.real(np.trace(restricted_split(b, dims)[0] @ A))
+                + np.real(np.trace(restricted_split(b, dims)[1] @ X.to_full()))
             ),
-            grad_kappa=lambda st, A=a_mat: A,
-            grad_sigma=lambda st, X=x_blk: X,
+            grad=lambda b, g=restricted_point(a_mat, x_blk): g,
         )
-        lhs = rs.restricted_poisson_bracket(f, h, state)
-        rhs = po.extension_poisson_bracket(
-            restricted_pair_function(f, dims), restricted_pair_function(h, dims), c0, a0, spec
-        )
+        lhs = rs.restricted_poisson_bracket(f, h, b, dims)
+        rhs = po.extension_poisson_bracket(f, h, b, spec)
         worst = max(worst, abs(lhs - rhs))
-        kd, sd = rs.restricted_hamiltonian_field(h, state)
-        cd, ad_ = po.extension_hamiltonian_field(restricted_pair_function(h, dims), c0, a0, spec)
-        worst = max(worst, float(np.max(np.abs(kd.reshape(-1) - cd))))
-        worst = max(worst, float(np.max(np.abs(sd.to_full().reshape(-1) - ad_))))
+        field = rs.restricted_hamiltonian_field(h, b, dims)
+        generic = po.extension_hamiltonian_field(h, b, spec)
+        worst = max(worst, float(np.max(np.abs(field - generic))))
     _check(4, "restricted-vs-generic-extension", worst < 1e-10, f"max residual {worst:.2e}")
 
 
@@ -221,19 +219,19 @@ def test_criterion_05_coadjoint_duality():
 
 
 class _World:
-    """Uniform driver: a bracket operation plus function algebra."""
+    """Uniform driver: a bracket operation on flat points, three
+    polynomial functions, and random points."""
 
-    def __init__(self, name, bracket, make_fn, rand_state):
+    def __init__(self, name, bracket, rand_state):
         self.name = name
-        self.bracket = bracket          # (f, g, state) -> float
-        self.make_fn = make_fn          # (eval, grads...) -> function object
-        self.rand_state = rand_state    # rng -> state
+        self.bracket = bracket          # (f, g, b) -> float
+        self.rand_state = rand_state    # rng -> b
 
     def product(self, f, g):
-        return self.make_fn(lambda s: f.eval(s) * g.eval(s))
+        return po.SmoothFunction(lambda b: f.eval(b) * g.eval(b))
 
     def nest(self, f, g):
-        return self.make_fn(lambda s: self.bracket(f, g, s))
+        return po.SmoothFunction(lambda b: self.bracket(f, g, b))
 
 
 def _worlds():
@@ -250,10 +248,8 @@ def _worlds():
         world = _World(
             f"lie_poisson[{alg.name}]",
             bracket,
-            lambda ev, grad=None: po.SmoothFunction(ev, grad),
             lambda rng, dim=dim: rng.normal(size=dim),
         )
-        n = int(round(np.sqrt(dim))) if dim == 4 else None
         if dim == 3:
             world.polys = [
                 fn.quadratic(pairing),
@@ -268,126 +264,105 @@ def _worlds():
             ]
         out.append(world)
 
-    # product bracket on so(3)* x gl(2)*
+    # product bracket on so(3)* x gl(2)*, flat points (x, y)
     a1, p1 = la.so3(), la.identity_pairing(la.so3())
     a2, p2 = la.gl(2), la.trace_pairing(la.gl(2))
 
-    def product_bracket(f, g, state):
-        return po.product_bracket(f, g, state[0], state[1], a1, p1, a2, p2)
+    def product_bracket(f, g, b):
+        return po.product_bracket(f, g, b, a1, p1, a2, p2)
 
-    world = _World(
-        "product",
-        product_bracket,
-        lambda ev, grad=None: po.PairFunction(ev),
-        lambda rng: (rng.normal(size=3), rng.normal(size=4)),
-    )
+    world = _World("product", product_bracket, lambda rng: rng.normal(size=7))
     world.polys = [
-        po.PairFunction(
-            eval=lambda x, y: float(0.5 * (x @ x)),
-            grad_c=lambda x, y: x,
-            grad_a=lambda x, y: np.zeros(4),
+        po.SmoothFunction(
+            eval=lambda b: float(0.5 * (b[:3] @ b[:3])),
+            grad=lambda b: np.concatenate([b[:3], np.zeros(4)]),
         ),
-        po.PairFunction(
-            eval=lambda x, y: float(np.real(np.trace((y.reshape(2, 2)) @ (y.reshape(2, 2))))),
-            grad_c=lambda x, y: np.zeros(3),
-            grad_a=lambda x, y: 2.0 * y,
+        po.SmoothFunction(
+            eval=lambda b: float(np.real(np.trace(b[3:].reshape(2, 2) @ b[3:].reshape(2, 2)))),
+            grad=lambda b: np.concatenate([np.zeros(3), 2.0 * b[3:]]),
         ),
-        po.PairFunction(
-            eval=lambda x, y: float(x[0] * np.real(y[0])),
-            grad_c=lambda x, y: np.array([float(np.real(y[0])), 0.0, 0.0]),
-            grad_a=lambda x, y: np.linalg.solve(p2.gram, np.array([x[0], 0, 0, 0.0])),
+        po.SmoothFunction(
+            eval=lambda b: float(b[0] * np.real(b[3])),
+            grad=lambda b: np.concatenate([
+                [float(np.real(b[3])), 0.0, 0.0],
+                np.linalg.solve(p2.gram, np.array([b[0], 0, 0, 0.0])),
+            ]),
         ),
     ]
-    # product-world states are tuples; wrap bracket eval accordingly
-    world.product = lambda f, g: po.PairFunction(
-        lambda x, y: f.eval(x, y) * g.eval(x, y)
-    )
-    world.nest = lambda f, g: po.PairFunction(
-        lambda x, y: product_bracket(f, g, (x, y))
-    )
     out.append(world)
 
-    # extension bracket on the semidirect example
+    # extension bracket on the semidirect example, flat points (c, a)
     spec = vector_rep_spec()
 
-    def ext_bracket(f, g, state):
-        return po.extension_poisson_bracket(f, g, state[0], state[1], spec)
+    def ext_bracket(f, g, b):
+        return po.extension_poisson_bracket(f, g, b, spec)
 
-    world = _World(
-        "extension",
-        ext_bracket,
-        lambda ev, grad=None: po.PairFunction(ev),
-        lambda rng: (rng.normal(size=3), rng.normal(size=3)),
-    )
+    world = _World("extension", ext_bracket, lambda rng: rng.normal(size=6))
     world.polys = [
-        po.PairFunction(
-            eval=lambda c, a: float(0.5 * (c @ c)),
-            grad_c=lambda c, a: c,
-            grad_a=lambda c, a: np.zeros(3),
+        po.SmoothFunction(
+            eval=lambda b: float(0.5 * (b[:3] @ b[:3])),
+            grad=lambda b: np.concatenate([b[:3], np.zeros(3)]),
         ),
-        po.PairFunction(
-            eval=lambda c, a: float(0.5 * (a @ a)),
-            grad_c=lambda c, a: np.zeros(3),
-            grad_a=lambda c, a: a,
+        po.SmoothFunction(
+            eval=lambda b: float(0.5 * (b[3:] @ b[3:])),
+            grad=lambda b: np.concatenate([np.zeros(3), b[3:]]),
         ),
-        po.PairFunction(
-            eval=lambda c, a: float(c @ a),
-            grad_c=lambda c, a: a,
-            grad_a=lambda c, a: c,
+        po.SmoothFunction(
+            eval=lambda b: float(b[:3] @ b[3:]),
+            grad=lambda b: np.concatenate([b[3:], b[:3]]),
         ),
     ]
-    world.product = lambda f, g: po.PairFunction(
-        lambda c, a: f.eval(c, a) * g.eval(c, a)
-    )
-    world.nest = lambda f, g: po.PairFunction(lambda c, a: ext_bracket(f, g, (c, a)))
     out.append(world)
 
-    # block-model bracket
+    # block-model bracket, flat points (kappa, sigma)
     dims = (2, 2)
 
-    def rest_bracket(f, g, state):
-        return rs.restricted_poisson_bracket(f, g, state)
+    def rest_bracket(f, g, b):
+        return rs.restricted_poisson_bracket(f, g, b, dims)
 
     world = _World(
         "restricted",
         rest_bracket,
-        lambda ev, grad=None: rs.RestrictedFunction(ev),
-        lambda rng: rs.RestrictedState(crandom(rng, 2, 2), rs.random_block(2, 2, rng)),
+        lambda rng: restricted_point(crandom(rng, 2, 2), rs.random_block(2, 2, rng)),
     )
     a0 = np.array([[0.3, -0.2 + 0.4j], [0.1j, 1.0]])
+    zero_sigma = rs.BlockOperator.zero(*dims)
+
+    def kappa(b):
+        return restricted_split(b, dims)[0]
+
+    def sigma(b):
+        return restricted_split(b, dims)[1]
+
     world.polys = [
-        rs.RestrictedFunction(
-            eval=lambda st: float(0.5 * np.real(np.trace(st.kappa @ st.kappa))),
-            grad_kappa=lambda st: st.kappa,
-            grad_sigma=lambda st: rs.BlockOperator.zero(*dims),
+        po.SmoothFunction(
+            eval=lambda b: float(0.5 * np.real(np.trace(kappa(b) @ kappa(b)))),
+            grad=lambda b: restricted_point(kappa(b), zero_sigma),
         ),
-        rs.RestrictedFunction(
-            eval=lambda st: float(0.5 * np.real(rs.block_pairing(st.sigma, st.sigma))),
-            grad_kappa=lambda st: np.zeros((2, 2), dtype=complex),
-            grad_sigma=lambda st: st.sigma,
+        po.SmoothFunction(
+            eval=lambda b: float(0.5 * np.real(np.trace(sigma(b) @ sigma(b)))),
+            grad=lambda b: np.concatenate([np.zeros(4), sigma(b).ravel()]).astype(complex),
         ),
-        rs.RestrictedFunction(
-            eval=lambda st: float(np.real(np.trace(st.kappa @ a0))),
-            grad_kappa=lambda st: a0,
-            grad_sigma=lambda st: rs.BlockOperator.zero(*dims),
+        po.SmoothFunction(
+            eval=lambda b: float(np.real(np.trace(kappa(b) @ a0))),
+            grad=lambda b: restricted_point(a0, zero_sigma),
         ),
     ]
     out.append(world)
 
-    # semidirect quantum bracket
+    # semidirect quantum bracket, flat realified points (v, rho)
     n = 3
     rng0 = np.random.default_rng(0)
     h0 = hermitian(rng0, n)
     a_h = hermitian(rng0, n)
 
-    def qm_bracket(f, g, state):
-        return qm.qm_bracket(f, g, state)
+    def qm_bracket(f, g, b):
+        return qm.qm_bracket(f, g, b, n)
 
     world = _World(
         "semidirect_qm",
         qm_bracket,
-        lambda ev, grad=None: qm.QMFunction(ev),
-        lambda rng: qm.QState(crandom(rng, n), crandom(rng, n, n)),
+        lambda rng: qm_point(crandom(rng, n), crandom(rng, n, n)),
     )
     world.polys = [linear_rho(h0), quadratic_v(a_h), coupled(h0, a_h, 0.4)]
     out.append(world)
@@ -409,12 +384,8 @@ def test_criterion_06_poisson_axioms():
             )
             prod = world.product(f, g)
             lhs = world.bracket(prod, h, state)
-            rhs = (
-                f.eval(*state) if isinstance(state, tuple) else f.eval(state)
-            ) * world.bracket(g, h, state)
-            rhs += world.bracket(f, h, state) * (
-                g.eval(*state) if isinstance(state, tuple) else g.eval(state)
-            )
+            rhs = f.eval(state) * world.bracket(g, h, state)
+            rhs += world.bracket(f, h, state) * g.eval(state)
             worst_leibniz = max(worst_leibniz, abs(lhs - rhs) / (1.0 + abs(lhs)))
         for _ in range(2):
             state = world.rand_state(rng)
@@ -437,12 +408,13 @@ def test_criterion_07_product_pullbacks_commute():
     rng = np.random.default_rng(107)
     a1, p1 = la.so3(), la.identity_pairing(la.so3())
     a2, p2 = la.gl(2), la.trace_pairing(la.gl(2))
-    f = po.PairFunction(eval=lambda x, y: float(np.sin(x @ x) + x[1]))
-    g = po.PairFunction(eval=lambda x, y: float(np.real(y @ y) ** 2 + np.real(y[2])))
+    f = po.SmoothFunction(eval=lambda b: float(np.sin(b[:3] @ b[:3]) + b[1]))
+    g = po.SmoothFunction(eval=lambda b: float(np.real(b[3:] @ b[3:]) ** 2 + np.real(b[5])))
     worst = 0.0
     for _ in range(20):
         x, y = rng.normal(size=3), rng.normal(size=4)
-        worst = max(worst, abs(po.product_bracket(f, g, x, y, a1, p1, a2, p2)))
+        b = np.concatenate([x, y])
+        worst = max(worst, abs(po.product_bracket(f, g, b, a1, p1, a2, p2)))
     _check(7, "product-pullbacks-commute", worst < 1e-12, f"max bracket {worst:.2e}")
 
 
@@ -455,10 +427,10 @@ def test_criterion_08_semidirect_quantum_consistency():
     worst = 0.0
     for h in hamiltonians:
         for _ in range(3):
-            state = qm.QState(crandom(rng, n), crandom(rng, n, n))
-            vd, rd = qm.qm_hamilton_rhs(h, state)
+            b = qm_point(crandom(rng, n), crandom(rng, n, n))
+            bd = qm.qm_hamilton_rhs(h, b, n)
             for f, ddt in coords:
-                worst = max(worst, abs(ddt(vd, rd) - qm.qm_bracket(f, h, state)))
+                worst = max(worst, abs(ddt(bd) - qm.qm_bracket(f, h, b, n)))
     _check(8, "semidirect-quantum-flow", worst < 1e-8, f"max |d/dt f - {{f,h}}| {worst:.2e}")
 
 

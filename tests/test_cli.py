@@ -414,6 +414,17 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("semidirect-linear_rho-A", "simulate",
      _with(SHIPPED["semidirect_qm.json"], "hamiltonian.A", [[1.0, 0.0], [0.0, 1.0]]),
      "hamiltonian.A"),
+    ("restricted-linear_kappa-no-A", "simulate",
+     _with(SHIPPED["restricted.json"], "hamiltonian", {"name": "linear_kappa"}), "hamiltonian.A"),
+    ("restricted-unknown-name", "simulate",
+     _with(SHIPPED["restricted.json"], "hamiltonian", {"name": "bogus"}), "hamiltonian.name"),
+    ("semidirect-linear_rho-no-H0", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "hamiltonian", {"name": "linear_rho"}),
+     "hamiltonian.H0"),
+    ("semidirect-coupled-no-A", "simulate",
+     _with(SHIPPED["semidirect_qm.json"], "hamiltonian.name", "coupled"), "hamiltonian.A"),
+    ("casimir-linear-no-coeffs", "simulate",
+     _with(SHIPPED["rigidbody.json"], "casimirs", [{"fn": "linear"}]), "casimirs.coeffs"),
 ]
 
 

@@ -22,8 +22,8 @@ from closed_forms import (
     QM_NAMED_HAMILTONIANS,
     coupled,
     named_restricted_hamiltonian,
-    qm_pair_function,
-    restricted_pair_function,
+    qm_point,
+    restricted_point,
 )
 
 
@@ -70,16 +70,9 @@ def test_hamiltonian_field_is_minus_coadjoint(alg, gram):
             _close(po.hamiltonian_vector_field(h, b, alg, pairing), want)
 
 
-def _stacked(f: po.PairFunction, dn: int) -> po.SmoothFunction:
-    return po.SmoothFunction(
-        lambda b: f.eval(b[:dn], b[dn:]),
-        lambda b: np.concatenate([f.grad_c(b[:dn], b[dn:]), f.grad_a(b[:dn], b[dn:])]),
-    )
-
-
-def _extension_field(spec: ext.ExtensionSpec, f: po.PairFunction):
+def _extension_field(spec: ext.ExtensionSpec, f: po.SmoothFunction):
     e = ext.build_extension(spec)
-    return po.hamiltonian_field(_stacked(f, spec.n.dim), e, ext.direct_sum_pairing(spec, e))
+    return po.hamiltonian_field(f, e, ext.direct_sum_pairing(spec, e))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
@@ -92,13 +85,11 @@ def test_field_matches_restricted_closed_form(dims, name):
         "X0": rs.random_block(*dims, rng),
     }
     f = named_restricted_hamiltonian(name, params, dims)
-    field = _extension_field(rs.restricted_extension_spec(*dims), restricted_pair_function(f, dims))
+    field = _extension_field(rs.restricted_extension_spec(*dims), f)
     for _ in range(3):
         kappa = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
-        state = rs.RestrictedState(kappa, rs.random_block(*dims, rng))
-        kdot, sdot = rs.restricted_hamiltonian_field(f, state)
-        want = np.concatenate(rs.state_coordinates(rs.RestrictedState(kdot, sdot)))
-        _close(field(np.concatenate(rs.state_coordinates(state))), want)
+        b = restricted_point(kappa, rs.random_block(*dims, rng))
+        _close(field(b), rs.restricted_hamiltonian_field(f, b, dims))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -110,11 +101,10 @@ def test_field_matches_semidirect_closed_form(n, name):
         return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
     f = QM_NAMED_HAMILTONIANS[name]({"H0": cm(), "A": cm(), "coupling": 0.7})
-    field = _extension_field(qm.semidirect_extension_spec(n), qm_pair_function(f, n))
+    field = _extension_field(qm.semidirect_extension_spec(n), f)
     for _ in range(3):
-        state = qm.QState(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
-        want = np.concatenate(qm.state_coordinates(qm.QState(*qm.qm_hamilton_rhs(f, state))))
-        _close(field(np.concatenate(qm.state_coordinates(state))), want)
+        b = qm_point(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
+        _close(field(b), qm.qm_hamilton_rhs(f, b, n))
 
 
 def _csv(text: str) -> tuple[list[str], np.ndarray]:
@@ -153,17 +143,16 @@ def test_restricted_simulate_follows_the_closed_form(tmp_path):
     cols, rows = _simulate(tmp_path, doc)
     h = named_restricted_hamiltonian("quadratic", {}, dims)
 
-    def split(y):
-        c, a = y[:9] + 1j * y[9:18], y[18:43] + 1j * y[43:]
-        return rs.RestrictedState(c.reshape(3, 3), rs.BlockOperator.from_full(a.reshape(5, 5), 3))
-
-    def flat(state):
-        c, a = rs.state_coordinates(state)
+    def realify(b):
+        c, a = b[:9], b[9:]
         return np.concatenate([c.real, c.imag, a.real, a.imag])
 
+    def point(y):
+        return np.concatenate([y[:9] + 1j * y[9:18], y[18:43] + 1j * y[43:]])
+
     traj = it.integrate_flow(
-        lambda y: flat(rs.RestrictedState(*rs.restricted_hamiltonian_field(h, split(y)))),
-        flat(rs.RestrictedState(kappa0, sigma0)),
+        lambda y: realify(rs.restricted_hamiltonian_field(h, point(y), dims)),
+        realify(restricted_point(kappa0, sigma0)),
         it.IntegratorConfig("rk4", 0.01, 20),
     )
     assert cols[1:4] == ["kappa11_re", "kappa12_re", "kappa13_re"] and cols[10] == "kappa11_im"
@@ -188,13 +177,8 @@ def test_semidirect_simulate_follows_the_closed_form(tmp_path):
     }
     cols, rows = _simulate(tmp_path, doc)
     h = coupled(h0, h0, 0.3)
-
-    def field(y):
-        state = qm.state_from_coordinates(y[: 2 * n], y[2 * n :], n)
-        return np.concatenate(qm.state_coordinates(qm.QState(*qm.qm_hamilton_rhs(h, state))))
-
-    y0 = np.concatenate(qm.state_coordinates(qm.QState(v0, rho0)))
-    traj = it.integrate_flow(field, y0, it.IntegratorConfig("rk4", 0.01, 30))
+    traj = it.integrate_flow(lambda y: qm.qm_hamilton_rhs(h, y, n), qm_point(v0, rho0),
+                             it.IntegratorConfig("rk4", 0.01, 30))
     assert cols[1:5] == ["v1_re", "v2_re", "v1_im", "v2_im"]
     _close(rows[:, 1:13], traj.states, 1e-12)
     v = traj.states[:, :4]
@@ -288,7 +272,7 @@ def test_compiled_affine_field_matches_the_gradient_path(alg, pairing, h):
 
 def _restricted_point(rng, dims):
     kappa = rng.normal(size=(dims[0],) * 2) + 1j * rng.normal(size=(dims[0],) * 2)
-    return rs.RestrictedState(kappa, rs.random_block(*dims, rng))
+    return restricted_point(kappa, rs.random_block(*dims, rng))
 
 
 @pytest.mark.parametrize("name", ["linear_kappa", "linear_sigma", "quadratic"])
@@ -302,12 +286,9 @@ def test_restricted_hamiltonians_match_the_closed_forms(name):
     h = cli._restricted_hamiltonian(name, {**params, "X0": params["X0"].to_full()}, dims, p)
     field = po.hamiltonian_field(h, e, p)
     for _ in range(3):
-        state = _restricted_point(rng, dims)
-        b = np.concatenate(rs.state_coordinates(state))
-        want = np.concatenate(rs.state_coordinates(
-            rs.RestrictedState(*rs.restricted_hamiltonian_field(oracle, state))))
-        _close(field(b), want)
-        assert h.eval(b) == pytest.approx(oracle.eval(state), rel=1e-13, abs=1e-13)
+        b = _restricted_point(rng, dims)
+        _close(field(b), rs.restricted_hamiltonian_field(oracle, b, dims))
+        assert h.eval(b) == pytest.approx(oracle.eval(b), rel=1e-13, abs=1e-13)
 
 
 @pytest.mark.parametrize("name", ["linear_rho", "quadratic_v", "coupled"])
@@ -324,11 +305,9 @@ def test_semidirect_hamiltonians_match_the_closed_forms(name):
     h = cli._qm_hamiltonian(name, params, n, p)
     field = po.hamiltonian_field(h, e, p)
     for _ in range(3):
-        state = qm.QState(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
-        b = np.concatenate(qm.state_coordinates(state))
-        want = np.concatenate(qm.state_coordinates(qm.QState(*qm.qm_hamilton_rhs(oracle, state))))
-        _close(field(b), want)
-        assert h.eval(b) == pytest.approx(oracle.eval(state), rel=1e-13, abs=1e-13)
+        b = qm_point(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
+        _close(field(b), qm.qm_hamilton_rhs(oracle, b, n))
+        assert h.eval(b) == pytest.approx(oracle.eval(b), rel=1e-13, abs=1e-13)
 
 
 def _sim_docs():
@@ -399,13 +378,13 @@ def test_restricted_spectral_casimirs(tmp_path):
     the verification tolerance per step."""
     rng = np.random.default_rng(26)
     steps = 80
-    state = _restricted_point(rng, (3, 2))
-    kappa, sigma = state.kappa, state.sigma.to_full()
-    scale = 4.0 / np.sqrt(np.sum(np.abs(kappa) ** 2) + np.sum(np.abs(sigma) ** 2))
+    kappa = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    sigma = rs.random_block(3, 2, rng)
+    scale = 4.0 / np.sqrt(np.sum(np.abs(kappa) ** 2) + np.sum(np.abs(sigma.to_full()) ** 2))
     doc = {
         "system": "restricted",
         "restricted": {"n_plus": 3, "n_minus": 2, "kappa0": _cplx(scale * kappa),
-                       "sigma0": rs.block_to_json(state.sigma * scale)},
+                       "sigma0": rs.block_to_json(sigma * scale)},
         "hamiltonian": {"name": "quadratic"},
         "casimirs": ["kappa_trace_2", "kappa_trace_3", "kappa_trace_4"],
     }

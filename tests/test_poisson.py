@@ -71,16 +71,20 @@ def test_directional_derivative_consistency(rng):
 
 
 def test_pair_function_per_slot_consistency(e3_spec, rng):
-    # finite-difference partials agree with analytic ones, slot by slot
-    f = po.PairFunction(
-        eval=lambda c, a: float((c @ c) * (a @ a) + c @ a),
-        grad_c=lambda c, a: 2.0 * (a @ a) * c + a,
-        grad_a=lambda c, a: 2.0 * (c @ c) * a + c,
-    )
-    f_fd = po.PairFunction(eval=f.eval)
-    c, a = rng.normal(size=3), rng.normal(size=3)
-    dc, da = po.extension_partial_derivatives(f, c, a, e3_spec)
-    dc_fd, da_fd = po.extension_partial_derivatives(f_fd, c, a, e3_spec)
+    # finite-difference partials agree with analytic ones, slot by slot,
+    # for a function of the flat point (c, a)
+    def _eval(b):
+        c, a = b[:3], b[3:]
+        return float((c @ c) * (a @ a) + c @ a)
+
+    def _grad(b):
+        c, a = b[:3], b[3:]
+        return np.concatenate([2.0 * (a @ a) * c + a, 2.0 * (c @ c) * a + c])
+
+    b = rng.normal(size=6)
+    pairings = e3_spec.n_pairing, e3_spec.h_pairing
+    dc, da = po.slot_derivatives(po.SmoothFunction(_eval, _grad), b, *pairings)
+    dc_fd, da_fd = po.slot_derivatives(po.SmoothFunction(_eval), b, *pairings)
     scale = max(1.0, float(np.max(np.abs(dc))), float(np.max(np.abs(da))))
     assert np.max(np.abs(dc - dc_fd)) / scale < 1e-5
     assert np.max(np.abs(da - da_fd)) / scale < 1e-5
@@ -204,37 +208,40 @@ def _product_spaces():
 
 def test_pullbacks_poisson_commute(rng):
     a1, p1, a2, p2 = _product_spaces()
-    f = po.PairFunction(eval=lambda x, y: float(np.sin(x @ x)))
-    g = po.PairFunction(eval=lambda x, y: float((y @ y) ** 2))
+    f = po.SmoothFunction(eval=lambda b: float(np.sin(b[:3] @ b[:3])))
+    g = po.SmoothFunction(eval=lambda b: float((b[3:] @ b[3:]) ** 2))
     for _ in range(5):
-        x, y = rng.normal(size=3), rng.normal(size=4)
-        assert po.product_bracket(f, g, x, y, a1, p1, a2, p2) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        b = rng.normal(size=7)
+        assert po.product_bracket(f, g, b, a1, p1, a2, p2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_product_restricts_to_first_factor(rng):
     a1, p1, a2, p2 = _product_spaces()
-    f = po.PairFunction(
-        eval=lambda x, y: float(x[0]), grad_c=lambda x, y: np.eye(3)[0]
-    )
-    g = po.PairFunction(
-        eval=lambda x, y: float(x[1]), grad_c=lambda x, y: np.eye(3)[1]
-    )
-    value = po.product_bracket(
-        f, g, np.array([0.0, 0.0, 5.0]), rng.normal(size=4), a1, p1, a2, p2
-    )
-    assert value == pytest.approx(5.0)
+    f = po.SmoothFunction(eval=lambda b: float(b[0]), grad=lambda b: np.eye(7)[0])
+    g = po.SmoothFunction(eval=lambda b: float(b[1]), grad=lambda b: np.eye(7)[1])
+    b = np.concatenate([[0.0, 0.0, 5.0], rng.normal(size=4)])
+    assert po.product_bracket(f, g, b, a1, p1, a2, p2) == pytest.approx(5.0)
+
+
+def test_product_restricts_to_second_factor(rng):
+    a1, p1, a2, p2 = _product_spaces()
+    x, y = rng.normal(size=4), rng.normal(size=4)
+    f = po.SmoothFunction(eval=lambda b: p2.real_pair(b[3:], x),
+                          grad=lambda b: np.concatenate([np.zeros(3), x]))
+    g = po.SmoothFunction(eval=lambda b: p2.real_pair(b[3:], y),
+                          grad=lambda b: np.concatenate([np.zeros(3), y]))
+    b = rng.normal(size=7)
+    expected = p2.real_pair(b[3:], a2.bracket(x, y))
+    assert abs(expected) > 0.1
+    assert po.product_bracket(f, g, b, a1, p1, a2, p2) == pytest.approx(expected)
 
 
 def test_constant_function_brackets_to_zero(rng):
     a1, p1, a2, p2 = _product_spaces()
-    f = po.PairFunction(eval=lambda x, y: float(x @ x + np.real(y @ y)))
-    g = po.PairFunction(eval=lambda x, y: 4.25)
-    x, y = rng.normal(size=3), rng.normal(size=4)
-    assert po.product_bracket(f, g, x, y, a1, p1, a2, p2) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    f = po.SmoothFunction(eval=lambda b: float(b @ b))
+    g = po.SmoothFunction(eval=lambda b: 4.25)
+    b = rng.normal(size=7)
+    assert po.product_bracket(f, g, b, a1, p1, a2, p2) == pytest.approx(0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +250,15 @@ def test_constant_function_brackets_to_zero(rng):
 
 
 def _linear_pair(spec, zeta, eta):
+    """Re <c, zeta> + Re <a, eta> on flat points (c, a)."""
     zeta = np.asarray(zeta, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    return po.PairFunction(
-        eval=lambda c, a: float(
-            spec.n_pairing.real_pair(c, zeta) + spec.h_pairing.real_pair(a, eta)
+    dn = spec.n.dim
+    return po.SmoothFunction(
+        eval=lambda b: float(
+            spec.n_pairing.real_pair(b[:dn], zeta) + spec.h_pairing.real_pair(b[dn:], eta)
         ),
-        grad_c=lambda c, a: zeta,
-        grad_a=lambda c, a: eta,
+        grad=lambda b: np.concatenate([zeta, eta]),
     )
 
 
@@ -266,7 +274,7 @@ def test_trivial_extension_bracket_decouples(so3, rng):
     z2, e2 = rng.normal(size=3), rng.normal(size=4)
     f, g = _linear_pair(spec, z1, e1), _linear_pair(spec, z2, e2)
     c, a = rng.normal(size=3), rng.normal(size=4)
-    total = po.extension_poisson_bracket(f, g, c, a, spec)
+    total = po.extension_poisson_bracket(f, g, np.concatenate([c, a]), spec)
     part_n = spec.n_pairing.real_pair(c, so3.bracket(z1, z2))
     part_h = spec.h_pairing.real_pair(a, gl2.bracket(e1, e2))
     assert total == pytest.approx(part_n + part_h)
@@ -279,11 +287,9 @@ def test_linear_extension_bracket_is_pairing_of_bracket(e3_spec, rng):
         x1, x2 = rng.normal(size=6), rng.normal(size=6)
         f = _linear_pair(e3_spec, x1[:3], x1[3:])
         g = _linear_pair(e3_spec, x2[:3], x2[3:])
-        c, a = rng.normal(size=3), rng.normal(size=3)
-        lhs = po.extension_poisson_bracket(f, g, c, a, e3_spec)
-        rhs = pairing.real_pair(
-            np.concatenate([c, a]), la.bracket_eval(built, x1, x2)
-        )
+        b = rng.normal(size=6)
+        lhs = po.extension_poisson_bracket(f, g, b, e3_spec)
+        rhs = pairing.real_pair(b, la.bracket_eval(built, x1, x2))
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -297,19 +303,19 @@ def test_extension_bracket_matches_generic_bracket(e3_spec, rng):
     f1 = fn.linear(pairing, x1)
     g1 = fn.linear(pairing, x2)
     for _ in range(10):
-        c, a = rng.normal(size=3), rng.normal(size=3)
-        lhs = po.extension_poisson_bracket(f2, g2, c, a, e3_spec)
-        rhs = po.lie_poisson_bracket(f1, g1, np.concatenate([c, a]), built, pairing)
+        b = rng.normal(size=6)
+        lhs = po.extension_poisson_bracket(f2, g2, b, e3_spec)
+        rhs = po.lie_poisson_bracket(f1, g1, b, built, pairing)
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_extension_bracket_antisymmetry(e3_spec, rng):
-    f = po.PairFunction(eval=lambda c, a: float(np.sin(c @ c) + (a @ a)))
-    g = po.PairFunction(eval=lambda c, a: float(c @ a[:3]))
+    f = po.SmoothFunction(eval=lambda b: float(np.sin(b[:3] @ b[:3]) + (b[3:] @ b[3:])))
+    g = po.SmoothFunction(eval=lambda b: float(b[:3] @ b[3:]))
     for _ in range(100):
-        c, a = rng.normal(size=3), rng.normal(size=3)
-        fg = po.extension_poisson_bracket(f, g, c, a, e3_spec)
-        gf = po.extension_poisson_bracket(g, f, c, a, e3_spec)
+        b = rng.normal(size=6)
+        fg = po.extension_poisson_bracket(f, g, b, e3_spec)
+        gf = po.extension_poisson_bracket(g, f, b, e3_spec)
         assert abs(fg + gf) < 1e-10 * (1.0 + abs(fg))
 
 
@@ -321,46 +327,49 @@ def test_trivial_extension_field_decouples(so3, rng):
         ex.DerivationMap.zero(gl2, so3),
         la.identity_pairing(so3), la.trace_pairing(gl2),
     )
-    h = po.PairFunction(
-        eval=lambda c, a: float(0.5 * (c @ c) + 0.5 * (a @ a)),
-        grad_c=lambda c, a: c,
-        grad_a=lambda c, a: np.linalg.solve(spec.h_pairing.gram, a),
+    h = po.SmoothFunction(
+        eval=lambda b: float(0.5 * (b @ b)),
+        grad=lambda b: np.concatenate([b[:3], np.linalg.solve(spec.h_pairing.gram, b[3:])]),
     )
-    c, a = rng.normal(size=3), rng.normal(size=4)
-    cd, ad_ = po.extension_hamiltonian_field(h, c, a, spec)
-    hc, ha = po.extension_partial_derivatives(h, c, a, spec)
+    b = rng.normal(size=7)
+    c, a = b[:3], b[3:]
+    cd, ad_ = np.split(po.extension_hamiltonian_field(h, b, spec), [3])
+    hc, ha = po.slot_derivatives(h, b, spec.n_pairing, spec.h_pairing)
     assert np.allclose(cd, -la.ad_star(spec.n_pairing, hc, c), atol=1e-13)
     assert np.allclose(ad_, -la.ad_star(spec.h_pairing, ha, a), atol=1e-13)
 
 
 def test_extension_field_bracket_consistency(e3_spec, rng):
-    h = po.PairFunction(
-        eval=lambda c, a: float(0.5 * (c @ c) + 0.25 * (a @ a) ** 2 + c @ a),
-        grad_c=lambda c, a: c + a,
-        grad_a=lambda c, a: (a @ a) * a + c,
-    )
+    def _eval(b):
+        c, a = b[:3], b[3:]
+        return float(0.5 * (c @ c) + 0.25 * (a @ a) ** 2 + c @ a)
+
+    def _grad(b):
+        c, a = b[:3], b[3:]
+        return np.concatenate([c + a, (a @ a) * a + c])
+
+    h = po.SmoothFunction(_eval, _grad)
+    pairings = e3_spec.n_pairing, e3_spec.h_pairing
     worst = 0.0
     for _ in range(50):
-        c, a = rng.normal(size=3), rng.normal(size=3)
-        cd, ad_ = po.extension_hamiltonian_field(h, c, a, e3_spec)
+        b = rng.normal(size=6)
+        bd = po.extension_hamiltonian_field(h, b, e3_spec)
         x = rng.normal(size=6)
         f = _linear_pair(e3_spec, x[:3], x[3:])
-        fc, fa = po.extension_partial_derivatives(f, c, a, e3_spec)
-        lhs = float(cd @ fc + ad_ @ fa)
-        rhs = po.extension_poisson_bracket(f, h, c, a, e3_spec)
+        lhs = float(bd @ np.concatenate(po.slot_derivatives(f, b, *pairings)))
+        rhs = po.extension_poisson_bracket(f, h, b, e3_spec)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-8
 
 
 def test_heisenberg_quadratic_drift(h3_spec):
     # h = |a|^2 / 2 drives the a slot through the cocycle dual; c is frozen
-    h = po.PairFunction(
-        eval=lambda c, a: float(0.5 * (a @ a)),
-        grad_c=lambda c, a: np.zeros(1),
-        grad_a=lambda c, a: a,
+    h = po.SmoothFunction(
+        eval=lambda b: float(0.5 * (b[1:] @ b[1:])),
+        grad=lambda b: np.concatenate([[0.0], b[1:]]),
     )
     c, a = np.array([2.0]), np.array([0.5, -1.5])
-    cd, ad_ = po.extension_hamiltonian_field(h, c, a, h3_spec)
+    cd, ad_ = np.split(po.extension_hamiltonian_field(h, np.concatenate([c, a]), h3_spec), [1])
     # oracle: minus the coadjoint action applied with (0, a)
     oc, oa = ex.coadjoint_extension(h3_spec, (np.zeros(1), a), (c, a))
     assert np.allclose(cd, -oc, atol=1e-14)

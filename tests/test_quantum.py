@@ -4,9 +4,17 @@ import pytest
 from liepoisson import extension as ex
 from liepoisson import poisson as po
 from liepoisson import quantum as qm
+from liepoisson import restricted as rs
 from liepoisson.errors import DimensionMismatchError
 
-from closed_forms import coupled, linear_rho, qm_pair_function, quadratic_v
+from closed_forms import (
+    coupled,
+    linear_rho,
+    named_restricted_hamiltonian,
+    qm_point,
+    qm_split,
+    quadratic_v,
+)
 
 
 def crandom(rng, *shape):
@@ -14,7 +22,7 @@ def crandom(rng, *shape):
 
 
 def rand_state(rng, n=4):
-    return qm.QState(crandom(rng, n), crandom(rng, n, n))
+    return qm_point(crandom(rng, n), crandom(rng, n, n))
 
 
 def hermitian(rng, n):
@@ -23,103 +31,72 @@ def hermitian(rng, n):
 
 
 def linear_coordinate_functions(n):
-    """All real coordinate functions with analytic gradients, plus the
-    matching component extractor of the flow field."""
-    out = []
-    for k in range(n):
-        ek = np.zeros(n, dtype=complex)
-        ek[k] = 1.0
-        out.append((
-            qm.QMFunction(
-                eval=lambda s, k=k: float(np.real(s.v[k])),
-                grad_v=lambda s, ek=ek: ek,
-                grad_rho=lambda s: np.zeros((n, n), dtype=complex),
+    """Every real coordinate function f(b) = b_k of the flat point, with its
+    analytic gradient, plus the matching component extractor of the flow
+    field.  Re trace(dr X) picks the entry (p, q) of dr for X = E_qp, so the
+    rho-slot gradients are transposed, and those of Im rho change sign."""
+    d = 2 * n + 2 * n * n
+    t = np.arange(n * n).reshape(n, n).T.ravel()
+    target = np.concatenate([np.arange(2 * n), 2 * n + t, 2 * n + n * n + t])
+    sign = np.where(np.arange(d) < 2 * n + n * n, 1.0, -1.0)
+    return [
+        (
+            po.SmoothFunction(
+                eval=lambda b, k=k: float(b[k]),
+                grad=lambda b, x=sign[k] * np.eye(d)[target[k]]: x,
             ),
-            lambda vd, rd, k=k: float(np.real(vd[k])),
-        ))
-        out.append((
-            qm.QMFunction(
-                eval=lambda s, k=k: float(np.imag(s.v[k])),
-                grad_v=lambda s, ek=ek: 1j * ek,
-                grad_rho=lambda s: np.zeros((n, n), dtype=complex),
-            ),
-            lambda vd, rd, k=k: float(np.imag(vd[k])),
-        ))
-    for a in range(n):
-        for b in range(n):
-            eba = np.zeros((n, n), dtype=complex)
-            eba[b, a] = 1.0
-            out.append((
-                qm.QMFunction(
-                    eval=lambda s, a=a, b=b: float(np.real(s.rho[a, b])),
-                    grad_v=lambda s: np.zeros(n, dtype=complex),
-                    grad_rho=lambda s, e=eba: e,
-                ),
-                lambda vd, rd, a=a, b=b: float(np.real(rd[a, b])),
-            ))
-            out.append((
-                qm.QMFunction(
-                    eval=lambda s, a=a, b=b: float(np.imag(s.rho[a, b])),
-                    grad_v=lambda s: np.zeros(n, dtype=complex),
-                    grad_rho=lambda s, e=eba: -1j * e,
-                ),
-                lambda vd, rd, a=a, b=b: float(np.imag(rd[a, b])),
-            ))
-    return out
+            lambda bd, k=k: float(bd[k]),
+        )
+        for k in range(d)
+    ]
 
 
 def test_state_shapes_validated():
     with pytest.raises(DimensionMismatchError):
-        qm.QState(np.zeros(3), np.zeros((2, 2)))
+        qm.qm_hamilton_rhs(linear_rho(np.eye(2)), np.zeros(11), 2)
 
 
 def test_rho_only_bracket(rng):
     n = 3
-    state = rand_state(rng, n)
+    b = rand_state(rng, n)
     x1, x2 = crandom(rng, n, n), crandom(rng, n, n)
     f = linear_rho(x1)
     g = linear_rho(x2)
-    expected = np.real(np.trace(state.rho @ (x1 @ x2 - x2 @ x1)))
-    assert qm.qm_bracket(f, g, state) == pytest.approx(float(expected))
+    expected = np.real(np.trace(qm_split(b, n)[1] @ (x1 @ x2 - x2 @ x1)))
+    assert qm.qm_bracket(f, g, b, n) == pytest.approx(float(expected))
 
 
 def test_v_only_functions_commute(rng):
     # the Hilbert slot alone carries the trivial structure
     n = 3
-    state = rand_state(rng, n)
+    b = rand_state(rng, n)
     f = quadratic_v(hermitian(rng, n))
     g = quadratic_v(hermitian(rng, n))
-    assert qm.qm_bracket(f, g, state) == pytest.approx(0.0, abs=1e-14)
+    assert qm.qm_bracket(f, g, b, n) == pytest.approx(0.0, abs=1e-14)
+
+
+def _linear(x, u):
+    """Re trace(rho x) + Re <u | v>, with its analytic gradient."""
+    n = len(u)
+    return po.SmoothFunction(
+        eval=lambda b: float(
+            np.real(np.trace(qm_split(b, n)[1] @ x)) + np.real(np.vdot(u, qm_split(b, n)[0]))
+        ),
+        grad=lambda b: qm_point(u, x),
+    )
 
 
 def test_mixed_linear_matches_extension_bracket(rng):
     n = 3
     spec = qm.semidirect_extension_spec(n)
     assert ex.check_compatibility(spec).max_residual == 0.0
-    state = rand_state(rng, n)
-    c0, a0 = qm.state_coordinates(state)
+    b = rand_state(rng, n)
     worst = 0.0
     for _ in range(10):
-        xa, ua = crandom(rng, n, n), crandom(rng, n)
-        xb, ub = crandom(rng, n, n), crandom(rng, n)
-        f = qm.QMFunction(
-            eval=lambda s, x=xa, u=ua: float(
-                np.real(np.trace(s.rho @ x)) + np.real(np.vdot(u, s.v))
-            ),
-            grad_v=lambda s, u=ua: u,
-            grad_rho=lambda s, x=xa: x,
-        )
-        g = qm.QMFunction(
-            eval=lambda s, x=xb, u=ub: float(
-                np.real(np.trace(s.rho @ x)) + np.real(np.vdot(u, s.v))
-            ),
-            grad_v=lambda s, u=ub: u,
-            grad_rho=lambda s, x=xb: x,
-        )
-        lhs = qm.qm_bracket(f, g, state)
-        rhs = po.extension_poisson_bracket(
-            qm_pair_function(f, n), qm_pair_function(g, n), c0, a0, spec
-        )
+        f = _linear(crandom(rng, n, n), crandom(rng, n))
+        g = _linear(crandom(rng, n, n), crandom(rng, n))
+        lhs = qm.qm_bracket(f, g, b, n)
+        rhs = po.extension_poisson_bracket(f, g, b, spec)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
 
@@ -128,44 +105,41 @@ def test_field_matches_extension_field(rng):
     n = 3
     spec = qm.semidirect_extension_spec(n)
     h = coupled(hermitian(rng, n), hermitian(rng, n), 0.4)
-    state = rand_state(rng, n)
-    c0, a0 = qm.state_coordinates(state)
-    vd, rd = qm.qm_hamilton_rhs(h, state)
-    cd, ad_ = po.extension_hamiltonian_field(qm_pair_function(h, n), c0, a0, spec)
-    flow = qm.state_from_coordinates(cd, ad_, n)
-    assert np.max(np.abs(flow.v - vd)) < 1e-12
-    assert np.max(np.abs(flow.rho - rd)) < 1e-12
+    b = rand_state(rng, n)
+    flow = qm.qm_hamilton_rhs(h, b, n)
+    generic = po.extension_hamiltonian_field(h, b, spec)
+    vd, rd = qm_split(flow, n)
+    gv, gr = qm_split(generic, n)
+    assert np.max(np.abs(gv - vd)) < 1e-12
+    assert np.max(np.abs(gr - rd)) < 1e-12
 
 
 def test_hermitian_generator_flow(rng):
     n = 4
     h0 = hermitian(rng, n)
-    state = rand_state(rng, n)
-    vd, rd = qm.qm_hamilton_rhs(linear_rho(h0), state)
-    assert np.max(np.abs(vd + h0 @ state.v)) < 1e-13
-    assert np.max(np.abs(rd - (h0 @ state.rho - state.rho @ h0))) < 1e-13
+    b = rand_state(rng, n)
+    v, rho = qm_split(b, n)
+    vd, rd = qm_split(qm.qm_hamilton_rhs(linear_rho(h0), b, n), n)
+    assert np.max(np.abs(vd + h0 @ v)) < 1e-13
+    assert np.max(np.abs(rd - (h0 @ rho - rho @ h0))) < 1e-13
 
 
 def test_v_only_hamiltonian_outer_product(rng):
     n = 3
     a = hermitian(rng, n)
     h = quadratic_v(a)
-    state = rand_state(rng, n)
-    vd, rd = qm.qm_hamilton_rhs(h, state)
+    b = rand_state(rng, n)
+    v = qm_split(b, n)[0]
+    vd, rd = qm_split(qm.qm_hamilton_rhs(h, b, n), n)
     assert np.max(np.abs(vd)) == 0.0
-    expected = np.outer(a @ state.v, np.conj(state.v))
+    expected = np.outer(a @ v, np.conj(v))
     assert np.max(np.abs(rd - expected)) < 1e-13
 
 
 def test_zero_hamiltonian(rng):
-    state = rand_state(rng, 3)
-    h = qm.QMFunction(
-        eval=lambda s: 0.0,
-        grad_v=lambda s: np.zeros(3, dtype=complex),
-        grad_rho=lambda s: np.zeros((3, 3), dtype=complex),
-    )
-    vd, rd = qm.qm_hamilton_rhs(h, state)
-    assert np.max(np.abs(vd)) == 0.0 and np.max(np.abs(rd)) == 0.0
+    b = rand_state(rng, 3)
+    h = po.SmoothFunction(eval=lambda b: 0.0, grad=lambda b: np.zeros(24))
+    assert np.max(np.abs(qm.qm_hamilton_rhs(h, b, 3))) == 0.0
 
 
 @pytest.mark.parametrize("maker", ["linear_rho", "quadratic_v", "coupled"])
@@ -179,11 +153,11 @@ def test_flow_satisfies_bracket_contract(maker, rng):
     }[maker]()
     worst = 0.0
     for _ in range(5):
-        state = rand_state(rng, n)
-        vd, rd = qm.qm_hamilton_rhs(h, state)
+        b = rand_state(rng, n)
+        bd = qm.qm_hamilton_rhs(h, b, n)
         for f, ddt in linear_coordinate_functions(n):
-            lhs = ddt(vd, rd)
-            rhs = qm.qm_bracket(f, h, state)
+            lhs = ddt(bd)
+            rhs = qm.qm_bracket(f, h, b, n)
             worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-8
 
@@ -195,22 +169,41 @@ def test_bracket_consistency_polynomial_hamiltonian(rng):
     coords = linear_coordinate_functions(n)
     worst = 0.0
     for _ in range(50):
-        state = rand_state(rng, n)
-        vd, rd = qm.qm_hamilton_rhs(h, state)
+        b = rand_state(rng, n)
+        bd = qm.qm_hamilton_rhs(h, b, n)
         for f, ddt in coords[:6]:
-            worst = max(worst, abs(ddt(vd, rd) - qm.qm_bracket(f, h, state)))
+            worst = max(worst, abs(ddt(bd) - qm.qm_bracket(f, h, b, n)))
     assert worst < 1e-8
 
 
-def test_fd_gradients_match_analytic(rng):
-    n = 3
-    h = coupled(hermitian(rng, n), hermitian(rng, n), 0.5)
-    state = rand_state(rng, n)
-    gv_a, gr_a = qm.qm_gradients(h, state)
-    gv_f, gr_f = qm.qm_gradients(qm.QMFunction(eval=h.eval), state)
-    scale = max(1.0, float(np.max(np.abs(gv_a))), float(np.max(np.abs(gr_a))))
-    assert np.max(np.abs(gv_a - gv_f)) / scale < 1e-6
-    assert np.max(np.abs(gr_a - gr_f)) / scale < 1e-6
+def _oracle_cases():
+    """(spec, oracle, random flat point) for the two closed-form systems."""
+    rng = np.random.default_rng(41)
+    spec = rs.restricted_extension_spec(3, 2)
+    params = {"A": crandom(rng, 3, 3), "X0": rs.random_block(3, 2, rng)}
+    parts = [named_restricted_hamiltonian(k, params, (3, 2))
+             for k in ("linear_kappa", "linear_sigma", "quadratic")]
+    h = po.SmoothFunction(
+        eval=lambda b: sum(p.eval(b) for p in parts),
+        grad=lambda b: sum(p.grad(b) for p in parts),
+    )
+    yield "restricted-3-2", spec, h, crandom(rng, 9 + 25)
+    h = coupled(hermitian(rng, 3), crandom(rng, 3, 3), 0.5)
+    yield "semidirect-3", qm.semidirect_extension_spec(3), h, rand_state(rng, 3)
+
+
+@pytest.mark.parametrize("spec,h,b", [c[1:] for c in _oracle_cases()],
+                         ids=[c[0] for c in _oracle_cases()])
+def test_split_functional_derivative_matches_hand_gradients(spec, h, b):
+    """The one gradient convention: functional_derivative by finite
+    differences, split by the slot pairings of the extension spec,
+    reproduces the oracles' hand-written gradients on flat (c, a) points
+    (the transpose of the trace-pairing slots, the conjugate of the
+    realified Hilbert slot)."""
+    got = np.concatenate(po.slot_derivatives(po.SmoothFunction(h.eval), b, spec.n_pairing,
+                                             spec.h_pairing))
+    want = h.grad(b)
+    assert np.max(np.abs(got - want)) / max(1.0, float(np.max(np.abs(want)))) < 1e-6
 
 
 def test_representing_element_reproduces_functional(rng):
@@ -228,10 +221,3 @@ def test_representing_element_reproduces_functional(rng):
                 x[i, j] = 1.0
                 worst = max(worst, abs(np.trace(x @ b) - np.vdot(w, x @ v)))
     assert worst < 1e-12
-
-
-def test_qstate_json_roundtrip(rng):
-    state = rand_state(rng, 3)
-    back = qm.qstate_from_json(qm.qstate_to_json(state))
-    assert np.max(np.abs(back.v - state.v)) == 0.0
-    assert np.max(np.abs(back.rho - state.rho)) == 0.0

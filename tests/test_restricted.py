@@ -8,7 +8,7 @@ from liepoisson import poisson as po
 from liepoisson import restricted as rs
 from liepoisson.errors import DimensionMismatchError
 
-from closed_forms import named_restricted_hamiltonian, restricted_pair_function
+from closed_forms import named_restricted_hamiltonian, restricted_point, restricted_split
 
 
 def crandom(rng, *shape):
@@ -16,17 +16,26 @@ def crandom(rng, *shape):
 
 
 def rand_state(rng, dims=(3, 2)):
-    return rs.RestrictedState(crandom(rng, dims[0], dims[0]), rs.random_block(*dims, rng))
+    return restricted_point(crandom(rng, dims[0], dims[0]), rs.random_block(*dims, rng))
 
 
-def linear_function(a0, x0):
-    return rs.RestrictedFunction(
-        eval=lambda st: float(
-            np.real(np.trace(st.kappa @ a0)) + np.real(rs.block_pairing(st.sigma, x0))
-        ),
-        grad_kappa=lambda st: a0,
-        grad_sigma=lambda st: x0,
+def diagonal(diag_plus, diag_minus):
+    """Diagonal blocks from two coefficient lists, zero off-diagonal."""
+    dp, dm = np.asarray(diag_plus), np.asarray(diag_minus)
+    return rs.BlockOperator(
+        np.diag(dp), np.zeros((dp.size, dm.size)), np.zeros((dm.size, dp.size)), np.diag(dm)
     )
+
+
+def linear_function(a0, x0, dims=(3, 2)):
+    """Re tr(kappa a0) + Re <sigma, x0>, with its analytic gradient."""
+    grad = restricted_point(a0, x0)
+
+    def _eval(b):
+        kappa, sigma = restricted_split(b, dims)
+        return float(np.real(np.trace(kappa @ a0)) + np.real(np.trace(sigma @ x0.to_full())))
+
+    return po.SmoothFunction(eval=_eval, grad=lambda b: grad)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +145,8 @@ def test_omega_block_product(rng):
 def test_omega_skew_and_diagonal_cases(rng):
     x = rs.random_block(2, 2, rng)
     assert np.max(np.abs(rs.restricted_omega(x, x))) < 1e-13
-    d1 = rs.diagonal_block(rng.normal(size=2), rng.normal(size=2))
-    d2 = rs.diagonal_block(rng.normal(size=2), rng.normal(size=2))
+    d1 = diagonal(rng.normal(size=2), rng.normal(size=2))
+    d2 = diagonal(rng.normal(size=2), rng.normal(size=2))
     assert np.max(np.abs(rs.restricted_omega(d1, d2))) == 0.0
 
 
@@ -155,8 +164,8 @@ def test_bracket_pure_rho_slot(rng):
 
 
 def test_bracket_diagonal_operators(rng):
-    d1 = rs.diagonal_block(crandom(rng, 2), crandom(rng, 2))
-    d2 = rs.diagonal_block(crandom(rng, 2), crandom(rng, 2))
+    d1 = diagonal(crandom(rng, 2), crandom(rng, 2))
+    d2 = diagonal(crandom(rng, 2), crandom(rng, 2))
     zero = np.zeros((2, 2))
     first, second = rs.restricted_bracket((zero, d1), (zero, d2))
     assert np.max(np.abs(first)) == 0.0
@@ -246,75 +255,67 @@ def test_dual_map_block_shapes(rng):
 
 def test_poisson_linear_substitution_oracle(rng):
     dims = (3, 2)
-    state = rand_state(rng, dims)
+    b = rand_state(rng, dims)
+    kappa, sigma = restricted_split(b, dims)
     x1, x2 = rs.random_block(*dims, rng), rs.random_block(*dims, rng)
     zero = np.zeros((3, 3))
     f, g = linear_function(zero, x1), linear_function(zero, x2)
-    value = rs.restricted_poisson_bracket(f, g, state)
+    value = rs.restricted_poisson_bracket(f, g, b, dims)
     first, second = rs.restricted_bracket((zero, x1), (zero, x2))
-    expected = np.real(
-        np.trace(state.kappa @ first) + rs.block_pairing(state.sigma, second)
-    )
+    expected = np.real(np.trace(kappa @ first) + np.trace(sigma @ second.to_full()))
     assert value == pytest.approx(float(expected))
 
 
 def test_poisson_kappa_only_negative_commutator(rng):
-    state = rand_state(rng)
+    b = rand_state(rng)
     a1, a2 = crandom(rng, 3, 3), crandom(rng, 3, 3)
     zero_block = rs.BlockOperator.zero(3, 2)
     f = linear_function(a1, zero_block)
     g = linear_function(a2, zero_block)
-    value = rs.restricted_poisson_bracket(f, g, state)
+    value = rs.restricted_poisson_bracket(f, g, b, (3, 2))
     # the ideal slot carries the negative commutator
-    expected = np.real(np.trace(state.kappa @ (-(a1 @ a2 - a2 @ a1))))
+    expected = np.real(np.trace(restricted_split(b, (3, 2))[0] @ (-(a1 @ a2 - a2 @ a1))))
     assert value == pytest.approx(float(expected))
 
 
 def test_poisson_antisymmetry_random_draws(rng):
-    f = rs.RestrictedFunction(
-        eval=lambda st: float(np.real(np.trace(st.kappa @ st.kappa)))
-    )
-    g = rs.RestrictedFunction(
-        eval=lambda st: float(np.real(rs.block_pairing(st.sigma, st.sigma)))
-        + float(np.real(np.trace(st.kappa)))
-    )
+    dims = (2, 2)
+
+    def _f(b):
+        kappa = restricted_split(b, dims)[0]
+        return float(np.real(np.trace(kappa @ kappa)))
+
+    def _g(b):
+        kappa, sigma = restricted_split(b, dims)
+        return float(np.real(np.trace(sigma @ sigma))) + float(np.real(np.trace(kappa)))
+
+    f, g = po.SmoothFunction(_f), po.SmoothFunction(_g)
     for _ in range(100):
-        state = rand_state(rng, (2, 2))
-        fg = rs.restricted_poisson_bracket(f, g, state)
-        gf = rs.restricted_poisson_bracket(g, f, state)
+        b = rand_state(rng, dims)
+        fg = rs.restricted_poisson_bracket(f, g, b, dims)
+        gf = rs.restricted_poisson_bracket(g, f, b, dims)
         assert abs(fg + gf) < 1e-10 * (1.0 + abs(fg))
 
 
 def test_field_of_zero_hamiltonian(rng):
-    state = rand_state(rng)
-    h = rs.RestrictedFunction(
-        eval=lambda st: 0.0,
-        grad_kappa=lambda st: np.zeros((3, 3), dtype=complex),
-        grad_sigma=lambda st: rs.BlockOperator.zero(3, 2),
-    )
-    kd, sd = rs.restricted_hamiltonian_field(h, state)
-    assert np.max(np.abs(kd)) == 0.0
-    assert np.max(np.abs(sd.to_full())) == 0.0
+    b = rand_state(rng)
+    h = po.SmoothFunction(eval=lambda b: 0.0, grad=lambda b: np.zeros(34, dtype=complex))
+    assert np.max(np.abs(rs.restricted_hamiltonian_field(h, b, (3, 2)))) == 0.0
 
 
 def test_field_linear_sigma_hamiltonian(rng):
     # h = Re <sigma, X0>: gradients dh/dsigma = X0, dh/dkappa = 0
     dims = (3, 2)
-    state = rand_state(rng, dims)
+    b = rand_state(rng, dims)
+    kappa, sigma = restricted_split(b, dims)
     x0 = rs.random_block(*dims, rng)
     h = named_restricted_hamiltonian("linear_sigma", {"X0": x0}, dims)
-    kd, sd = rs.restricted_hamiltonian_field(h, state)
-    _, _, omega_star = rs.restricted_dual_maps(x0, np.zeros((3, 3)), state.kappa)
-    expected_kd = -(-(x0.pp @ state.kappa - state.kappa @ x0.pp))
-    expected_sd = (
-        rs.BlockOperator.zero(*dims)
-        - omega_star
-        - rs.BlockOperator.from_full(
-            state.sigma.to_full() @ x0.to_full() - x0.to_full() @ state.sigma.to_full(), 3
-        )
-    )
+    kd, sd = restricted_split(rs.restricted_hamiltonian_field(h, b, dims), dims)
+    _, _, omega_star = rs.restricted_dual_maps(x0, np.zeros((3, 3)), kappa)
+    expected_kd = -(-(x0.pp @ kappa - kappa @ x0.pp))
+    expected_sd = -omega_star.to_full() - (sigma @ x0.to_full() - x0.to_full() @ sigma)
     assert np.allclose(kd, expected_kd, atol=1e-13)
-    assert np.max(np.abs((sd - expected_sd).to_full())) < 1e-13
+    assert np.max(np.abs(sd - expected_sd)) < 1e-13
 
 
 def test_field_bracket_consistency(rng):
@@ -322,13 +323,13 @@ def test_field_bracket_consistency(rng):
     h = named_restricted_hamiltonian("quadratic", {}, dims)
     worst = 0.0
     for _ in range(20):
-        state = rand_state(rng, dims)
-        kd, sd = rs.restricted_hamiltonian_field(h, state)
+        b = rand_state(rng, dims)
+        kd, sd = restricted_split(rs.restricted_hamiltonian_field(h, b, dims), dims)
         a0, x0 = crandom(rng, 3, 3), rs.random_block(*dims, rng)
         f = linear_function(a0, x0)
         # d/dt f along the field, from linearity of f
-        ddt = float(np.real(np.trace(kd @ a0)) + np.real(rs.block_pairing(sd, x0)))
-        rhs = rs.restricted_poisson_bracket(f, h, state)
+        ddt = float(np.real(np.trace(kd @ a0)) + np.real(np.trace(sd @ x0.to_full())))
+        rhs = rs.restricted_poisson_bracket(f, h, b, dims)
         worst = max(worst, abs(ddt - rhs))
     assert worst < 1e-8
 
@@ -350,14 +351,11 @@ def test_bracket_matches_extension_bracket(rng):
     spec = rs.restricted_extension_spec(*dims)
     worst = 0.0
     for _ in range(20):
-        state = rand_state(rng, dims)
-        c0, a0 = rs.state_coordinates(state)
+        b = rand_state(rng, dims)
         f = linear_function(crandom(rng, 3, 3), rs.random_block(*dims, rng))
         g = linear_function(crandom(rng, 3, 3), rs.random_block(*dims, rng))
-        lhs = rs.restricted_poisson_bracket(f, g, state)
-        rhs = po.extension_poisson_bracket(
-            restricted_pair_function(f, dims), restricted_pair_function(g, dims), c0, a0, spec
-        )
+        lhs = rs.restricted_poisson_bracket(f, g, b, dims)
+        rhs = po.extension_poisson_bracket(f, g, b, spec)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
 
@@ -368,19 +366,15 @@ def test_field_matches_extension_field(rng):
     h = named_restricted_hamiltonian("quadratic", {}, dims)
     worst = 0.0
     for _ in range(10):
-        state = rand_state(rng, dims)
-        c0, a0 = rs.state_coordinates(state)
-        kd, sd = rs.restricted_hamiltonian_field(h, state)
-        cd, ad_ = po.extension_hamiltonian_field(
-            restricted_pair_function(h, dims), c0, a0, spec
-        )
-        worst = max(worst, float(np.max(np.abs(kd.reshape(-1) - cd))))
-        worst = max(worst, float(np.max(np.abs(sd.to_full().reshape(-1) - ad_))))
+        b = rand_state(rng, dims)
+        closed = rs.restricted_hamiltonian_field(h, b, dims)
+        generic = po.extension_hamiltonian_field(h, b, spec)
+        worst = max(worst, float(np.max(np.abs(closed - generic))))
     assert worst < 1e-10
 
 
 # ---------------------------------------------------------------------------
-# serialization and state helpers
+# serialization
 # ---------------------------------------------------------------------------
 
 
