@@ -16,7 +16,6 @@ from .algebra import (
     StructureReport,
     abelian,
     ad_star,
-    algebra_from_json,
     algebra_to_json,
     bracket_eval,
     builtin_algebra,

@@ -43,7 +43,6 @@ __all__ = [
     "trace_pairing",
     "realify",
     "realify_pairing",
-    "algebra_from_json",
     "algebra_to_json",
 ]
 
@@ -134,7 +133,7 @@ class DualPairing:
         sv = np.linalg.svd(g, compute_uv=False)
         if sv[-1] <= GRAM_CONDITION_TOL * sv[0]:
             raise DegeneratePairingError(
-                f"gram nearly singular (sv ratio {sv[-1] / sv[0]:g})"
+                f"gram nearly singular (singular values {sv[-1]:g} to {sv[0]:g})"
             )
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
@@ -406,45 +405,10 @@ def _scalar_to_json(v):
     return float(v)
 
 
-def _scalar_from_json(v):
-    if isinstance(v, (list, tuple)):
-        return complex(v[0], v[1])
-    return float(v)
-
-
-def algebra_from_json(doc: dict) -> tuple[LieAlgebra, DualPairing]:
-    """Load an algebra document.
-
-    Schema: {"name", "field": "real"|"complex", "dim",
-    "structure_constants": [[k, i, j, value], ...] (antisymmetric half only),
-    "gram": optional dense array}.  Returns the algebra together with its
-    pairing (identity gram when none is given).
-    """
-    field = doc.get("field", _REAL)
-    d = int(doc["dim"])
-    dtype = complex if field == _COMPLEX else float
-    c = np.zeros((d, d, d), dtype=dtype)
-    for k, i, j, v in doc.get("structure_constants", []):
-        val = _scalar_from_json(v)
-        c[k, i, j] = val
-        c[k, j, i] = -val
-    alg = LieAlgebra(
-        c,
-        basis_labels=tuple(doc.get("basis_labels", ())),
-        name=doc.get("name", ""),
-        scalar_field=field,
-    )
-    gram = doc.get("gram")
-    if gram is not None:
-        gram = np.array(
-            [[_scalar_from_json(v) for v in row] for row in gram], dtype=dtype
-        )
-    return alg, DualPairing(alg, gram)
-
-
 def algebra_to_json(alg: LieAlgebra, pairing: DualPairing | None = None) -> dict:
-    """Inverse of :func:`algebra_from_json`; emits the i < j half only,
-    as [k, i, j, value] in row-major (k, i, j) order."""
+    """The inline algebra document that a config's algebra reference takes:
+    the i < j half of the constants as [k, i, j, value] in row-major (k, i,
+    j) order, a complex value as [re, im], and the gram of a given pairing."""
     c = alg.structure_constants
     upper = np.arange(alg.dim)[:, None] < np.arange(alg.dim)
     k, i, j = np.nonzero((c != 0) & upper)

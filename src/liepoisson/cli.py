@@ -12,7 +12,9 @@ Subcommands:
 
 Exit codes: 0 when every check passes, 1 when a residual exceeds its
 threshold or a computation fails, 2 on a malformed config, with a
-diagnostic that names the offending field.
+diagnostic that names the offending field by its dotted path in the
+document (see ``_Node``, through which every JSON value is read).  Sizes
+beyond ``MAX_STRUCTURE_VALUES`` are refused before anything is built.
 
 Each system is one entry of ``_SYSTEMS``; a subcommand looks the system up
 once and runs generic code.  Configs are validated when a system is built,
@@ -29,6 +31,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache, partial
@@ -41,14 +44,18 @@ from . import poisson, quantum, restricted
 from .algebra import (
     DualPairing,
     LieAlgebra,
-    algebra_from_json,
     algebra_to_json,
     builtin_algebra,
     check_structure,
     identity_pairing,
     so3,
 )
-from .errors import ConfigError, LiePoissonError, UnsupportedPresentationError
+from .errors import (
+    ConfigError,
+    DegeneratePairingError,
+    LiePoissonError,
+    UnsupportedPresentationError,
+)
 from .extension import (
     ExtensionSpec,
     SkewBilinearMap,
@@ -74,6 +81,7 @@ from .sequences import (
 from .tolerances import (
     COMPATIBILITY_PASS,
     CONSTRUCTION_TOL,
+    MAX_STRUCTURE_VALUES,
     MAX_TRAJECTORY_VALUES,
     SUBSPACE_TOL,
     VERIFICATION_TOL,
@@ -96,60 +104,165 @@ _CHECKS = {
 # config parsing
 # ---------------------------------------------------------------------------
 
+_ABSENT = object()  # the value of a key that the document leaves out
 
-def _load_config(path: str) -> dict:
+
+@dataclass(frozen=True)
+class _Node:
+    """A JSON value of the config document and its dotted path, from which
+    every reader's ConfigError takes its field: a key's path extends its
+    parent's, an entry of a list carries its list's path, and a key left out
+    is an absent node whose children are absent too and carry its path, so
+    reading any of them names the first missing key."""
+
+    value: object
+    path: str = ""
+
+    def error(self, message: str) -> ConfigError:
+        return ConfigError(message, self.path or "config")
+
+    def __getitem__(self, key: str) -> _Node:
+        if self.value is _ABSENT:
+            return self
+        return _Node(self.obj().get(key, _ABSENT), f"{self.path}.{key}" if self.path else key)
+
+    def get(self, key: str, default) -> _Node:
+        child = self[key]
+        return _Node(default, child.path) if child.value is _ABSENT else child
+
+    def required(self):
+        if self.value is _ABSENT:
+            raise self.error("missing required field")
+        return self.value
+
+    def obj(self) -> dict:
+        if not isinstance(self.required(), dict):
+            raise self.error("must be a JSON object")
+        return self.value
+
+    def entries(self) -> list[_Node]:
+        if not isinstance(self.required(), list):
+            raise self.error("must be a JSON list")
+        return [_Node(v, self.path) for v in self.value]
+
+    def count(self, low: int) -> int:
+        v = self.required()
+        if type(v) is not int or v < low:
+            raise self.error(f"must be an integer >= {low}, got {v!r}")
+        return v
+
+    def counts(self, low: int) -> tuple[int, ...]:
+        return tuple(e.count(low) for e in self.entries())
+
+    def bounded(self, values: int):
+        if values > MAX_STRUCTURE_VALUES:
+            raise self.error(f"would build {values} dense values, more than {MAX_STRUCTURE_VALUES}")
+
+    def floats(self, n: int | None = None) -> np.ndarray:
+        """A JSON list of ``n`` finite numbers (any number of them when ``n`` is None)."""
+        if not (isinstance(self.required(), list) and all(map(_is_number, self.value))):
+            raise self.error(f"not a vector of numbers: {self.value!r}")
+        return self.cvector(n, float)
+
+    def number(self) -> float:
+        return float(_Node([self.required()], self.path).floats(1)[0])
+
+    def cmatrix(self, shape: tuple[int, int] | None = None, dtype=complex) -> np.ndarray:
+        """A matrix given as a JSON list of rows, each a JSON list of finite
+        scalars; for a real ``dtype`` every imaginary part must be zero."""
+        rows = self.required()
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise self.error(f"not a list of rows: {rows!r}")
+        try:
+            m = np.array([[_scalar(v) for v in row] for row in rows], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise self.error(f"not a matrix of scalars: {exc}")
+        if m.ndim != 2 or (shape is not None and m.shape != shape):
+            raise self.error(f"needs a matrix of shape {shape or '(m, n)'}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise self.error(f"needs finite numbers, got {rows!r}")
+        if dtype is complex:
+            return m
+        if np.max(np.abs(m.imag), initial=0.0) != 0.0:
+            raise self.error("complex entries in a real-field document")
+        return m.real.copy()
+
+    def cvector(self, n: int | None = None, dtype=complex) -> np.ndarray:
+        v = _Node([self.required()], self.path).cmatrix(dtype=dtype)[0]
+        if n is not None and v.shape != (n,):
+            raise self.error(f"needs {n} finite numbers, got {self.value!r}")
+        return v
+
+    def triplets(self, shape: tuple[int, int], dtype) -> np.ndarray:
+        """The dense (k, i, j) array of antisymmetric [k, i, j, value]
+        entries, value at [k, i, j] and -value at [k, j, i], with k below
+        ``shape[0]`` and i, j below ``shape[1]``."""
+        dk, di = shape
+        out = np.zeros((dk, di, di), dtype=dtype)
+        for entry in self.entries():
+            e = entry.value
+            if not (isinstance(e, list) and len(e) == 4 and e[1] != e[2]
+                    and all(type(x) is int and 0 <= x < d for x, d in zip(e, (dk, di, di)))):
+                raise entry.error(f"needs [k, i, j, value], i != j, below {(dk, di, di)}: {e!r}")
+            out[e[0], e[1], e[2]] = val = _Node([[e[3]]], entry.path).cmatrix(dtype=dtype)[0, 0]
+            out[e[0], e[2], e[1]] = -val
+        return out
+
+    def algebra(self, beside: int = 0) -> tuple[LieAlgebra, DualPairing]:
+        """An algebra reference and its pairing: a builtin name ("so3",
+        "heisenberg", "glN", "abelianN"), the form {"builtin": name, "n": N},
+        or an inline document as algebra_to_json writes it.  An extension by
+        an algebra of dimension ``beside`` holds (beside + dim)^3 constants,
+        which are bounded before the algebra is built."""
+        ref = self.required()
+        if isinstance(ref, dict) and "builtin" in ref:
+            name = ref["builtin"]
+            sized = "n" in ref and name in ("gl", "abelian")
+            ref = f"{name}{self['n'].count(1)}" if sized else name
+        if isinstance(ref, str):
+            try:
+                m = re.fullmatch(r"(gl|abelian)(\d+)", ref)
+                d = int(m[2]) ** (2 if m[1] == "gl" else 1) if m else 3  # so3, heisenberg
+                self.bounded((beside + d) ** 3)
+                alg = builtin_algebra(ref)
+            except (KeyError, ValueError) as exc:
+                raise self.error(f"bad algebra reference: {exc}")
+            return alg, identity_pairing(alg)
+        if not (isinstance(ref, dict) and "dim" in ref):
+            raise self.error("algebra reference must be a builtin name or an inline document")
+        field = self.get("field", "real")
+        if field.value not in ("real", "complex"):
+            raise field.error(f"must be \"real\" or \"complex\", got {field.value!r}")
+        dtype = complex if field.value == "complex" else float
+        d = self["dim"].count(1)
+        self["dim"].bounded((beside + d) ** 3)
+        c = self.get("structure_constants", []).triplets((d, d), dtype)
+        labels = tuple(e.value for e in self.get("basis_labels", []).entries())
+        try:
+            alg = LieAlgebra(c, labels, self.get("name", "").value, field.value)
+        except (ValueError, LiePoissonError) as exc:  # Jacobi, the number of labels
+            raise self.error(str(exc))
+        gram = self.get("gram", None)
+        g = None if gram.value is None else gram.cmatrix((d, d), dtype)
+        try:
+            return alg, DualPairing(alg, g)
+        except DegeneratePairingError as exc:
+            raise gram.error(str(exc))
+
+
+def _load_config(path: str) -> _Node:
+    """The document's root node; its first lookup refuses a non-object."""
     try:
-        text = Path(path).read_text()
+        return _Node(json.loads(Path(path).read_text()))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", "config")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}", "config")
-    if not isinstance(doc, dict):
-        raise ConfigError("config top level must be a JSON object", "config")
-    return doc
-
-
-def _require(doc: dict, field: str, context: str = ""):
-    if field not in doc:
-        full = f"{context}.{field}" if context else field
-        raise ConfigError("missing required field", full)
-    return doc[field]
-
-
-def _typed(node, kind: type, field: str):
-    if not isinstance(node, kind):
-        raise ConfigError(f"must be a JSON {'object' if kind is dict else 'list'}", field)
-    return node
-
-
-def _int(v, field: str, low: int) -> int:
-    if type(v) is not int or v < low:
-        raise ConfigError(f"must be an integer >= {low}, got {v!r}", field)
-    return v
-
-
-def _ints(node, field: str, low: int) -> tuple[int, ...]:
-    return tuple(_int(v, field, low) for v in _typed(node, list, field))
 
 
 def _is_number(v) -> bool:
     """A JSON number: an int or a float, not a bool."""
     return type(v) in (int, float)
-
-
-def _floats(node, n: int | None, field: str) -> np.ndarray:
-    """A JSON list of ``n`` finite numbers (any number of them when ``n`` is None)."""
-    if not (isinstance(node, list) and all(map(_is_number, node))):
-        raise ConfigError(f"not a vector of numbers: {node!r}", field)
-    try:
-        v = np.asarray(node, dtype=float)
-    except OverflowError as exc:
-        raise ConfigError(f"not a vector of numbers: {exc}", field)
-    if (n is not None and v.shape != (n,)) or not np.isfinite(v).all():
-        raise ConfigError(f"needs {n or 'only'} finite numbers, got {node!r}", field)
-    return v
 
 
 def _scalar(v):
@@ -161,85 +274,34 @@ def _scalar(v):
     raise TypeError(f"{v!r} is not a number or an [re, im] pair of numbers")
 
 
-def _cmatrix(rows, field: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """A matrix given as a JSON list of rows, each a JSON list of finite scalars."""
-    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-        raise ConfigError(f"not a list of rows: {rows!r}", field)
-    try:
-        m = np.array([[_scalar(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"not a matrix of scalars: {exc}", field)
-    if m.ndim != 2 or (shape is not None and m.shape != shape):
-        raise ConfigError(f"needs a matrix of shape {shape or '(m, n)'}, got {m.shape}", field)
-    if not np.isfinite(m).all():
-        raise ConfigError(f"needs finite numbers, got {rows!r}", field)
-    return m
-
-
-def _cvector(vals, field: str) -> np.ndarray:
-    return _cmatrix([_typed(vals, list, field)], field)[0]
-
-
-def _algebra_ref(node, field: str) -> tuple[LieAlgebra, DualPairing]:
-    try:
-        if isinstance(node, str) or (isinstance(node, dict) and "builtin" in node):
-            alg = builtin_algebra(node)
-            return alg, identity_pairing(alg)
-        if isinstance(node, dict) and "dim" in node:
-            return algebra_from_json(node)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        raise ConfigError(f"bad algebra reference: {exc}", field)
-    raise ConfigError("algebra reference must be a builtin name or an inline document", field)
-
-
-def _to_field(values: np.ndarray, dtype, field: str) -> np.ndarray:
-    """Cast parsed complex data to the algebra's scalar field."""
-    if dtype is complex:
-        return np.asarray(values, dtype=complex)
-    if np.max(np.abs(np.imag(values)), initial=0.0) != 0.0:
-        raise ConfigError("complex entries in a real-field document", field)
-    return np.real(values)
-
-
-def _extension_spec_from_config(body: dict) -> ExtensionSpec:
-    n, n_pair = _algebra_ref(_require(body, "n", "system"), "n")
-    h, h_pair = _algebra_ref(_require(body, "h", "system"), "h")
-
-    w = np.zeros((n.dim, h.dim, h.dim), dtype=n.dtype)
-    for entry in _typed(body.get("omega", []), list, "omega"):
-        try:
-            a, i, j, v = entry
-            val = _to_field(np.array(_scalar(v)), n.dtype, "omega")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad omega triplet {entry!r}: {exc}", "omega")
-        if not all(type(k) is int and 0 <= k < d for k, d in ((a, n.dim), (i, h.dim), (j, h.dim))):
-            raise ConfigError(f"omega indices {entry[:3]} are not indices in range", "omega")
-        w[a, i, j] = val
-        w[a, j, i] = -val
+def _extension_spec_from_config(body: _Node) -> ExtensionSpec:
+    n, n_pair = body["n"].algebra()
+    h, h_pair = body["h"].algebra(beside=n.dim)
+    w = body.get("omega", []).triplets((n.dim, h.dim), n.dtype)
 
     mats = np.zeros((h.dim, n.dim, n.dim), dtype=n.dtype)
-    phi_rows = _typed(body.get("phi", []), list, "phi")
-    if phi_rows:
-        if len(phi_rows) != h.dim:
-            raise ConfigError(f"phi must list {h.dim} matrices", "phi")
-        for i, m in enumerate(phi_rows):
-            mats[i] = _to_field(_cmatrix(m, "phi", (n.dim, n.dim)), n.dtype, "phi")
-
-    try:
-        return ExtensionSpec(
-            n, h, SkewBilinearMap(h, n, w), DerivationMap(h, n, mats), n_pair, h_pair
-        )
-    except (LiePoissonError, ValueError) as exc:
-        raise ConfigError(f"inconsistent extension data: {exc}", "system")
+    phi = body.get("phi", [])
+    if rows := phi.entries():
+        if len(rows) != h.dim:
+            raise phi.error(f"phi must list {h.dim} matrices")
+        for i, m in enumerate(rows):
+            mats[i] = m.cmatrix((n.dim, n.dim), n.dtype)
+    return ExtensionSpec(
+        n, h, SkewBilinearMap(h, n, w), DerivationMap(h, n, mats), n_pair, h_pair
+    )
 
 
-def _restricted_dims(body: dict) -> tuple[int, int]:
-    n_plus, n_minus = (_require(body, key, "restricted") for key in ("n_plus", "n_minus"))
-    return _int(n_plus, "restricted.n_plus", 1), _int(n_minus, "restricted.n_minus", 0)
+def _restricted_dims(body: _Node) -> tuple[int, int]:
+    dims = body["n_plus"].count(1), body["n_minus"].count(0)
+    d = dims[0] ** 2 + sum(dims) ** 2  # the built extension's dimension
+    body["n_plus" if dims[0] >= dims[1] else "n_minus"].bounded(d**3)
+    return dims
 
 
-def _qm_n(body: dict) -> int:
-    return _int(_require(body, "n", "semidirect_qm"), "semidirect_qm.n", 1)
+def _qm_n(body: _Node) -> int:
+    n = body["n"].count(1)
+    body["n"].bounded((2 * n + 2 * n * n) ** 3)  # the built extension's constants
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -260,69 +322,67 @@ def _structure_residuals(named: dict[str, LieAlgebra]) -> dict:
     return out
 
 
-def _sequence_from_body(body: dict) -> SequenceSpec:
-    first = _cmatrix(_require(body, "first", "sequence"), "first").real
-    second = _cmatrix(_require(body, "second", "sequence"), "second").real
+def _sequence_from_body(body: _Node) -> SequenceSpec:
+    first = body["first"].cmatrix().real
+    second = body["second"].cmatrix().real
     nu, nv, nw = first.shape[1], first.shape[0], second.shape[0]
     if second.shape[1] != nv:
-        raise ConfigError("sequence maps are not composable", "second")
+        raise body["second"].error("sequence maps are not composable")
     algebras = body.get("attach_algebras", {})
+    for key in algebras.obj():
+        if key not in ("u", "v", "w"):
+            raise algebras[key].error("unknown space, expected one of ['u', 'v', 'w']")
 
     def space(name, dim):
-        alg = None
-        if name in algebras:
-            alg = _algebra_ref(algebras[name], f"attach_algebras.{name}")[0]
-            if alg.dim != dim:
-                raise ConfigError(
-                    f"attached algebra has dim {alg.dim}, map needs {dim}",
-                    f"attach_algebras.{name}",
-                )
+        ref = algebras[name]
+        if ref.value is _ABSENT:
+            return Space(dim)
+        alg = ref.algebra()[0]
+        if alg.dim != dim:
+            raise ref.error(f"attached algebra has dim {alg.dim}, map needs {dim}")
         return Space(dim, algebra=alg)
 
     u, v, w = space("u", nu), space("v", nv), space("w", nw)
     return SequenceSpec(LinearMapRec(first, u, v), LinearMapRec(second, v, w))
 
 
-def _predual_basis(body: dict, key: str, alg: LieAlgebra) -> np.ndarray:
+def _predual_basis(node: _Node, alg: LieAlgebra) -> np.ndarray:
     """Columns spanning the designated predual of ``alg``: the rows of
-    ``body[key]``, each ``alg.dim`` finite numbers of the algebra's field,
-    and linearly independent; the whole space when the key is absent."""
-    node = body.get(key)
-    if node is None:
+    ``node``, each ``alg.dim`` finite numbers of the algebra's field, and
+    linearly independent; the whole space when the node is null."""
+    if node.value is None:
         return np.eye(alg.dim)
-    rows = _to_field(_cmatrix(node, key), alg.dtype, key)
+    rows = node.cmatrix(dtype=alg.dtype)
     try:
         if rows.shape[1] != alg.dim or rows.shape[0] > alg.dim:
             raise ValueError(f"needs at most {alg.dim} rows of {alg.dim} numbers")
         orthonormal_columns(rows.T)  # the independence test check_predual_closure makes
     except ValueError as exc:
-        raise ConfigError(f"{exc}, got {node!r}", key)
+        raise node.error(f"{exc}, got {node.value!r}")
     return rows.T
 
 
-def _check_entry(entry) -> tuple[str, float]:
-    """(name, threshold) of a ``checks`` entry: a check name, or an object
-    {"name": ..., "threshold": ...} whose threshold is optional and, when
-    given, a finite JSON number > 0."""
-    entry = {"name": entry} if isinstance(entry, str) else entry
-    name = entry.get("name") if isinstance(entry, dict) else None
+def _check_entry(node: _Node, system: str, entry: _System) -> tuple[str, float]:
+    """(name, threshold) of a ``checks`` entry that ``system`` has: a check
+    name, or an object {"name": ..., "threshold": ...} whose threshold is
+    optional and, when given, a finite JSON number > 0."""
+    spec = {"name": node.value} if isinstance(node.value, str) else node.value
+    name = spec.get("name") if isinstance(spec, dict) else None
     if not isinstance(name, str) or name not in _CHECKS:
-        raise ConfigError(f"unknown check {entry!r}", "checks")
-    threshold = entry.get("threshold", _CHECKS[name][0])
+        raise node.error(f"unknown check {spec!r}")
+    threshold = spec.get("threshold", _CHECKS[name][0])
     if type(threshold) not in (int, float) or not 0 < threshold <= sys.float_info.max:
-        raise ConfigError(
-            f"threshold for {name!r} must be a finite number > 0, got {threshold!r}", "checks"
-        )
+        raise node.error(f"threshold for {name!r} must be a finite number > 0, got {threshold!r}")
+    if not any(getattr(entry, attr) for attr in _CHECKS[name][1]):
+        raise node.error(f"system {system!r} has no {name} check")
     return name, float(threshold)
 
 
 def _run_check(
-    name: str, system: str, entry: _System, body: dict, spec, compat, rng: np.random.Generator
+    name: str, entry: _System, body: _Node, spec, compat, rng: np.random.Generator
 ) -> dict:
     """Residuals of one check; ``compat()`` is the spec's compatibility
     report, computed on first use and shared by every check of the run."""
-    if not any(getattr(entry, attr) for attr in _CHECKS[name][1]):
-        raise ConfigError(f"system {system!r} has no {name} check", "checks")
     if name == "structure":
         if spec is None:
             return _structure_residuals(entry.algebras())
@@ -338,8 +398,8 @@ def _run_check(
             "representation_residual": rep.representation_residual,
         }
     if name == "predual_closure":
-        c_sub = _predual_basis(body, "c_predual", spec.n)
-        a_sub = _predual_basis(body, "a_predual", spec.h)
+        c_sub = _predual_basis(body.get("c_predual", None), spec.n)
+        a_sub = _predual_basis(body.get("a_predual", None), spec.h)
         return check_predual_closure(spec, c_sub, a_sub).as_dict()
     if name == "exactness":
         d = check_exact_sequence(_sequence_from_body(body)).as_dict()
@@ -364,26 +424,28 @@ def _run_check(
         out["adjoint_identity_residual"] = worst
         return out
     # wstar_split
-    ws = _typed(_require(body, "wstar", "sequence"), dict, "sequence.wstar")
-    dims = _ints(_require(ws, "block_dims", "wstar"), "sequence.wstar.block_dims", 1)
-    ideal = _ints(_require(ws, "ideal_blocks", "wstar"), "sequence.wstar.ideal_blocks", 0)
+    ws = body["wstar"]
+    dims = ws["block_dims"].counts(1)
+    ideal = ws["ideal_blocks"]
+    # the basis holds sum(d^2) matrices of the full size
+    ws["block_dims"].bounded(sum(dims) ** 2 * sum(d * d for d in dims))
     try:
-        return wstar_central_split(MatrixStarAlgebra(dims), ideal).as_dict()
+        return wstar_central_split(MatrixStarAlgebra(dims), ideal.counts(0)).as_dict()
     except UnsupportedPresentationError as exc:
-        raise ConfigError(str(exc), "sequence.wstar.ideal_blocks")
+        raise ideal.error(str(exc))
 
 
-def run_verify(doc: dict, seed: int) -> tuple[dict, int]:
+def run_verify(doc: _Node, seed: int) -> tuple[dict, int]:
     system, entry, body = _lookup(doc)
     spec = entry.spec(body) if entry.spec is not None else None
-    entries = _typed(doc.get("checks", list(entry.checks)), list, "checks")
-    checks = [_check_entry(c) for c in entries]
+    entries = doc.get("checks", list(entry.checks)).entries()
+    checks = [_check_entry(c, system, entry) for c in entries]
     rng = np.random.default_rng(seed)
     compat = cache(partial(check_compatibility, spec))
     results = []
     all_ok = True
     for name, threshold in checks:
-        residuals = _run_check(name, system, entry, body, spec, compat, rng)
+        residuals = _run_check(name, entry, body, spec, compat, rng)
         ok = _residuals_ok(residuals, threshold)
         all_ok = all_ok and ok
         results.append(
@@ -412,67 +474,66 @@ class _SimSystem:
 _OPTIONAL_PARAMS = ("gram", "coefficients", "coupling")
 
 
-def _check_keys(entry: dict, allowed, field: str):
+def _check_keys(entry: _Node, allowed):
     """Refuse a key of a function entry that ``allowed`` does not list, and
     a parameter that ``allowed`` lists but the entry leaves out, unless it
     is optional.  ``name`` and ``fn`` are checked by the callers."""
-    for key in entry:
+    for key in entry.value:
         if key not in allowed:
-            raise ConfigError(f"unknown key, expected one of {sorted(allowed)}", f"{field}.{key}")
+            raise entry[key].error(f"unknown key, expected one of {sorted(allowed)}")
     for key in allowed:
-        if key not in entry and key not in ("name", "fn", *_OPTIONAL_PARAMS):
-            fn = entry.get("fn", entry.get("name"))
-            raise ConfigError(f"missing parameter of {fn!r}", f"{field}.{key}")
+        if key not in entry.value and key not in ("name", "fn", *_OPTIONAL_PARAMS):
+            fn = entry.value.get("fn", entry.value.get("name"))
+            raise entry[key].error(f"missing parameter of {fn!r}")
 
 
-def _observables(doc: dict, known: dict, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+def _params(entry: _Node, readers: dict) -> dict:
+    return {key: read(entry[key]) for key, read in readers.items() if key in entry.value}
+
+
+def _observables(doc: _Node, known: dict, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
     """The ``casimirs`` columns: each entry is a function name from
     ``known``, or an object {"name": column, "fn": function, params...}
-    whose params ``known[function]`` lists; ``make(fn, params)`` returns
+    whose params ``known[function]`` lists; ``make(fn, entry)`` returns
     the column's function of predual points."""
     out = {}
-    for entry in _typed(doc.get("casimirs", []), list, "casimirs"):
-        entry = {"fn": entry} if isinstance(entry, str) else _typed(entry, dict, "casimirs")
-        fn = entry.get("fn")
-        col = entry.get("name", fn)
+    for entry in doc.get("casimirs", []).entries():
+        if isinstance(entry.value, str):
+            entry = _Node({"fn": entry.value}, entry.path)
+        fn = entry.obj().get("fn")
+        col = entry.value.get("name", fn)
         if not (isinstance(fn, str) and fn in known and isinstance(col, str)):
-            raise ConfigError(f"bad entry {entry!r}: fn must be one of {sorted(known)}", "casimirs")
-        _check_keys(entry, ("name", "fn", *known[fn]), "casimirs")
-        out[col] = make(fn, {k: v for k, v in entry.items() if k not in ("name", "fn")})
+            raise entry.error(f"bad entry {entry.value!r}: fn must be one of {sorted(known)}")
+        _check_keys(entry, ("name", "fn", *known[fn]))
+        out[col] = make(fn, entry)
     return out
 
 
-def _named_function(name, params: dict, pairing: DualPairing, field: str):
-    """build_named_function, with its parameters checked against the
-    pairing and its errors naming ``field``."""
+def _named_function(name: str, entry: _Node, pairing: DualPairing):
+    """build_named_function on the parameters of a function entry, each
+    checked against the pairing; its errors name the entry."""
     d = pairing.predual_dim
-    for key in ("coeffs", "inertia"):
-        if key in params:
-            params = {**params, key: _floats(params[key], d, f"{field}.{key}")}
-    if "coefficients" in params:  # trace_poly: any number of them
-        coefficients = _floats(params["coefficients"], None, f"{field}.coefficients")
-        params = {**params, "coefficients": coefficients}
-    if "gram" in params:  # quadratic
-        gram = _cmatrix(params["gram"], f"{field}.gram", (d, d))
-        params = {**params, "gram": _to_field(gram, pairing.algebra.dtype, f"{field}.gram")}
+    params = _params(entry, {
+        "coeffs": lambda p: p.floats(d),
+        "inertia": lambda p: p.floats(d),
+        "coefficients": _Node.floats,  # trace_poly: any number of them
+        "gram": lambda p: p.cmatrix((d, d), pairing.algebra.dtype),
+    })
     try:
         return build_named_function(name, params, pairing)
     except ValueError as exc:
-        raise ConfigError(str(exc), field)
+        raise entry.error(str(exc))
 
 
-def _hamiltonian(doc: dict, known: dict, parsers: dict, make):
-    """The configured Hamiltonian ``make(name, params)``: a name from
-    ``known`` with the params ``known[name]`` lists, each parameter with a
-    parser parsed by ``parsers[key](value, field)``."""
-    ham_cfg = _typed(_require(doc, "hamiltonian"), dict, "hamiltonian")
-    name = _require(ham_cfg, "name", "hamiltonian")
-    if not (isinstance(name, str) and name in known):
-        raise ConfigError(f"unknown function {name!r}", "hamiltonian.name")
-    _check_keys(ham_cfg, ("name", *known[name]), "hamiltonian")
-    params = {k: parsers[k](v, f"hamiltonian.{k}") if k in parsers else v
-              for k, v in ham_cfg.items()}
-    return make(name, params)
+def _hamiltonian(doc: _Node, known: dict, make):
+    """The configured Hamiltonian ``make(name, entry)``: a name from
+    ``known`` whose entry gives the params ``known[name]`` lists."""
+    entry = doc["hamiltonian"]
+    name = entry["name"]
+    if not (isinstance(name.required(), str) and name.value in known):
+        raise name.error(f"unknown function {name.value!r}")
+    _check_keys(entry, ("name", *known[name.value]))
+    return make(name.value, entry)
 
 
 def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFunction,
@@ -505,40 +566,39 @@ def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFun
     return _SimSystem(labels, flat(b0), lambda y: flat(field(point(y))), tracked)
 
 
-def _pairing_sim(doc: dict, alg, pairing, labels, b0, default_h=None) -> _SimSystem:
+def _pairing_sim(doc: _Node, alg, pairing, labels, b0, default_h=None) -> _SimSystem:
     """A system whose Hamiltonian and observables are named functions over
     ``pairing``."""
-    if default_h is not None and doc.get("hamiltonian") is None:
+    if default_h is not None and doc.get("hamiltonian", None).value is None:
         h = default_h
     else:
-        h = _hamiltonian(doc, NAMED_FUNCTIONS, {},
-                         partial(_named_function, pairing=pairing, field="hamiltonian"))
+        h = _hamiltonian(doc, NAMED_FUNCTIONS, partial(_named_function, pairing=pairing))
     observables = _observables(
-        doc, NAMED_FUNCTIONS,
-        lambda fn, params: _named_function(fn, params, pairing, "casimirs").eval,
+        doc, NAMED_FUNCTIONS, lambda fn, entry: _named_function(fn, entry, pairing).eval
     )
     return _sim(alg, pairing, labels, b0, h, observables)
 
 
-def _built_sim(doc: dict, ext: LieAlgebra, pairing: DualPairing, labels, b0,
+def _built_sim(doc: _Node, ext: LieAlgebra, pairing: DualPairing, labels, b0,
                h: poisson.SmoothFunction, table: dict) -> _SimSystem:
     """A system on the predual of a built extension whose observables come
     from ``table``, as functions of the (c, a) slots of predual points."""
     dn = ext.built_from.n.dim
     columns = _observables(
         doc, dict.fromkeys(table, ()),
-        lambda fn, _params: lambda b, f=table[fn]: f(b[..., :dn], b[..., dn:]),
+        lambda fn, _entry: lambda b, f=table[fn]: f(b[..., :dn], b[..., dn:]),
     )
     return _sim(ext, pairing, labels, b0, h, columns)
 
 
-def _sim_rigid_body(body: dict, doc: dict, seed: int) -> _SimSystem:
-    inertia = _floats(_require(body, "inertia", "rigid_body"), 3, "rigid_body.inertia")
-    state0 = _floats(_require(body, "initial", "rigid_body"), 3, "rigid_body.initial")
+def _sim_rigid_body(body: _Node, doc: _Node, seed: int) -> _SimSystem:
+    inertia = body["inertia"]
+    moments = inertia.floats(3)
+    state0 = body["initial"].floats(3)
     try:
-        energy = rigid_body_energy(inertia)
+        energy = rigid_body_energy(moments)
     except ValueError as exc:
-        raise ConfigError(str(exc), "rigid_body.inertia")
+        raise inertia.error(str(exc))
     alg = so3()
     return _pairing_sim(doc, alg, identity_pairing(alg), ["b1", "b2", "b3"], state0, energy)
 
@@ -555,18 +615,12 @@ def _built(spec: ExtensionSpec) -> tuple[LieAlgebra, DualPairing]:
     return ext, direct_sum_pairing(spec, ext)
 
 
-def _sim_extension(body: dict, doc: dict, seed: int) -> _SimSystem:
+def _sim_extension(body: _Node, doc: _Node, seed: int) -> _SimSystem:
     spec = _extension_spec_from_config(body)
     ext, pairing = _built(spec)
-    init = _typed(_require(body, "initial", "extension"), dict, "extension.initial")
-    b0 = []
-    for key, dim in (("c", spec.n.dim), ("a", spec.h.dim)):
-        field, node = f"extension.initial.{key}", _require(init, key, "initial")
-        # a complex extension also takes [re, im] pairs
-        v = _floats(node, dim, field) if ext.dtype is float else _cvector(node, field)
-        if v.shape != (dim,):
-            raise ConfigError(f"needs {dim} finite numbers, got {node!r}", field)
-        b0.append(v)
+    slots = (("c", spec.n.dim), ("a", spec.h.dim))
+    read = _Node.floats if ext.dtype is float else _Node.cvector  # complex: [re, im] pairs too
+    b0 = [read(body["initial"][key], dim) for key, dim in slots]
     if ext.dtype is float:
         labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [f"a{i + 1}" for i in range(spec.h.dim)]
     else:
@@ -625,18 +679,16 @@ def _qm_hamiltonian(name: str, params: dict, n: int, pairing: DualPairing):
     return poisson.SmoothFunction(_eval, _grad)
 
 
-def _sim_semidirect_qm(body: dict, doc: dict, seed: int) -> _SimSystem:
+def _sim_semidirect_qm(body: _Node, doc: _Node, seed: int) -> _SimSystem:
     n = _qm_n(body)
-    v0 = _cvector(_require(body, "v0", "semidirect_qm"), "v0")
-    rho0 = _cmatrix(_require(body, "rho0", "semidirect_qm"), "rho0", (n, n))
-    if v0.size != n:
-        raise ConfigError("v0 length does not match n", "semidirect_qm.v0")
+    v0 = body["v0"].cvector(n)
+    rho0 = body["rho0"].cmatrix((n, n))
     ext, pairing = _built(quantum.semidirect_extension_spec(n))
-    square = partial(_cmatrix, shape=(n, n))
+    square = partial(_Node.cmatrix, shape=(n, n))
+    readers = {"H0": square, "A": square, "coupling": _Node.number}
     h = _hamiltonian(
         doc, _QM_HAMILTONIANS,
-        {"H0": square, "A": square, "coupling": lambda v, field: _floats([v], 1, field)[0]},
-        partial(_qm_hamiltonian, n=n, pairing=pairing),
+        lambda name, entry: _qm_hamiltonian(name, _params(entry, readers), n, pairing),
     )
     labels = _complex_labels("v", (n,)) + _complex_labels("rho", (n, n))
     b0 = np.concatenate([v0.real, v0.imag, rho0.real.ravel(), rho0.imag.ravel()])
@@ -659,21 +711,20 @@ _RESTRICTED_OBSERVABLES = {
 }
 
 
-def _block_from_config(node, dims: tuple[int, int], seed: int, field: str):
-    if isinstance(node, dict) and "constructor" in node:
+def _block(node: _Node, dims: tuple[int, int], seed: int) -> np.ndarray:
+    """The full matrix of a block operator at ``dims``: the constructor
+    {"constructor": "random_block", "seed": s}, or the four blocks
+    {"pp", "pm", "mp", "mm"} as complex matrices."""
+    if isinstance(node.value, dict) and "constructor" in node.value:
         kind = node["constructor"]
-        if kind != "random_block":
-            raise ConfigError(f"unknown constructor {kind!r}", field)
-        rng = np.random.default_rng(_int(node.get("seed", seed), f"{field}.seed", 0))
-        block = restricted.random_block(*dims, rng)
-    else:
-        try:
-            block = restricted.block_from_json(node)
-        except (KeyError, TypeError, ValueError, IndexError, LiePoissonError) as exc:
-            raise ConfigError(f"bad block operator: {exc}", field)
-    if block.dims != dims:
-        raise ConfigError(f"block has dims {block.dims}, the system has {dims}", field)
-    return block.to_full()
+        if kind.value != "random_block":
+            raise kind.error(f"unknown constructor {kind.value!r}")
+        rng = np.random.default_rng(node.get("seed", seed).count(0))
+        return restricted.random_block(*dims, rng).to_full()
+    p, m = dims
+    shapes = {"pp": (p, p), "pm": (p, m), "mp": (m, p), "mm": (m, m)}
+    b = {key: node[key].cmatrix(shape) for key, shape in shapes.items()}
+    return np.block([[b["pp"], b["pm"]], [b["mp"], b["mm"]]])
 
 
 # each restricted Hamiltonian and the parameters it takes
@@ -693,24 +744,23 @@ def _restricted_hamiltonian(name: str, params: dict, dims, pairing: DualPairing)
     return quadratic(pairing, pairing.gram)
 
 
-def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
+def _sim_restricted(body: _Node, doc: _Node, seed: int) -> _SimSystem:
     dims = n_plus, n_minus = _restricted_dims(body)
-    kappa_node = _require(body, "kappa0", "restricted")
-    if isinstance(kappa_node, dict) and kappa_node.get("constructor") == "random":
-        rng = np.random.default_rng(_int(kappa_node.get("seed", seed), "restricted.kappa0.seed", 0))
+    kappa = body["kappa0"]
+    if isinstance(kappa.required(), dict) and kappa.value.get("constructor") == "random":
+        rng = np.random.default_rng(kappa.get("seed", seed).count(0))
         kappa0 = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
     else:
-        kappa0 = _cmatrix(kappa_node, "restricted.kappa0", (n_plus, n_plus))
-    sigma0 = _block_from_config(_require(body, "sigma0", "restricted"), dims, seed,
-                                "restricted.sigma0")
+        kappa0 = kappa.cmatrix((n_plus, n_plus))
+    sigma0 = _block(body["sigma0"], dims, seed)
     ext, pairing = _built(restricted.restricted_extension_spec(*dims))
+    readers = {
+        "A": partial(_Node.cmatrix, shape=(n_plus, n_plus)),
+        "X0": lambda node: _block(node, dims, seed),
+    }
     h = _hamiltonian(
         doc, _RESTRICTED_HAMILTONIANS,
-        {
-            "A": partial(_cmatrix, shape=(n_plus, n_plus)),
-            "X0": lambda v, field: _block_from_config(v, dims, seed, field),
-        },
-        partial(_restricted_hamiltonian, dims=dims, pairing=pairing),
+        lambda name, entry: _restricted_hamiltonian(name, _params(entry, readers), dims, pairing),
     )
     n = n_plus + n_minus
     labels = _complex_labels("kappa", (n_plus, n_plus)) + _complex_labels("sigma", (n, n))
@@ -718,25 +768,18 @@ def _sim_restricted(body: dict, doc: dict, seed: int) -> _SimSystem:
     return _built_sim(doc, ext, pairing, labels, b0, h, _RESTRICTED_OBSERVABLES)
 
 
-def _integrator_config(doc: dict) -> IntegratorConfig:
-    cfg = _typed(doc.get("integrator", {}), dict, "integrator")
-
-    def number(key: str, default: float) -> float:
-        return float(_floats([cfg.get(key, default)], 1, f"integrator.{key}")[0])
-
-    def count(key: str, default: int) -> int:
-        return _int(cfg.get(key, default), f"integrator.{key}", 1)
-
+def _integrator_config(doc: _Node) -> IntegratorConfig:
+    cfg = doc.get("integrator", {})
     try:
         return IntegratorConfig(
-            method=cfg.get("method", "midpoint"),
-            dt=number("dt", 1e-2),
-            steps=count("steps", 100),
-            newton_tol=number("newton_tol", 1e-12),
-            newton_max_iter=count("newton_max_iter", 50),
+            method=cfg.get("method", "midpoint").value,
+            dt=cfg.get("dt", 1e-2).number(),
+            steps=cfg.get("steps", 100).count(1),
+            newton_tol=cfg.get("newton_tol", 1e-12).number(),
+            newton_max_iter=cfg.get("newton_max_iter", 50).count(1),
         )
     except ValueError as exc:
-        raise ConfigError(f"bad integrator settings: {exc}", "integrator")
+        raise cfg.error(f"bad integrator settings: {exc}")
 
 
 def _csv(columns: list[str], table: np.ndarray) -> str:
@@ -747,17 +790,16 @@ def _csv(columns: list[str], table: np.ndarray) -> str:
     return "".join([",".join(columns) + "\n", *(line % tuple(row.tolist()) for row in table)])
 
 
-def run_simulate(doc: dict, seed: int) -> str:
+def run_simulate(doc: _Node, seed: int) -> str:
     name, entry, body = _lookup(doc)
     if entry.simulate is None:
-        raise ConfigError(f"system {name!r} cannot be simulated", "system")
+        raise doc["system"].error(f"system {name!r} cannot be simulated")
     system = entry.simulate(body, doc, seed)
     cfg = _integrator_config(doc)
     values = (cfg.steps + 1) * (1 + len(system.labels) + len(system.tracked))
     if values > MAX_TRAJECTORY_VALUES:
-        raise ConfigError(
-            f"{cfg.steps} steps would store {values} values, more than {MAX_TRAJECTORY_VALUES}",
-            "integrator.steps",
+        raise doc["integrator"]["steps"].error(
+            f"{cfg.steps} steps would store {values} values, more than {MAX_TRAJECTORY_VALUES}"
         )
     traj = integrate_flow(system.field, system.state0, cfg)
     series = [f(traj.states) for f in system.tracked.values()]
@@ -765,10 +807,10 @@ def run_simulate(doc: dict, seed: int) -> str:
     return _csv(["t", *system.labels, *system.tracked], table)
 
 
-def run_bracket_table(doc: dict) -> dict:
+def run_bracket_table(doc: _Node) -> dict:
     system, entry, body = _lookup(doc)
     if entry.spec is None:
-        raise ConfigError(f"system {system!r} has no bracket table", "system")
+        raise doc["system"].error(f"system {system!r} has no bracket table")
     spec = entry.spec(body)
     report = check_compatibility(spec)
     table = algebra_to_json(build_extension(spec, report=report))
@@ -784,10 +826,10 @@ class _System:
     a wrapper installed on a module attribute sees every call."""
 
     checks: tuple[str, ...]  # default verify checks
-    spec: Callable[[dict], ExtensionSpec] | None = None  # verify, bracket-table
+    spec: Callable[[_Node], ExtensionSpec] | None = None  # verify, bracket-table
     algebras: Callable[[], dict[str, LieAlgebra]] | None = None  # structure without a spec
     sequence: bool = False  # the body describes an exact sequence
-    simulate: Callable[[dict, dict, int], _SimSystem] | None = None  # (body, doc, seed)
+    simulate: Callable[[_Node, _Node, int], _SimSystem] | None = None  # (body, doc, seed)
 
 
 _SPEC_CHECKS = ("structure", "compatibility", "predual_closure")
@@ -811,13 +853,17 @@ _SYSTEMS = {
 }
 
 
-def _lookup(doc: dict) -> tuple[str, _System, dict]:
-    """The system's name, its table entry and its config body."""
-    system = _require(doc, "system")
-    entry = _SYSTEMS.get(system) if isinstance(system, str) else None
+def _lookup(doc: _Node) -> tuple[str, _System, _Node]:
+    """The system's name, its table entry and its config body (maybe absent)."""
+    system = doc["system"]
+    name = system.required()
+    entry = _SYSTEMS.get(name) if isinstance(name, str) else None
     if entry is None:
-        raise ConfigError(f"unknown system {system!r}", "system")
-    return system, entry, _typed(doc.get(system, {}), dict, system)
+        raise system.error(f"unknown system {name!r}")
+    body = doc[name]
+    if body.value is not _ABSENT:
+        body.obj()
+    return name, entry, body
 
 
 # ---------------------------------------------------------------------------
@@ -825,24 +871,18 @@ def _lookup(doc: dict) -> tuple[str, _System, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_out(out: str | None) -> Path | None:
-    if out is None:
-        return None
-    p = Path(out)
-    env = os.environ.get("LIEPOISSON_OUTDIR")
-    if env and not p.is_absolute():
-        p = Path(env) / p
-    if p.parent and not p.parent.exists():
-        p.parent.mkdir(parents=True, exist_ok=True)
-    return p
-
-
 def _emit(text: str, out: str | None):
-    p = _resolve_out(out)
-    if p is None:
+    """Write ``text`` to stdout, or to the file ``out``, placed under
+    LIEPOISSON_OUTDIR when that is set and ``out`` is relative."""
+    if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    p = Path(os.environ.get("LIEPOISSON_OUTDIR", ""), out)
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
         p.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}", "--out")
 
 
 def run_cli(argv=None) -> int:

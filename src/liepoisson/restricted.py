@@ -77,7 +77,6 @@ __all__ = [
     "restricted_extension_spec",
     "random_block",
     "block_to_json",
-    "block_from_json",
 ]
 
 
@@ -403,10 +402,6 @@ def _cplx_out(m: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.atleast_2d(m)]
 
 
-def _cplx_in(rows) -> np.ndarray:
-    return np.array([[complex(v[0], v[1]) for v in row] for row in rows])
-
-
 def block_to_json(x: BlockOperator) -> dict:
     return {
         "dims": list(x.dims),
@@ -415,9 +410,3 @@ def block_to_json(x: BlockOperator) -> dict:
         "mp": _cplx_out(x.mp),
         "mm": _cplx_out(x.mm),
     }
-
-
-def block_from_json(doc: dict) -> BlockOperator:
-    return BlockOperator(
-        _cplx_in(doc["pp"]), _cplx_in(doc["pm"]), _cplx_in(doc["mp"]), _cplx_in(doc["mm"])
-    )

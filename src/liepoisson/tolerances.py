@@ -37,3 +37,9 @@ NEWTON_CONTRACTION = 0.5
 # rows of the time, the state coordinates and the tracked columns.  As
 # float64 that is 80 MB, and about 250 MB of CSV text.
 MAX_TRAJECTORY_VALUES = 10_000_000
+
+# Largest number of dense values that one array built from a config may
+# hold: dim^3 structure constants of a builtin or inline algebra or of the
+# built extension (dim n + dim h), or the W*-split's basis.  As complex128
+# that is 512 MB.  Sizes beyond it are refused before anything is built.
+MAX_STRUCTURE_VALUES = 2**25

@@ -1,8 +1,18 @@
+import contextlib
+import functools
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepoisson import cli
 from liepoisson.errors import LiePoissonError
@@ -95,8 +105,9 @@ def test_verify_unknown_system_exits_2(tmp_path, capsys):
 
 def test_invalid_json_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
-    p.write_text("{not json")
-    assert cli.run_cli(["verify", str(p)]) == 2
+    for data in (b"{not json", b"\xff\xfe", b"[" * 100000):  # not JSON, not UTF-8, too deep
+        p.write_bytes(data)
+        assert cli.run_cli(["verify", str(p)]) == 2
     capsys.readouterr()
 
 
@@ -311,6 +322,16 @@ def _with(doc, path, value):
     return doc
 
 
+def _zero_blocks(n_plus, n_minus, first):
+    """The four zero blocks of a block operator, [re, im] pairs, with
+    ``first`` at pp[0][0]."""
+    shapes = {"pp": (n_plus, n_plus), "pm": (n_plus, n_minus),
+              "mp": (n_minus, n_plus), "mm": (n_minus, n_minus)}
+    doc = {key: [[[0.0, 0.0]] * c for _ in range(r)] for key, (r, c) in shapes.items()}
+    doc["pp"][0][0] = first
+    return doc
+
+
 MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("inertia-length", "simulate",
      _with(rigid_config(), "rigid_body.inertia", [1.0, 2.0]), "rigid_body.inertia"),
@@ -319,8 +340,8 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("initial-text", "simulate",
      _with(rigid_config(), "rigid_body.initial", ["a", 0.0, 1.0]), "rigid_body.initial"),
     ("omega-float-index", "verify",
-     _with(heisenberg_config(), "extension.omega", [[0, 0.5, 1, 1.0]]), "omega"),
-    ("builtin-gl0", "verify", _with(heisenberg_config(), "extension.n", "gl0"), "n"),
+     _with(heisenberg_config(), "extension.omega", [[0, 0.5, 1, 1.0]]), "extension.omega"),
+    ("builtin-gl0", "verify", _with(heisenberg_config(), "extension.n", "gl0"), "extension.n"),
     ("n_plus-text", "verify",
      {"system": "restricted", "restricted": {"n_plus": "x", "n_minus": 2}}, "restricted.n_plus"),
     ("check-entry-number", "verify", _with(heisenberg_config(), "checks", [5]), "checks"),
@@ -331,10 +352,12 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
      _with(rigid_config(), "hamiltonian", {"name": "linear", "coeffs": [1.0, 2.0]}),
      "hamiltonian.coeffs"),
     ("inline-dim0", "verify",
-     _with(heisenberg_config(), "extension.n", {"dim": 0, "structure_constants": []}), "n"),
+     _with(heisenberg_config(), "extension.n", {"dim": 0, "structure_constants": []}),
+     "extension.n.dim"),
     ("omega-value-empty", "verify",
-     _with(heisenberg_config(), "extension.omega", [[0, 0, 1, []]]), "omega"),
-    ("sequence-first-empty", "verify", {"system": "sequence", "sequence": {"first": []}}, "first"),
+     _with(heisenberg_config(), "extension.omega", [[0, 0, 1, []]]), "extension.omega"),
+    ("sequence-first-empty", "verify", {"system": "sequence", "sequence": {"first": []}},
+     "sequence.first"),
     ("wstar-dim-zero", "verify",
      {"system": "sequence", "sequence": {"wstar": {"block_dims": [0, 2], "ideal_blocks": [0]}},
       "checks": ["wstar_split"]}, "sequence.wstar.block_dims"),
@@ -353,16 +376,18 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("trace_poly-coefficients-text", "simulate",
      _with(SHIPPED["rigidbody.json"], "casimirs",
            [{"name": "t", "fn": "trace_poly", "coefficients": "ab"}]), "casimirs.coefficients"),
-    ("v0-string", "simulate", _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", "12"), "v0"),
+    ("v0-string", "simulate", _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", "12"),
+     "semidirect_qm.v0"),
     ("v0-string-numbers", "simulate",
-     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", ["1", "2"]), "v0"),
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", ["1", "2"]), "semidirect_qm.v0"),
     ("v0-bool", "simulate",
-     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [True, 0.5]), "v0"),
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [True, 0.5]), "semidirect_qm.v0"),
     ("v0-long-pair", "simulate",
-     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [[1.0, 0.0, 7.0], 0.5]), "v0"),
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [[1.0, 0.0, 7.0], 0.5]),
+     "semidirect_qm.v0"),
     ("rho0-string-numbers", "simulate",
      _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.rho0", [["0.6", 0.0], [0.1, 0.2]]),
-     "rho0"),
+     "semidirect_qm.rho0"),
     ("H0-bool", "simulate",
      _with(SHIPPED["semidirect_qm.json"], "hamiltonian.H0", [[True, 0.0], [0.0, 0.3]]),
      "hamiltonian.H0"),
@@ -370,7 +395,7 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
      _with(SHIPPED["restricted.json"], "restricted.kappa0",
            [[1.0, 0.0, 0.0], [0.0, [1.0, 0.0, 7.0], 0.0], [0.0, 0.0, 1.0]]), "restricted.kappa0"),
     ("c_predual-string-numbers", "verify",
-     _with(SHIPPED["heisenberg.json"], "extension.c_predual", [["1"]]), "c_predual"),
+     _with(SHIPPED["heisenberg.json"], "extension.c_predual", [["1"]]), "extension.c_predual"),
     ("newton-max-iter-zero", "simulate",
      _with(rigid_config(), "integrator.newton_max_iter", 0), "integrator.newton_max_iter"),
     ("newton-tol-negative", "simulate",
@@ -378,7 +403,7 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("steps-bool", "simulate", _with(rigid_config(), "integrator.steps", True), "integrator.steps"),
     ("dt-string", "simulate", _with(rigid_config(), "integrator.dt", "0.01"), "integrator.dt"),
     ("omega-value-bool", "verify",
-     _with(heisenberg_config(), "extension.omega", [[0, 0, 1, True]]), "omega"),
+     _with(heisenberg_config(), "extension.omega", [[0, 0, 1, True]]), "extension.omega"),
     ("quadratic-gram-shape", "simulate",
      _with(SHIPPED["rigidbody.json"], "hamiltonian",
            {"name": "quadratic", "gram": [[1, 0], [0, 1]]}), "hamiltonian.gram"),
@@ -393,9 +418,11 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
      _with(SHIPPED["rigidbody.json"], "casimirs",
            [{"name": "q", "fn": "quadratic", "gram": [[1, 0, 0]]}]), "casimirs.gram"),
     ("rho0-shape", "simulate",
-     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.rho0", [[1.0, 0.0, 0.0]] * 3), "rho0"),
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.rho0", [[1.0, 0.0, 0.0]] * 3),
+     "semidirect_qm.rho0"),
     ("v0-infinite", "simulate",
-     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [float("inf"), 0.5]), "v0"),
+     _with(SHIPPED["semidirect_qm.json"], "semidirect_qm.v0", [float("inf"), 0.5]),
+     "semidirect_qm.v0"),
     ("steps-beyond-storage", "simulate",
      _with(rigid_config(), "integrator.steps", 10**12), "integrator.steps"),
     ("quadratic-gramm", "simulate",
@@ -425,6 +452,46 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
      _with(SHIPPED["semidirect_qm.json"], "hamiltonian.name", "coupled"), "hamiltonian.A"),
     ("casimir-linear-no-coeffs", "simulate",
      _with(SHIPPED["rigidbody.json"], "casimirs", [{"fn": "linear"}]), "casimirs.coeffs"),
+    ("section-absent", "verify", {"system": "restricted"}, "restricted"),
+    ("initial-absent", "simulate",
+     {**heisenberg_config(), "extension": {"n": "abelian1", "h": "abelian2"}}, "extension.initial"),
+    ("initial-key-absent", "simulate",
+     _with(heisenberg_config(), "extension.initial", {"c": [1.0]}), "extension.initial.a"),
+    ("inline-dim-float", "verify",
+     _with(heisenberg_config(), "extension.n", {"dim": 2.5}), "extension.n.dim"),
+    ("inline-dim-string", "verify",
+     _with(heisenberg_config(), "extension.n", {"dim": "1"}), "extension.n.dim"),
+    ("inline-negative-index", "verify",
+     _with(heisenberg_config(), "extension.h",
+           {"dim": 2, "structure_constants": [[0, 0, -1, 1.0]]}),
+     "extension.h.structure_constants"),
+    ("inline-field-quaternion", "verify",
+     _with(heisenberg_config(), "extension.n", {"dim": 1, "field": "quaternion"}),
+     "extension.n.field"),
+    ("inline-gram-negative-zero", "verify",
+     _with(heisenberg_config(), "extension.n", {"dim": 1, "gram": [[-0.0]]}), "extension.n.gram"),
+    ("inline-labels-length", "verify",
+     _with(heisenberg_config(), "extension.n", {"dim": 1, "basis_labels": ["a", "b"]}),
+     "extension.n"),
+    ("builtin-dict-string-n", "verify",
+     _with(heisenberg_config(), "extension.n", {"builtin": "gl", "n": "2"}), "extension.n.n"),
+    ("sigma0-long-pair", "simulate",
+     _with(SHIPPED["restricted.json"], "restricted.sigma0", _zero_blocks(3, 2, [1.0, 0.0, 7.0])),
+     "restricted.sigma0.pp"),
+    ("sigma0-bool-pair", "simulate",
+     _with(SHIPPED["restricted.json"], "restricted.sigma0", _zero_blocks(3, 2, [True, 0])),
+     "restricted.sigma0.pp"),
+    ("sigma0-nan", "simulate",
+     _with(SHIPPED["restricted.json"], "restricted.sigma0", _zero_blocks(3, 2, float("nan"))),
+     "restricted.sigma0.pp"),
+    ("X0-infinite", "simulate",
+     _with(SHIPPED["restricted.json"], "hamiltonian",
+           {"name": "linear_sigma", "X0": _zero_blocks(3, 2, float("inf"))}), "hamiltonian.X0.pp"),
+    ("attach-algebras-list", "verify",
+     _with(SHIPPED["sequence.json"], "sequence.attach_algebras", [1]), "sequence.attach_algebras"),
+    ("attach-algebras-unknown-space", "verify",
+     _with(SHIPPED["sequence.json"], "sequence.attach_algebras", {"x": "so3"}),
+     "sequence.attach_algebras.x"),
 ]
 
 
@@ -468,6 +535,141 @@ def test_storage_bound_is_checked_before_integrating(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.count("(field: integrator.steps)") == 2
     assert reached == [largest]
+
+
+def test_structure_bound_is_checked_before_building(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def stop(*sizes):
+        built.append(sizes)
+        raise LiePoissonError("stopped before building")
+
+    monkeypatch.setattr(cli.restricted, "restricted_extension_spec", stop)
+    monkeypatch.setattr(cli.quantum, "semidirect_extension_spec", stop)
+    monkeypatch.setattr(cli, "builtin_algebra", stop)
+    cases = [  # (system, body, exit code, field of a refusal)
+        ("restricted", {"n_plus": 9, "n_minus": 9}, 2, "restricted.n_plus"),
+        ("restricted", {"n_plus": 12, "n_minus": 12}, 2, "restricted.n_plus"),
+        ("restricted", {"n_plus": 1, "n_minus": 20}, 2, "restricted.n_minus"),
+        ("restricted", {"n_plus": 3, "n_minus": 2}, 1, None),
+        ("semidirect_qm", {"n": 13}, 2, "semidirect_qm.n"),
+        ("semidirect_qm", {"n": 2}, 1, None),
+        ("extension", {"n": "gl1000", "h": "so3"}, 2, "extension.n"),
+        ("extension", {"n": {"builtin": "abelian", "n": 400}, "h": "so3"}, 2, "extension.n"),
+        ("extension", {"n": {"dim": 10**6}, "h": "so3"}, 2, "extension.n.dim"),
+        ("extension", {"n": {"dim": 3}, "h": {"dim": 320}}, 2, "extension.h.dim"),
+    ]
+    for system, body, code, field in cases:
+        doc = {"system": system, system: body, "checks": ["compatibility"]}
+        assert cli.run_cli(["verify", write(tmp_path, "cfg.json", doc)]) == code, body
+        err = capsys.readouterr().err
+        assert field is None or f"(field: {field})" in err, err
+    assert built == [(3, 2), (2,)]
+    for workload_size in ((4, 4), (8, 8)):  # the largest benchmark size, the largest admitted
+        assert cli._restricted_dims(cli._Node(dict(zip(("n_plus", "n_minus"), workload_size))))
+
+
+def test_cli_module_exits_2_without_traceback(tmp_path):
+    """Run as a program, so that a traceback would reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    attach = _with(SHIPPED["sequence.json"], "sequence.attach_algebras", "uvw")
+    cases = [
+        (["verify", write(tmp_path, "s.json", attach)], "sequence.attach_algebras"),
+        (["verify", str(CONFIGS[0]), "--out", str(tmp_path)], "--out"),
+    ]
+    for argv, field in cases:
+        run = subprocess.run([sys.executable, "-m", "liepoisson.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 2, run.stderr
+        assert "Traceback" not in run.stderr
+        assert f"(field: {field})" in run.stderr
+
+
+def _json_paths(node, prefix=()):
+    """Every key and list entry under ``node``, as tuples of keys and indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    return [p for k, v in items for p in ((*prefix, k), *_json_paths(v, (*prefix, k)))]
+
+
+def _on_document(doc, path: str) -> bool:
+    """Whether a diagnostic's field is on the document: it resolves, with a
+    list standing for any of its entries, or names a missing key of an
+    object that is present (at the top level, a key a config may have)."""
+    if path in ("config", "--seed", "--out"):
+        return True
+
+    def entries(nodes):
+        return [e for n in nodes for e in (entries(n) if isinstance(n, list) else [n])]
+
+    nodes, keys = [doc], path.split(".")
+    for i, key in enumerate(keys):
+        parents = [n for n in entries(nodes) if isinstance(n, dict)]
+        nodes = [n[key] for n in parents if key in n]
+        if not nodes:
+            top = {"system", "hamiltonian", "integrator", "casimirs", "checks", *cli._SYSTEMS}
+            return bool(parents) and i == len(keys) - 1 and (i > 0 or key in top)
+    return True
+
+
+_DELETE = object()
+# sizes that the structure bound refuses; other integers stay small
+_SIZE_KEYS = {"n_plus", "n_minus", "n", "dim", "block_dims"}
+
+
+def _mutation_values(path) -> st.SearchStrategy:
+    ints = st.integers(-2, 4)
+    if _SIZE_KEYS & set(path):
+        ints = ints | st.just(10**6)
+    return st.one_of(
+        st.just(_DELETE), st.none(), st.booleans(), ints,
+        st.sampled_from([0.5, -1.5, float("nan"), float("inf"), -float("inf")]),
+        st.sampled_from(["x", "gl2", "gl1000"]),
+        st.sampled_from([[], {}, [1], [[1.0, 0.0, 7.0]], {"x": 1}]),
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=70)
+@given(data=st.data())
+def test_mutated_configs_exit_0_1_or_2_naming_a_field_on_the_document(fuzz_dir, data):
+    """One or two keys of a shipped config deleted or set to another type,
+    NaN, inf, an index out of range or a refused size; steps capped at 20.
+    Numpy may warn on stderr only on the way to exit 1 (a blown-up flow)."""
+    doc = json.loads(json.dumps(SHIPPED[data.draw(st.sampled_from(sorted(SHIPPED)))]))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(_json_paths(doc) or [()]))
+        if not path:
+            break
+        *parents, last = path
+        node = functools.reduce(lambda n, k: n[k], parents, doc)
+        value = data.draw(_mutation_values(path))
+        if value is _DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    integ = doc.get("integrator")
+    if isinstance(integ, dict) and type(integ.get("steps")) is int:
+        integ["steps"] = min(integ["steps"], 20)
+    cfg = fuzz_dir / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for command in ("verify", "simulate", "bracket-table"):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = cli.run_cli([command, str(cfg)])
+        assert code in (0, 1, 2)
+        assert code == 1 or not caught, [str(w.message) for w in caught]
+        if code == 2:
+            field = re.search(r"\(field: (.*)\)$", err.getvalue().strip()).group(1)
+            assert _on_document(doc, field), (command, field, doc)
 
 
 def test_quadratic_uses_the_symmetric_part_of_its_gram(tmp_path):

@@ -75,7 +75,7 @@ def test_malformed_predual_rows_exit_2(tmp_path, capsys, key, rows):
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err
-    assert f"(field: {key})" in err
+    assert f"(field: extension.{key})" in err
 
 
 def test_constants_are_owned_once():

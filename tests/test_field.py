@@ -242,7 +242,7 @@ def _affine_hamiltonians():
     yield "so3-linear", so3, p, fn.linear(p, rng.normal(size=3))
     yield "so3-quadratic-gram", so3, p, fn.quadratic(p, rng.normal(size=(3, 3)))
     for tag, body in (("heisenberg", _HEISENBERG), ("complex-extension", _COMPLEX_EXTENSION)):
-        e, p = cli._built(cli._extension_spec_from_config(body))
+        e, p = cli._built(cli._extension_spec_from_config(cli._Node(body)))
         draw = cm(3) if e.dtype is complex else rng.normal(size=3)
         yield f"{tag}-linear", e, p, fn.linear(p, draw)
         yield f"{tag}-quadratic", e, p, fn.quadratic(p)
@@ -349,8 +349,8 @@ def _sim_docs():
 def test_tracked_columns_are_row_vectorized(doc):
     """Every tracked column, H included, maps a (T, dim) stack of flat states
     to the T values it takes on each row alone."""
-    name, entry, body = cli._lookup(doc)
-    system = entry.simulate(body, doc, 0)
+    name, entry, body = cli._lookup(cli._Node(doc))
+    system = entry.simulate(body, cli._Node(doc), 0)
     rng = np.random.default_rng(24)
     states = rng.normal(size=(7, system.state0.size))
     assert len(system.tracked) == 1 + len(doc["casimirs"])
@@ -417,7 +417,7 @@ def _norm_squared_pairings():
     """(id, algebra, pairing) with non-identity grams, real and complex."""
     so3 = la.so3()
     yield "so3-spd-gram", so3, la.DualPairing(so3, _spd(np.random.default_rng(31), 3))
-    e, p = cli._built(cli._extension_spec_from_config(_COMPLEX_EXTENSION))
+    e, p = cli._built(cli._extension_spec_from_config(cli._Node(_COMPLEX_EXTENSION)))
     assert e.dtype is complex and np.any(p.gram.imag)
     yield "complex-extension", e, p
 
@@ -439,7 +439,7 @@ def test_norm_squared_gradient_matches_finite_differences(alg, pairing):
 def test_norm_squared_compiled_field_matches_the_gradient_path():
     rng = np.random.default_rng(33)
     so3 = la.so3()
-    e, p = cli._built(cli._extension_spec_from_config(_HEISENBERG))
+    e, p = cli._built(cli._extension_spec_from_config(cli._Node(_HEISENBERG)))
     for alg, pairing in ((so3, la.DualPairing(so3, _spd(rng, 3))), (e, p)):
         h = fn.norm_squared(pairing)
         compiled = po.hamiltonian_field(h, alg, pairing)
@@ -453,7 +453,7 @@ def test_norm_squared_heisenberg_flow_satisfies_the_bracket_contract():
     """d/dt f = {f, h} along the Heisenberg flow of h = |b|^2: the time
     derivative of f along an RK4 trajectory (central differences) and its
     exact value Re <X_h, Df> both match the bracket."""
-    e, p = cli._built(cli._extension_spec_from_config(_HEISENBERG))
+    e, p = cli._built(cli._extension_spec_from_config(cli._Node(_HEISENBERG)))
     h = fn.norm_squared(p)
     field = po.hamiltonian_field(h, e, p)
     dt = 1e-3

@@ -197,9 +197,10 @@ def test_warm_started_midpoint_evals_per_step_on_shipped_configs(config, bound):
     shipped configs costs fewer evaluations than an Euler start allows."""
     doc = json.loads((CONFIGS / config).read_text())
     doc["integrator"]["method"] = "midpoint"
-    _, entry, body = cli._lookup(doc)
-    system = entry.simulate(body, doc, 0)
+    root = cli._Node(doc)
+    _, entry, body = cli._lookup(root)
+    system = entry.simulate(body, root, 0)
     field = counted(system.field)
-    cfg = cli._integrator_config(doc)
+    cfg = cli._integrator_config(root)
     it.integrate_flow(field, system.state0, cfg)
     assert field.calls / cfg.steps <= bound

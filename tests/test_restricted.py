@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liepoisson import cli
 from liepoisson import extension as ex
 from liepoisson import poisson as po
 from liepoisson import restricted as rs
@@ -380,5 +381,5 @@ def test_field_matches_extension_field(rng):
 
 def test_block_json_roundtrip(rng):
     x = rs.random_block(3, 2, rng)
-    back = rs.block_from_json(rs.block_to_json(x))
+    back = rs.BlockOperator.from_full(cli._block(cli._Node(rs.block_to_json(x)), (3, 2), 0), 3)
     assert np.max(np.abs((back - x).to_full())) == 0.0
