@@ -8,22 +8,22 @@ vector first).  For complex algebras the pairing is complex bilinear, not
 sesquilinear; real-valued analysis over complex spaces happens by
 realification in the poisson module.
 
-The identity checks (antisymmetry, Jacobi) read the constants through
-their nonzeros, so their cost follows the number of nonzero constants
-rather than powers of the dimension; the constants themselves stay a
-dense array, which is what every caller indexes.
+The constants are stored as their nonzeros only (a linalg.Coo), which
+the constructors write and every check, bracket and the coadjoint tensor
+read, so storage and work follow the number of nonzero constants; the
+dense array is built on demand, for small-dimensional callers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneratePairingError, DimensionMismatchError
-from .linalg import coo, cyclic_terms, join, max_abs_of_sum
+from .linalg import Coo, as_coo, cyclic_terms, join, max_abs_of_sum
 from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL
 
 __all__ = [
@@ -54,15 +54,15 @@ _COMPLEX = "complex"
 class LieAlgebra:
     """A Lie algebra presented by structure constants.
 
-    ``structure_constants[k, i, j]`` is the e_k coefficient of [e_i, e_j].
-    Antisymmetry must hold exactly at construction; the Jacobi identity is
-    checked up to ``CONSTRUCTION_TOL``.  Pass ``validate=False`` to store
-    deliberately broken constants (negative tests, diagnostics).  The
-    constants are kept read-only: a read-only array of the right dtype is
-    kept without a copy, anything else is copied.
+    ``constants`` holds the nonzero c[k, i, j], the e_k coefficient of
+    [e_i, e_j], as a Coo of shape (d, d, d); a dense array given instead is
+    read through its nonzeros.  Antisymmetry must hold exactly at
+    construction; the Jacobi identity is checked up to
+    ``CONSTRUCTION_TOL``.  Pass ``validate=False`` to store deliberately
+    broken constants (negative tests, diagnostics).
     """
 
-    structure_constants: np.ndarray
+    constants: Coo
     basis_labels: tuple[str, ...] = ()
     name: str = ""
     scalar_field: str = _REAL
@@ -70,16 +70,12 @@ class LieAlgebra:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
-        dtype = complex if self.scalar_field == _COMPLEX else float
-        c = np.asarray(self.structure_constants, dtype=dtype)
-        if c.ndim != 3 or len(set(c.shape)) != 1:
+        c = as_coo(self.constants, self.dtype)
+        if len(c.shape) != 3 or len(set(c.shape)) != 1:
             raise DimensionMismatchError(
                 f"structure constants must be cubic, got shape {c.shape}"
             )
-        if c.flags.writeable:  # never freeze a caller's array under them
-            c = c.copy()
-            c.setflags(write=False)
-        object.__setattr__(self, "structure_constants", c)
+        object.__setattr__(self, "constants", c)
         if not self.basis_labels:
             object.__setattr__(
                 self, "basis_labels", tuple(f"e{i + 1}" for i in range(c.shape[0]))
@@ -95,8 +91,13 @@ class LieAlgebra:
                 raise ValueError(f"Jacobi identity violated (residual {jac:g})")
 
     @property
+    def structure_constants(self) -> np.ndarray:
+        """The dense (d, d, d) array, built on each call."""
+        return self.constants.dense()
+
+    @property
     def dim(self) -> int:
-        return self.structure_constants.shape[0]
+        return self.constants.shape[0]
 
     @property
     def dtype(self):
@@ -107,11 +108,10 @@ class LieAlgebra:
 
     def ad(self, x) -> np.ndarray:
         """Matrix of ad_x = [x, .] acting on coordinates."""
-        x = _coords(x, self.dim)
-        return np.einsum("kij,i->kj", self.structure_constants, x)
+        return self.constants.contract({1: _coords(x, self.dim)})
 
     def is_abelian(self) -> bool:
-        return not np.any(self.structure_constants)
+        return self.constants.values.size == 0
 
 
 @dataclass(frozen=True)
@@ -149,16 +149,11 @@ class DualPairing:
 
         ad*_x b solves G^T b' = ad_x^T G^T b (see :func:`ad_star`), so
         K[m, i, l] = -sum_{j, k} Ginv[j, m] c[k, i, j] G[l, k]: the gram and
-        its inverse folded into the structure constants.  It is complex for
-        a complex algebra; the dense array is not kept.
+        its inverse folded into the nonzero constants.  It is complex for a
+        complex algebra.
         """
-        g = self.gram
-        # [i, j, k] @ -G^T -> [i, j, l]; then Ginv^T @ -> [i, m, l]
-        k = np.linalg.inv(g).T @ (self.algebra.structure_constants.transpose(1, 2, 0) @ -g.T)
-        idx, v = coo(k.transpose(1, 0, 2))
-        for a in (*idx, v):
-            a.setflags(write=False)
-        return idx, v
+        k = _coadjoint_entries(self.algebra.constants, self.gram)
+        return k.idx, k.values
 
     def pair(self, b, x):
         """<b, x> with b in the predual model and x in the algebra."""
@@ -170,6 +165,22 @@ class DualPairing:
         """Real part of the pairing; the realified pairing for complex algebras."""
         v = self.pair(b, x)
         return float(np.real(v))
+
+
+def _coadjoint_entries(c: Coo, g: np.ndarray) -> Coo:
+    """K[m, i, l] of :attr:`DualPairing.coadjoint_tensor`, in two joins
+    with the nonzeros of the gram, each summed by key:
+    T[i, j, l] = sum_k c[k, i, j] (-G[l, k]), then
+    K[m, i, l] = sum_j Ginv[j, m] T[i, j, l]."""
+    (k, i, j), v = c.idx, c.values
+    gl_, gk = np.nonzero(g)
+    p, q = join(k, gk)
+    t = Coo.of(c.shape, (i[p], j[p], gl_[q]), v[p] * -g[gl_[q], gk[q]])
+    ginv = np.linalg.inv(g)
+    gj, gm = np.nonzero(ginv)
+    (ti, tj, tl), tv = t.idx, t.values
+    p, q = join(tj, gj)
+    return Coo.of(c.shape, (gm[q], ti[p], tl[p]), ginv[gj[q], gm[q]] * tv[p])
 
 
 def _coords(x, dim: int) -> np.ndarray:
@@ -187,28 +198,27 @@ def _coords(x, dim: int) -> np.ndarray:
 
 def bracket_eval(alg: LieAlgebra, x, y) -> np.ndarray:
     """[x, y] in coordinates."""
-    x = _coords(x, alg.dim)
-    y = _coords(y, alg.dim)
-    return np.einsum("kij,i,j->k", alg.structure_constants, x, y)
+    return alg.constants.contract({1: _coords(x, alg.dim), 2: _coords(y, alg.dim)})
 
 
-def _antisymmetry_residual(c: np.ndarray) -> float:
-    """max |c[k, i, j] + c[k, j, i]|, read over the nonzeros of c."""
-    (k, i, j), v = coo(c)
-    return float(np.max(np.abs(v + c[k, j, i]), initial=0.0))
+def _antisymmetry_residual(c: Coo) -> float:
+    """max |c[k, i, j] + c[k, j, i]|, summed over the nonzeros of c."""
+    (k, i, j), v = c.idx, c.values
+    return max_abs_of_sum(c.shape, [((k, i, j), v), ((k, j, i), v)])
 
 
-def jacobi_residual(c: np.ndarray) -> float:
+def jacobi_residual(c) -> float:
     """Max-norm Jacobi defect over all index triples, including repeats.
 
     The defect at (m, i, j, k) is the cyclic sum over (i, j, k) of
     T[m, i, j, k] = sum_l c[l, i, j] c[m, l, k].  T is formed from the
     products of nonzero constants that share l, and each product is added
     at its three cyclic positions, so time and memory follow the number of
-    such products rather than d^4.
+    such products rather than d^4.  ``c`` is a Coo or a dense array.
     """
+    c = as_coo(c)
     d = c.shape[0]
-    (a, b, e), v = coo(c)
+    (a, b, e), v = c.idx, c.values
     # factor p is c[l, i, j] and factor q is c[m, l, k]: l = a[p] = b[q]
     p, q = join(a, b)
     m, i, j, k = a[q], b[p], e[p], e[q]
@@ -223,16 +233,13 @@ class StructureReport:
     jacobi_residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "antisymmetry_residual": self.antisymmetry_residual,
-            "jacobi_residual": self.jacobi_residual,
-        }
+        return asdict(self)
 
 
 def check_structure(alg: LieAlgebra) -> StructureReport:
     """Antisymmetry and Jacobi residuals (max over all basis index
     combinations); both are zero for a valid algebra."""
-    c = alg.structure_constants
+    c = alg.constants
     return StructureReport(_antisymmetry_residual(c), jacobi_residual(c))
 
 
@@ -245,11 +252,8 @@ def ad_star(pairing: DualPairing, x, b) -> np.ndarray:
     x = _coords(x, alg.dim)
     b = _coords(b, pairing.predual_dim)
     a = alg.ad(x)
-    g = pairing.gram
-    try:
-        return np.linalg.solve(g.T, a.T @ (g.T @ b))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded at init
-        raise DegeneratePairingError(str(exc)) from exc
+    g = pairing.gram  # invertible: DualPairing refuses a singular one
+    return np.linalg.solve(g.T, a.T @ (g.T @ b))
 
 
 def center_of(alg: LieAlgebra) -> list[np.ndarray]:
@@ -276,22 +280,18 @@ def center_of(alg: LieAlgebra) -> list[np.ndarray]:
 
 def so3() -> LieAlgebra:
     """so(3): [e1, e2] = e3 and cyclic (cross-product constants)."""
-    c = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        c[k, i, j] = 1.0
-        c[k, j, i] = -1.0
+    i, j, k = np.array([(0, 1, 2), (1, 2, 0), (2, 0, 1)]).T
+    c = Coo.of((3, 3, 3), (np.r_[k, k], np.r_[i, j], np.r_[j, i]), np.repeat([1.0, -1.0], 3))
     return LieAlgebra(c, name="so3")
 
 
-def _commutator_constants(n: int, sign: float = 1.0, dtype=float) -> np.ndarray:
+def _commutator_constants(n: int, sign: float = 1.0, dtype=float) -> Coo:
     """Constants of sign * (XY - YX) on n x n matrices in the elementary
     basis E_ij, row-major: [E_ij, E_kl] = delta_jk E_il - delta_li E_kj."""
-    d = n * n
-    c = np.zeros((d, d, d), dtype=dtype)
     i, j, k = np.indices((n, n, n)).reshape(3, -1)
-    np.add.at(c, (i * n + k, i * n + j, j * n + k), sign)  # [E_ij, E_jk] has +E_ik
-    np.add.at(c, (k * n + j, i * n + j, k * n + i), -sign)  # [E_ij, E_ki] has -E_kj
-    return c
+    # [E_ij, E_jk] has +E_ik, then [E_ij, E_ki] has -E_kj
+    idx = np.r_[i * n + k, k * n + j], np.r_[i * n + j, i * n + j], np.r_[j * n + k, k * n + i]
+    return Coo.of((n * n,) * 3, idx, np.repeat([sign, -sign], n**3), dtype)
 
 
 def gl(n: int, scalar_field: str = _REAL) -> LieAlgebra:
@@ -303,17 +303,14 @@ def gl(n: int, scalar_field: str = _REAL) -> LieAlgebra:
 
 def heisenberg() -> LieAlgebra:
     """The 3-dimensional Heisenberg algebra: [p, q] = z, z central."""
-    c = np.zeros((3, 3, 3))
-    c[2, 0, 1] = 1.0
-    c[2, 1, 0] = -1.0
+    c = Coo.of((3, 3, 3), ([2, 2], [0, 1], [1, 0]), [1.0, -1.0])
     return LieAlgebra(c, basis_labels=("p", "q", "z"), name="heisenberg")
 
 
 def abelian(n: int, scalar_field: str = _REAL) -> LieAlgebra:
     """The abelian algebra of dimension n."""
-    return LieAlgebra(
-        np.zeros((n, n, n)), name=f"abelian{n}", scalar_field=scalar_field
-    )
+    c = Coo.of((n, n, n), ([], [], []), [])
+    return LieAlgebra(c, name=f"abelian{n}", scalar_field=scalar_field)
 
 
 def identity_pairing(alg: LieAlgebra) -> DualPairing:
@@ -322,11 +319,8 @@ def identity_pairing(alg: LieAlgebra) -> DualPairing:
 
 def matrix_trace_gram(n: int) -> np.ndarray:
     """Gram of <B, X> = tr(B X) on n x n matrices flattened row-major."""
-    g = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            g[i * n + j, j * n + i] = 1.0
-    return g
+    d = n * n  # entry (i n + j, k n + l) is 1 when (k, l) = (j, i)
+    return np.eye(d).reshape(n, n, n, n).transpose(0, 1, 3, 2).reshape(d, d)
 
 
 def trace_pairing(alg: LieAlgebra) -> DualPairing:
@@ -340,13 +334,8 @@ def trace_pairing(alg: LieAlgebra) -> DualPairing:
 _BUILTIN_RE = re.compile(r"^(so3|heisenberg|gl([1-9]\d*)|abelian([1-9]\d*))$")
 
 
-def builtin_algebra(spec) -> LieAlgebra:
-    """Resolve a builtin name: "so3", "heisenberg", "glN", "abelianN",
-    or a dict {"builtin": name, "n": N}."""
-    if isinstance(spec, dict):
-        name = spec.get("builtin", "")
-        n = spec.get("n")
-        spec = f"{name}{n}" if n is not None and name in ("gl", "abelian") else name
+def builtin_algebra(spec: str) -> LieAlgebra:
+    """Resolve a builtin name: "so3", "heisenberg", "glN", "abelianN"."""
     m = _BUILTIN_RE.match(str(spec))
     if not m:
         raise KeyError(f"unknown builtin algebra {spec!r}")
@@ -370,17 +359,13 @@ def realify(alg: LieAlgebra) -> LieAlgebra:
     if alg.scalar_field != _COMPLEX:
         return alg
     d = alg.dim
-    c = alg.structure_constants
-    re_, im_ = np.real(c), np.imag(c)
-    C = np.zeros((2 * d, 2 * d, 2 * d))
-    C[:d, :d, :d] = re_
-    C[d:, :d, :d] = im_
-    C[:d, :d, d:] = -im_
-    C[d:, :d, d:] = re_
-    C[:d, d:, :d] = -im_
-    C[d:, d:, :d] = re_
-    C[:d, d:, d:] = -re_
-    C[d:, d:, d:] = -im_
+    (k, i, j), v = alg.constants.idx, alg.constants.values
+    # [u e_i, w e_j] = u w [e_i, e_j] for u, w in {1, i} (block offsets s, t):
+    # the real part of u w c goes to e_k, the imaginary part to i e_k
+    parts = [(k + d * r, i + d * s, j + d * t, (uw.real, uw.imag)[r])
+             for s in (0, 1) for t in (0, 1) for uw in [v * 1j ** (s + t)] for r in (0, 1)]
+    k, i, j, vals = (np.concatenate(a) for a in zip(*parts))
+    C = Coo.of((2 * d,) * 3, (k, i, j), vals)
     labels = tuple(alg.basis_labels) + tuple(f"i*{l}" for l in alg.basis_labels)
     return LieAlgebra(C, basis_labels=labels, name=f"{alg.name}_r")
 
@@ -409,10 +394,9 @@ def algebra_to_json(alg: LieAlgebra, pairing: DualPairing | None = None) -> dict
     """The inline algebra document that a config's algebra reference takes:
     the i < j half of the constants as [k, i, j, value] in row-major (k, i,
     j) order, a complex value as [re, im], and the gram of a given pairing."""
-    c = alg.structure_constants
-    upper = np.arange(alg.dim)[:, None] < np.arange(alg.dim)
-    k, i, j = np.nonzero((c != 0) & upper)
-    v = c[k, i, j]
+    (k, i, j), v = alg.constants.idx, alg.constants.values
+    upper = i < j
+    k, i, j, v = k[upper], i[upper], j[upper], v[upper]
     if np.iscomplexobj(v):
         vals = list(map(list, zip(v.real.tolist(), v.imag.tolist())))
     else:

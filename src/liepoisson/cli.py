@@ -13,8 +13,9 @@ Subcommands:
 Exit codes: 0 when every check passes, 1 when a residual exceeds its
 threshold or a computation fails, 2 on a malformed config, with a
 diagnostic that names the offending field by its dotted path in the
-document (see ``_Node``, through which every JSON value is read).  Sizes
-beyond ``MAX_STRUCTURE_VALUES`` are refused before anything is built.
+document (see ``_Node``, through which every JSON value is read).  Inputs
+whose builders would write, or whose checks would pair in one join, more
+than ``MAX_SPARSE_TERMS`` terms exit 2 before they are formed.
 
 Each system is one entry of ``_SYSTEMS``; a subcommand looks the system up
 once and runs generic code.  Configs are validated when a system is built,
@@ -54,6 +55,7 @@ from .errors import (
     ConfigError,
     DegeneratePairingError,
     LiePoissonError,
+    SizeLimitError,
     UnsupportedPresentationError,
 )
 from .extension import (
@@ -67,7 +69,7 @@ from .extension import (
 )
 from .functions import NAMED_FUNCTIONS, build_named_function, linear, quadratic, rigid_body_energy
 from .integrators import IntegratorConfig, integrate_flow
-from .linalg import orthonormal_columns
+from .linalg import Coo, orthonormal_columns
 from .sequences import (
     LinearMapRec,
     MatrixStarAlgebra,
@@ -81,7 +83,7 @@ from .sequences import (
 from .tolerances import (
     COMPATIBILITY_PASS,
     CONSTRUCTION_TOL,
-    MAX_STRUCTURE_VALUES,
+    MAX_SPARSE_TERMS,
     MAX_TRAJECTORY_VALUES,
     SUBSPACE_TOL,
     VERIFICATION_TOL,
@@ -151,12 +153,9 @@ class _Node:
             raise self.error(f"must be an integer >= {low}, got {v!r}")
         return v
 
-    def counts(self, low: int) -> tuple[int, ...]:
-        return tuple(e.count(low) for e in self.entries())
-
     def bounded(self, values: int):
-        if values > MAX_STRUCTURE_VALUES:
-            raise self.error(f"would build {values} dense values, more than {MAX_STRUCTURE_VALUES}")
+        if values > MAX_SPARSE_TERMS:
+            raise self.error(f"would write {values} values, more than {MAX_SPARSE_TERMS}")
 
     def floats(self, n: int | None = None) -> np.ndarray:
         """A JSON list of ``n`` finite numbers (any number of them when ``n`` is None)."""
@@ -185,7 +184,7 @@ class _Node:
             return m
         if np.max(np.abs(m.imag), initial=0.0) != 0.0:
             raise self.error("complex entries in a real-field document")
-        return m.real.copy()
+        return m.real
 
     def cvector(self, n: int | None = None, dtype=complex) -> np.ndarray:
         v = _Node([self.required()], self.path).cmatrix(dtype=dtype)[0]
@@ -193,27 +192,26 @@ class _Node:
             raise self.error(f"needs {n} finite numbers, got {self.value!r}")
         return v
 
-    def triplets(self, shape: tuple[int, int], dtype) -> np.ndarray:
-        """The dense (k, i, j) array of antisymmetric [k, i, j, value]
-        entries, value at [k, i, j] and -value at [k, j, i], with k below
-        ``shape[0]`` and i, j below ``shape[1]``."""
-        dk, di = shape
-        out = np.zeros((dk, di, di), dtype=dtype)
+    def triplets(self, full: tuple[int, int, int], dtype) -> Coo:
+        """The array of shape ``full`` of antisymmetric [k, i, j, value]
+        entries, value at [k, i, j] and -value at [k, j, i]; a later entry
+        overwrites an earlier one."""
+        out = {}
         for entry in self.entries():
             e = entry.value
             if not (isinstance(e, list) and len(e) == 4 and e[1] != e[2]
-                    and all(type(x) is int and 0 <= x < d for x, d in zip(e, (dk, di, di)))):
-                raise entry.error(f"needs [k, i, j, value], i != j, below {(dk, di, di)}: {e!r}")
+                    and all(type(x) is int and 0 <= x < d for x, d in zip(e, full))):
+                raise entry.error(f"needs [k, i, j, value], i != j, below {full}: {e!r}")
             out[e[0], e[1], e[2]] = val = _Node([[e[3]]], entry.path).cmatrix(dtype=dtype)[0, 0]
             out[e[0], e[2], e[1]] = -val
-        return out
+        return _coo(full, out, dtype)
 
     def algebra(self, beside: int = 0) -> tuple[LieAlgebra, DualPairing]:
         """An algebra reference and its pairing: a builtin name ("so3",
         "heisenberg", "glN", "abelianN"), the form {"builtin": name, "n": N},
         or an inline document as algebra_to_json writes it.  An extension by
-        an algebra of dimension ``beside`` holds (beside + dim)^3 constants,
-        which are bounded before the algebra is built."""
+        an algebra of dimension ``beside`` has a (beside + dim)^2 gram, more
+        than its nonzero constants, bounded before the algebra is built."""
         ref = self.required()
         if isinstance(ref, dict) and "builtin" in ref:
             name = ref["builtin"]
@@ -223,10 +221,12 @@ class _Node:
             try:
                 m = re.fullmatch(r"(gl|abelian)(\d+)", ref)
                 d = int(m[2]) ** (2 if m[1] == "gl" else 1) if m else 3  # so3, heisenberg
-                self.bounded((beside + d) ** 3)
+                self.bounded((beside + d) ** 2)
                 alg = builtin_algebra(ref)
             except (KeyError, ValueError) as exc:
                 raise self.error(f"bad algebra reference: {exc}")
+            except SizeLimitError as exc:  # its Jacobi check at construction
+                raise self.error(str(exc))
             return alg, identity_pairing(alg)
         if not (isinstance(ref, dict) and "dim" in ref):
             raise self.error("algebra reference must be a builtin name or an inline document")
@@ -235,8 +235,8 @@ class _Node:
             raise field.error(f"must be \"real\" or \"complex\", got {field.value!r}")
         dtype = complex if field.value == "complex" else float
         d = self["dim"].count(1)
-        self["dim"].bounded((beside + d) ** 3)
-        c = self.get("structure_constants", []).triplets((d, d), dtype)
+        self["dim"].bounded((beside + d) ** 2)
+        c = self.get("structure_constants", []).triplets((d, d, d), dtype)
         labels = tuple(e.value for e in self.get("basis_labels", []).entries())
         try:
             alg = LieAlgebra(c, labels, self.get("name", "").value, field.value)
@@ -248,6 +248,12 @@ class _Node:
             return alg, DualPairing(alg, g)
         except DegeneratePairingError as exc:
             raise gram.error(str(exc))
+
+
+def _coo(shape: tuple[int, ...], entries: dict, dtype) -> Coo:
+    """The array of ``shape`` with ``entries[index]`` at each index."""
+    idx = np.array(list(entries), dtype=np.intp).reshape(-1, len(shape)).T
+    return Coo.of(shape, idx, np.array(list(entries.values()), dtype=dtype))
 
 
 def _load_config(path: str) -> _Node:
@@ -277,40 +283,38 @@ def _scalar(v):
 def _extension_spec_from_config(body: _Node) -> ExtensionSpec:
     n, n_pair = body["n"].algebra()
     h, h_pair = body["h"].algebra(beside=n.dim)
-    w = body.get("omega", []).triplets((n.dim, h.dim), n.dtype)
+    w = body.get("omega", []).triplets((n.dim, h.dim, h.dim), n.dtype)
 
-    mats = np.zeros((h.dim, n.dim, n.dim), dtype=n.dtype)
     phi = body.get("phi", [])
-    if rows := phi.entries():
-        if len(rows) != h.dim:
-            raise phi.error(f"phi must list {h.dim} matrices")
-        for i, m in enumerate(rows):
-            mats[i] = m.cmatrix((n.dim, n.dim), n.dtype)
-    return ExtensionSpec(
-        n, h, SkewBilinearMap(h, n, w), DerivationMap(h, n, mats), n_pair, h_pair
-    )
+    if (rows := phi.entries()) and len(rows) != h.dim:
+        raise phi.error(f"phi must list {h.dim} matrices")
+    mats = {(i, *ab): v for i, m in enumerate(rows)
+            for ab, v in np.ndenumerate(m.cmatrix((n.dim, n.dim), n.dtype)) if v != 0}
+    phi_map = DerivationMap(h, n, _coo((h.dim, n.dim, n.dim), mats, n.dtype))
+    return ExtensionSpec(n, h, SkewBilinearMap(h, n, w), phi_map, n_pair, h_pair)
 
 
 def _restricted_dims(body: _Node) -> tuple[int, int]:
     dims = body["n_plus"].count(1), body["n_minus"].count(0)
     d = dims[0] ** 2 + sum(dims) ** 2  # the built extension's dimension
-    body["n_plus" if dims[0] >= dims[1] else "n_minus"].bounded(d**3)
+    _restricted_size(body).bounded(d * d)  # its gram; it has fewer nonzero constants
     return dims
+
+
+def _restricted_size(body: _Node) -> _Node:
+    """The larger of the two dims, which sizes a restricted system."""
+    return body["n_plus" if body["n_plus"].value >= body["n_minus"].value else "n_minus"]
 
 
 def _qm_n(body: _Node) -> int:
     n = body["n"].count(1)
-    body["n"].bounded((2 * n + 2 * n * n) ** 3)  # the built extension's constants
+    body["n"].bounded((2 * n + 2 * n * n) ** 2)  # the built extension's gram
     return n
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-
-def _residuals_ok(residuals: dict, threshold: float) -> bool:
-    return all(abs(v) < threshold for v in residuals.values())
 
 
 def _structure_residuals(named: dict[str, LieAlgebra]) -> dict:
@@ -323,8 +327,8 @@ def _structure_residuals(named: dict[str, LieAlgebra]) -> dict:
 
 
 def _sequence_from_body(body: _Node) -> SequenceSpec:
-    first = body["first"].cmatrix().real
-    second = body["second"].cmatrix().real
+    first = body["first"].cmatrix(dtype=float)
+    second = body["second"].cmatrix(dtype=float)
     nu, nv, nw = first.shape[1], first.shape[0], second.shape[0]
     if second.shape[1] != nv:
         raise body["second"].error("sequence maps are not composable")
@@ -391,12 +395,9 @@ def _run_check(
             named["extension"] = build_extension(spec, report=compat())
         return _structure_residuals(named)
     if name == "compatibility":
-        rep = compat()
-        return {
-            "derivation_residual": rep.derivation_residual,
-            "cocycle_residual": rep.cocycle_residual,
-            "representation_residual": rep.representation_residual,
-        }
+        rep = compat().as_dict()
+        keys = ("derivation_residual", "cocycle_residual", "representation_residual")
+        return {k: rep[k] for k in keys}
     if name == "predual_closure":
         c_sub = _predual_basis(body.get("c_predual", None), spec.n)
         a_sub = _predual_basis(body.get("a_predual", None), spec.h)
@@ -425,12 +426,13 @@ def _run_check(
         return out
     # wstar_split
     ws = body["wstar"]
-    dims = ws["block_dims"].counts(1)
+    dims = tuple(e.count(1) for e in ws["block_dims"].entries())
     ideal = ws["ideal_blocks"]
     # the basis holds sum(d^2) matrices of the full size
     ws["block_dims"].bounded(sum(dims) ** 2 * sum(d * d for d in dims))
+    blocks = tuple(e.count(0) for e in ideal.entries())
     try:
-        return wstar_central_split(MatrixStarAlgebra(dims), ideal.counts(0)).as_dict()
+        return wstar_central_split(MatrixStarAlgebra(dims), blocks).as_dict()
     except UnsupportedPresentationError as exc:
         raise ideal.error(str(exc))
 
@@ -443,14 +445,13 @@ def run_verify(doc: _Node, seed: int) -> tuple[dict, int]:
     rng = np.random.default_rng(seed)
     compat = cache(partial(check_compatibility, spec))
     results = []
-    all_ok = True
     for name, threshold in checks:
         residuals = _run_check(name, entry, body, spec, compat, rng)
-        ok = _residuals_ok(residuals, threshold)
-        all_ok = all_ok and ok
+        ok = all(abs(v) < threshold for v in residuals.values())
         results.append(
             {"name": name, "threshold": threshold, "residuals": residuals, "passed": ok}
         )
+    all_ok = all(r["passed"] for r in results)
     report = {"system": system, "seed": seed, "checks": results, "passed": all_ok}
     return report, 0 if all_ok else 1
 
@@ -559,10 +560,7 @@ def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFun
     def flat(b):
         return np.concatenate([b.real, b.imag])[order]
 
-    def on_point(f):
-        return lambda y: f(point(y))
-
-    tracked = {name: on_point(f) for name, f in tracked.items()}
+    tracked = {name: (lambda y, f=f: f(point(y))) for name, f in tracked.items()}
     return _SimSystem(labels, flat(b0), lambda y: flat(field(point(y))), tracked)
 
 
@@ -830,6 +828,7 @@ class _System:
     algebras: Callable[[], dict[str, LieAlgebra]] | None = None  # structure without a spec
     sequence: bool = False  # the body describes an exact sequence
     simulate: Callable[[_Node, _Node, int], _SimSystem] | None = None  # (body, doc, seed)
+    sized_by: Callable[[_Node], _Node] = lambda body: body  # named when a join is refused
 
 
 _SPEC_CHECKS = ("structure", "compatibility", "predual_closure")
@@ -840,11 +839,13 @@ _SYSTEMS = {
         _SPEC_CHECKS,
         lambda body: restricted.restricted_extension_spec(*_restricted_dims(body)),
         simulate=_sim_restricted,
+        sized_by=_restricted_size,
     ),
     "semidirect_qm": _System(
         ("structure", "compatibility"),
         lambda body: quantum.semidirect_extension_spec(_qm_n(body)),
         simulate=_sim_semidirect_qm,
+        sized_by=lambda body: body["n"],
     ),
     "rigid_body": _System(
         ("structure",), algebras=lambda: {"so3": so3()}, simulate=_sim_rigid_body
@@ -909,16 +910,11 @@ def run_cli(argv=None) -> int:
         if args.command == "verify":
             report, code = run_verify(doc, args.seed)
             _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-            if code != 0:
-                for chk in report["checks"]:
-                    if not chk["passed"]:
-                        for key, value in sorted(chk["residuals"].items()):
-                            if abs(value) >= chk["threshold"]:
-                                print(
-                                    f"verify: FAIL {chk['name']}: {key}="
-                                    f"{value:.3e} exceeds {chk['threshold']:.1e}",
-                                    file=sys.stderr,
-                                )
+            for chk in report["checks"]:  # a passed check has no residual at its threshold
+                for key, value in sorted(chk["residuals"].items()):
+                    if not chk["passed"] and abs(value) >= chk["threshold"]:
+                        print(f"verify: FAIL {chk['name']}: {key}={value:.3e} exceeds "
+                              f"{chk['threshold']:.1e}", file=sys.stderr)
             return code
         if args.command == "simulate":
             _emit(run_simulate(doc, args.seed), args.out)
@@ -930,6 +926,10 @@ def run_cli(argv=None) -> int:
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SizeLimitError as exc:  # a join of the checks or the field outgrew the bound
+        _, entry, body = _lookup(doc)
+        print(f"error: {ConfigError(str(exc), entry.sized_by(body).path)}", file=sys.stderr)
         return 2
     except LiePoissonError as exc:
         print(f"error: {exc}", file=sys.stderr)

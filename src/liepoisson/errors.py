@@ -33,6 +33,10 @@ class UnsupportedPresentationError(LiePoissonError):
     """An algebra presentation outside what an operation accepts."""
 
 
+class SizeLimitError(LiePoissonError):
+    """Sparse work beyond ``tolerances.MAX_SPARSE_TERMS``, refused unformed."""
+
+
 class IntegratorFailureError(LiePoissonError):
     """The implicit stage equation did not converge."""
 

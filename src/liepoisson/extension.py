@@ -16,9 +16,11 @@ and the curvature identity ad_{omega(e, e')} + phi([e, e']) =
 [phi(e), phi(e')].  The compatibility checker reports all three residuals;
 their joint vanishing is equivalent to the Jacobi identity of the built
 bracket.  The cocycle identity is always evaluated as the fully cyclic
-sum in (e, e', e''), and the report records that convention.  Each
-residual is summed over the nonzero products of the constants of n and h,
-omega and phi, never over dense (dim n, dim h, dim h, dim h) tensors.
+sum in (e, e', e''), and the report records that convention.  omega and
+phi are stored as their nonzeros, like the constants of n and h; each
+residual is summed over the nonzero products of those four, never over
+dense (dim n, dim h, dim h, dim h) tensors, and :func:`build_extension`
+writes the constants of n + h by offsetting their nonzeros.
 
 The coadjoint action of the extension on the direct sum of the predual
 models decomposes into dual maps of phi and omega; those dual maps are
@@ -27,7 +29,7 @@ also what the predual-closure check measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,14 +41,15 @@ from .errors import (
     SectionInconsistencyError,
 )
 from .linalg import (
+    Coo,
+    as_coo,
     complement_residual,
-    coo,
     cyclic_terms,
     join,
     max_abs_of_sum,
     orthonormal_columns,
 )
-from .tolerances import COMPATIBILITY_FAIL, COMPATIBILITY_PASS
+from .tolerances import COMPATIBILITY_FAIL, COMPATIBILITY_PASS, MAX_SPARSE_TERMS
 
 __all__ = [
     "SkewBilinearMap",
@@ -67,41 +70,46 @@ __all__ = [
 @dataclass(frozen=True)
 class SkewBilinearMap:
     """omega: h x h -> n with coefficients w[a, i, j], meaning
-    omega(e_i, e_j) = sum_a w[a, i, j] f_a in the basis of n.
-    Skew symmetry in (i, j) must hold exactly."""
+    omega(e_i, e_j) = sum_a w[a, i, j] f_a in the basis of n.  ``entries``
+    holds the nonzero w as a Coo (a dense array given instead is read
+    through its nonzeros); ``coeffs`` builds the dense array.  Skew
+    symmetry in (i, j) must hold exactly."""
 
     domain: LieAlgebra
     codomain: LieAlgebra
-    coeffs: np.ndarray
+    entries: Coo
 
     def __post_init__(self):
-        w = np.asarray(self.coeffs, dtype=self.codomain.dtype).copy()
+        w = as_coo(self.entries, self.codomain.dtype)
         dn, dh = self.codomain.dim, self.domain.dim
         if w.shape != (dn, dh, dh):
             raise DimensionMismatchError(f"omega shape {w.shape} != ({dn},{dh},{dh})")
         if _antisymmetry_residual(w) != 0.0:
             raise ValueError("omega coefficients are not skew symmetric")
-        w.setflags(write=False)
-        object.__setattr__(self, "coeffs", w)
+        object.__setattr__(self, "entries", w)
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        return self.entries.dense()
 
     def __call__(self, eta, eta2) -> np.ndarray:
-        eta = _coords(eta, self.domain.dim)
-        eta2 = _coords(eta2, self.domain.dim)
-        return np.einsum("aij,i,j->a", self.coeffs, eta, eta2)
+        return self.contract_left(eta) @ _coords(eta2, self.domain.dim)
 
     def contract_left(self, eta) -> np.ndarray:
         """Matrix of omega(eta, .): h -> n."""
-        eta = _coords(eta, self.domain.dim)
-        return np.einsum("aij,i->aj", self.coeffs, eta)
+        return self.entries.contract({1: _coords(eta, self.domain.dim)})
 
     @classmethod
     def zero(cls, h: LieAlgebra, n: LieAlgebra) -> "SkewBilinearMap":
-        return cls(h, n, np.zeros((n.dim, h.dim, h.dim), dtype=n.dtype))
+        return cls(h, n, Coo.of((n.dim, h.dim, h.dim), ([], [], []), [], n.dtype))
 
 
 @dataclass(frozen=True)
 class DerivationMap:
-    """phi: h -> End(n), one matrix per basis element of h.
+    """phi: h -> End(n), one matrix per basis element of h: ``entries``
+    holds the nonzero m[i, a, b], the f_a coefficient of phi(e_i) f_b, as a
+    Coo (a dense array given instead is read through its nonzeros);
+    ``mats`` builds the dense array.
 
     Whether each matrix actually is a derivation of n is reported by
     :func:`check_compatibility` (and enforced by :func:`build_extension`),
@@ -110,54 +118,50 @@ class DerivationMap:
 
     domain: LieAlgebra
     codomain: LieAlgebra
-    mats: np.ndarray
+    entries: Coo
 
     def __post_init__(self):
-        m = np.asarray(self.mats, dtype=self.codomain.dtype).copy()
+        m = as_coo(self.entries, self.codomain.dtype)
         dn, dh = self.codomain.dim, self.domain.dim
         if m.shape != (dh, dn, dn):
             raise DimensionMismatchError(f"phi shape {m.shape} != ({dh},{dn},{dn})")
-        m.setflags(write=False)
-        object.__setattr__(self, "mats", m)
+        object.__setattr__(self, "entries", m)
+
+    @property
+    def mats(self) -> np.ndarray:
+        return self.entries.dense()
 
     def __call__(self, eta) -> np.ndarray:
         """Matrix of phi(eta) acting on n coordinates."""
-        eta = _coords(eta, self.domain.dim)
-        return np.einsum("iab,i->ab", self.mats, eta)
+        return self.entries.contract({0: _coords(eta, self.domain.dim)})
 
     def applied_to(self, zeta) -> np.ndarray:
         """Matrix of the map y -> phi(y) zeta, from h to n."""
-        zeta = _coords(zeta, self.codomain.dim)
-        return np.einsum("iab,b->ai", self.mats, zeta)
+        return self.entries.contract({2: _coords(zeta, self.codomain.dim)}).T
 
     def derivation_residual(self) -> float:
         """Max defect of phi(e_i)[f_a, f_b] = [phi(e_i) f_a, f_b]
-        + [f_a, phi(e_i) f_b] over all basis indices."""
-        return _derivation_residual(self)
+        + [f_a, phi(e_i) f_b] over all basis indices, that is the max over
+        (i, c, a, b) of
+
+            sum_l m[i, c, l] cn[l, a, b] - cn[c, l, b] m[i, l, a]
+                                         - cn[c, a, l] m[i, l, b]
+
+        summed over nonzero products only."""
+        (mi, mr, mc), mv = self.entries.idx, self.entries.values
+        (nk, na, nb), nv = self.codomain.constants.idx, self.codomain.constants.values
+        p, q = join(mc, nk)  # m[i, c, l] cn[l, a, b]
+        lhs = (mi[p], mr[p], na[q], nb[q]), mv[p] * nv[q]
+        p, q = join(na, mr)  # cn[c, l, b] m[i, l, a]
+        left = (mi[q], nk[p], mc[q], nb[p]), -nv[p] * mv[q]
+        p, q = join(nb, mr)  # cn[c, a, l] m[i, l, b]
+        right = (mi[q], nk[p], na[p], mc[q]), -nv[p] * mv[q]
+        dh, dn = self.domain.dim, self.codomain.dim
+        return max_abs_of_sum((dh, dn, dn, dn), [lhs, left, right])
 
     @classmethod
     def zero(cls, h: LieAlgebra, n: LieAlgebra) -> "DerivationMap":
-        return cls(h, n, np.zeros((h.dim, n.dim, n.dim), dtype=n.dtype))
-
-
-def _derivation_residual(phi: DerivationMap) -> float:
-    """D[f_a, f_b] - [D f_a, f_b] - [f_a, D f_b] over D = phi(e_i), as the
-    max over (i, c, a, b) of
-
-        sum_l m[i, c, l] cn[l, a, b] - cn[c, l, b] m[i, l, a]
-                                     - cn[c, a, l] m[i, l, b]
-
-    summed over nonzero products only."""
-    (mi, mr, mc), mv = coo(phi.mats)
-    (nk, na, nb), nv = coo(phi.codomain.structure_constants)
-    p, q = join(mc, nk)  # m[i, c, l] cn[l, a, b]
-    lhs = (mi[p], mr[p], na[q], nb[q]), mv[p] * nv[q]
-    p, q = join(na, mr)  # cn[c, l, b] m[i, l, a]
-    left = (mi[q], nk[p], mc[q], nb[p]), -nv[p] * mv[q]
-    p, q = join(nb, mr)  # cn[c, a, l] m[i, l, b]
-    right = (mi[q], nk[p], na[p], mc[q]), -nv[p] * mv[q]
-    dh, dn = phi.domain.dim, phi.codomain.dim
-    return max_abs_of_sum((dh, dn, dn, dn), [lhs, left, right])
+        return cls(h, n, Coo.of((h.dim, n.dim, n.dim), ([], [], []), [], n.dtype))
 
 
 @dataclass(frozen=True)
@@ -172,12 +176,9 @@ class ExtensionSpec:
     h_pairing: DualPairing
 
     def __post_init__(self):
-        if self.omega.domain is not self.h and self.omega.domain.dim != self.h.dim:
-            raise DimensionMismatchError("omega domain does not match h")
-        if self.omega.codomain is not self.n and self.omega.codomain.dim != self.n.dim:
-            raise DimensionMismatchError("omega codomain does not match n")
-        if self.phi.mats.shape != (self.h.dim, self.n.dim, self.n.dim):
-            raise DimensionMismatchError("phi shape does not match (h, n)")
+        dn, dh = self.n.dim, self.h.dim
+        if self.omega.entries.shape != (dn, dh, dh) or self.phi.entries.shape != (dh, dn, dn):
+            raise DimensionMismatchError(f"omega or phi does not match dims (n, h) = ({dn}, {dh})")
         if self.n_pairing.algebra.dim != self.n.dim:
             raise DimensionMismatchError("n_pairing does not match n")
         if self.h_pairing.algebra.dim != self.h.dim:
@@ -225,10 +226,6 @@ class Section:
         object.__setattr__(self, "ideal_basis", nb)
         object.__setattr__(self, "matrix", s)
 
-    @property
-    def dim_h(self) -> int:
-        return self.matrix.shape[1]
-
     def decompose(self, xi) -> tuple[np.ndarray, np.ndarray]:
         """Split an ambient vector as ideal part + section part; returns
         (ideal coordinates, quotient coordinates)."""
@@ -240,12 +237,8 @@ class Section:
 
 def _ideal_residual(g: LieAlgebra, ideal_basis: np.ndarray) -> float:
     """Largest component of [g, ideal] outside span(ideal)."""
-    vecs = []
-    eye = np.eye(g.dim, dtype=g.dtype)
-    for i in range(g.dim):
-        for c in range(ideal_basis.shape[1]):
-            vecs.append(g.bracket(eye[i], ideal_basis[:, c]))
-    return complement_residual(np.column_stack(vecs), ideal_basis)
+    brackets = np.einsum("kij,jc->kic", g.structure_constants, ideal_basis)
+    return complement_residual(brackets.reshape(g.dim, -1), ideal_basis)
 
 
 def section_to_data(
@@ -266,49 +259,25 @@ def section_to_data(
     if res > 1e-10:
         raise NotAnIdealError(f"[g, ideal] escapes span(ideal) by {res:g}")
 
+    # ideal then quotient coordinates of [b_i, b_j] for the basis b of the
+    # ideal followed by the section image, as Section.decompose splits them
     dn = ideal.shape[1]
-    dh = section.dim_h
-    s = section.matrix
-
-    # subalgebra structure constants on the ideal
-    cn = np.zeros((dn, dn, dn), dtype=g.dtype)
-    for i in range(dn):
-        for j in range(dn):
-            v = g.bracket(ideal[:, i], ideal[:, j])
-            zi, qi = section.decompose(v)
-            if np.max(np.abs(qi)) > 1e-10:
-                raise NotAnIdealError("ideal is not closed under the bracket")
-            cn[:, i, j] = zi
-    n_alg = LieAlgebra(cn, name="ideal", scalar_field=g.scalar_field)
-
-    # quotient structure constants through the section
-    ch = np.zeros((dh, dh, dh), dtype=g.dtype)
-    wm = np.zeros((dn, dh, dh), dtype=g.dtype)
-    for i in range(dh):
-        for j in range(dh):
-            v = g.bracket(s[:, i], s[:, j])
-            zi, qi = section.decompose(v)
-            ch[:, i, j] = qi
-            # omega = [se, se'] - s[e, e']; the s[e, e'] part has no ideal
-            # component, so the ideal coordinates of v are omega itself
-            wm[:, i, j] = zi
-    h_alg = LieAlgebra(ch, name="quotient", scalar_field=g.scalar_field)
-
-    mats = np.zeros((dh, dn, dn), dtype=g.dtype)
-    for i in range(dh):
-        for a in range(dn):
-            v = g.bracket(s[:, i], ideal[:, a])
-            zi, qi = section.decompose(v)
-            if np.max(np.abs(qi)) > 1e-10:
-                raise SectionInconsistencyError(
-                    "[s(e), ideal] escapes the span of the ideal"
-                )
-            mats[i, :, a] = zi
-
-    # enforce exact skewness of the extracted cocycle
-    wm = 0.5 * (wm - wm.transpose(0, 2, 1))
-    omega = SkewBilinearMap(h_alg, n_alg, wm)
-    phi = DerivationMap(h_alg, n_alg, mats)
+    full = np.hstack([section.ideal_basis, section.matrix])
+    brackets = np.einsum("kab,ai,bj->kij", g.structure_constants, full, full)
+    brackets = 0.5 * (brackets - brackets.transpose(0, 2, 1))  # exactly skew
+    coords = np.linalg.solve(full, brackets.reshape(g.dim, -1)).reshape(brackets.shape)
+    z, q = coords[:dn], coords[dn:]
+    if np.max(np.abs(q[:, :dn, :dn]), initial=0.0) > 1e-10:
+        raise NotAnIdealError("ideal is not closed under the bracket")
+    if np.max(np.abs(q[:, dn:, :dn]), initial=0.0) > 1e-10:
+        raise SectionInconsistencyError("[s(e), ideal] escapes the span of the ideal")
+    n_alg = LieAlgebra(z[:, :dn, :dn], name="ideal", scalar_field=g.scalar_field)
+    h_alg = LieAlgebra(q[:, dn:, dn:], name="quotient", scalar_field=g.scalar_field)
+    # omega = [se, se'] - s[e, e']; the s[e, e'] part has no ideal component,
+    # so the ideal coordinates of [se, se'] are omega itself; phi(e_i) f_a
+    # has the ideal coordinates of [s e_i, f_a]
+    omega = SkewBilinearMap(h_alg, n_alg, z[:, dn:, dn:])
+    phi = DerivationMap(h_alg, n_alg, z[:, dn:, :dn].transpose(1, 0, 2))
     return omega, phi
 
 
@@ -343,26 +312,19 @@ class CompatibilityReport:
         return "indeterminate"
 
     def as_dict(self) -> dict:
-        return {
-            "derivation_residual": self.derivation_residual,
-            "cocycle_residual": self.cocycle_residual,
-            "representation_residual": self.representation_residual,
-            "max_residual": self.max_residual,
-            "verdict": self.verdict,
-            "cocycle_convention": self.cocycle_convention,
-        }
+        return {**asdict(self), "max_residual": self.max_residual, "verdict": self.verdict}
 
 
 def check_compatibility(spec: ExtensionSpec) -> CompatibilityReport:
     """The three residuals; each is the max norm of a sum of products of
     nonzero coefficients, grouped by output index."""
     dn, dh = spec.n.dim, spec.h.dim
-    (hk, hi, hj), hv = coo(spec.h.structure_constants)
-    (nk, na, nb), nv = coo(spec.n.structure_constants)
-    (wa, wi, wj), wv = coo(spec.omega.coeffs)
-    (mi, mr, mc), mv = coo(spec.phi.mats)
+    (hk, hi, hj), hv = spec.h.constants.idx, spec.h.constants.values
+    (nk, na, nb), nv = spec.n.constants.idx, spec.n.constants.values
+    (wa, wi, wj), wv = spec.omega.entries.idx, spec.omega.entries.values
+    (mi, mr, mc), mv = spec.phi.entries.idx, spec.phi.entries.values
 
-    deriv = _derivation_residual(spec.phi)
+    deriv = spec.phi.derivation_residual()
 
     # cyclic cocycle identity, at (a, i, j, k):
     #   sum_cyc omega([e_i, e_j], e_k) - sum_cyc phi(e_i) omega(e_j, e_k)
@@ -403,18 +365,22 @@ def build_extension(
                 f"compatibility residual {report.max_residual:g} "
                 f"(verdict: {report.verdict})"
             )
-    dn, dh = spec.n.dim, spec.h.dim
-    d = dn + dh
-    dtype = complex if spec.scalar_field == "complex" else float
-    m = spec.phi.mats
-    c = np.zeros((d, d, d), dtype=dtype)
-    c[:dn, :dn, :dn] = spec.n.structure_constants
-    # [zeta, eta'] contributes -phi(eta') zeta; [eta, zeta'] gives +phi
-    c[:dn, :dn, dn:] = -m.transpose(1, 2, 0)
-    c[:dn, dn:, :dn] = m.transpose(1, 0, 2)
-    c[:dn, dn:, dn:] = spec.omega.coeffs
-    c[dn:, dn:, dn:] = spec.h.structure_constants
-    c.setflags(write=False)  # LieAlgebra keeps a read-only array without a copy
+    dn = spec.n.dim
+    (nk, na, nb), nv = spec.n.constants.idx, spec.n.constants.values
+    (hk, hi, hj), hv = spec.h.constants.idx, spec.h.constants.values
+    (wa, wi, wj), wv = spec.omega.entries.idx, spec.omega.entries.values
+    (mi, mr, mc), mv = spec.phi.entries.idx, spec.phi.entries.values
+    # the five blocks of (k, i, j, value), h indices offset by dn:
+    # [zeta, eta'] contributes -phi(eta') zeta and [eta, zeta'] +phi(eta) zeta'
+    blocks = (
+        (nk, na, nb, nv),
+        (mr, mc, dn + mi, -mv),
+        (mr, dn + mi, mc, mv),
+        (wa, dn + wi, dn + wj, wv),
+        (dn + hk, dn + hi, dn + hj, hv),
+    )
+    k, i, j, v = (np.concatenate(col) for col in zip(*blocks))
+    c = Coo.of((dn + spec.h.dim,) * 3, (k, i, j), v)
     labels = tuple(f"n:{l}" for l in spec.n.basis_labels) + tuple(
         f"h:{l}" for l in spec.h.basis_labels
     )
@@ -487,11 +453,24 @@ class ClosureReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "phi_star_into_c": self.phi_star_into_c,
-            "phi_slot_star_into_a": self.phi_slot_star_into_a,
-            "omega_star_into_a": self.omega_star_into_a,
-        }
+        return asdict(self)
+
+
+def _dual_residual(row, block, summed, values, y, gram, basis) -> float:
+    """Largest component outside span(basis) of gram^-T r over the columns
+    r, one per (block, u), of sum values * y[summed, u] over the entries at
+    each row.  Blocks that no entry has are left out; the others are formed,
+    solved and projected at most ``MAX_SPARSE_TERMS`` values of r at once."""
+    blocks, col = np.unique(block, return_inverse=True)
+    per = max(1, min(blocks.size, MAX_SPARSE_TERMS // (len(gram) * max(1, y.shape[1]))))
+    worst = 0.0
+    for start in range(0, blocks.size, per):
+        pick = (col >= start) & (col < start + per)
+        rhs = np.zeros((len(gram), per, y.shape[1]), dtype=np.result_type(values, y))
+        np.add.at(rhs, (row[pick], col[pick] - start), values[pick, None] * y[summed[pick]])
+        rhs = np.linalg.solve(gram.T, rhs.reshape(len(gram), -1))
+        worst = max(worst, complement_residual(rhs, basis))
+    return worst
 
 
 def check_predual_closure(
@@ -506,22 +485,19 @@ def check_predual_closure(
     span(a_sub), and of omega(eta, .)* c outside span(a_sub), over basis
     eta, zeta and an orthonormal basis of c_sub.
 
-    Each family is one batched product over all basis elements and all
-    columns u, followed by one solve against the source gram.
+    Each family is a product over the nonzeros of phi or omega and all
+    columns u, formed, solved against the source gram and projected in
+    blocks of at most ``MAX_SPARSE_TERMS`` values.
     """
     gn, gh = spec.n_pairing.gram, spec.h_pairing.gram
     cq = orthonormal_columns(np.asarray(c_sub, dtype=gn.dtype))
     aq = np.asarray(a_sub, dtype=gh.dtype)
-    m, w = spec.phi.mats, spec.omega.coeffs
-    dn, dh = spec.n.dim, spec.h.dim
-
+    (mi, ma, mb), mv = spec.phi.entries.idx, spec.phi.entries.values
+    (wa, wi, wj), wv = spec.omega.entries.idx, spec.omega.entries.values
     y = gn.T @ cq  # <u, .> on n for every column u, as coordinates
-    # phi(e_i)^T y, (phi(.) f_j)^T y and omega(e_i, .)^T y, for all i, j, u
-    phi_rhs = np.einsum("iab,au->biu", m, y, optimize=True).reshape(dn, -1)
-    slot_rhs = np.einsum("iaj,au->iju", m, y, optimize=True).reshape(dh, -1)
-    omega_rhs = np.einsum("aij,au->jiu", w, y, optimize=True).reshape(dh, -1)
-
-    r_phi = complement_residual(np.linalg.solve(gn.T, phi_rhs), cq)
-    r_slot = complement_residual(np.linalg.solve(gh.T, slot_rhs), aq)
-    r_omega = complement_residual(np.linalg.solve(gh.T, omega_rhs), aq)
-    return ClosureReport(r_phi, r_slot, r_omega)
+    # phi(e_i)^T y, (phi(.) f_b)^T y and omega(e_i, .)^T y, for all i, b, u
+    return ClosureReport(
+        _dual_residual(mb, mi, ma, mv, y, gn, cq),
+        _dual_residual(mi, mb, ma, mv, y, gh, aq),
+        _dual_residual(wj, wi, wa, wv, y, gh, aq),
+    )

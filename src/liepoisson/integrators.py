@@ -28,7 +28,7 @@ Hamiltonians, quadratic Casimirs) up to the Newton tolerance per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -185,14 +185,16 @@ def integrate_flow(
 
     record(0, y)
     midpoint = _MidpointSolver(field_fn, y.size, cfg) if cfg.method == "midpoint" else None
-    for i in range(1, n_steps + 1):
-        if cfg.method == "rk4":
-            y = _rk4_step(field_fn, y, cfg.dt)
-        else:
-            y = midpoint.step(y, i)
-        if not np.isfinite(y).all():
-            raise NumericBlowupError("state left the range of finite floats", i)
-        record(i, y)
+    # the finiteness check below reports a blow-up; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n_steps + 1):
+            if cfg.method == "rk4":
+                y = _rk4_step(field_fn, y, cfg.dt)
+            else:
+                y = midpoint.step(y, i)
+            if not np.isfinite(y).all():
+                raise NumericBlowupError("state left the range of finite floats", i)
+            record(i, y)
     return Trajectory(times, states, tracked)
 
 
@@ -205,11 +207,7 @@ class SeriesDrift:
     slope: float
 
     def as_dict(self) -> dict:
-        return {
-            "max_drift": self.max_drift,
-            "relative_drift": self.relative_drift,
-            "slope": self.slope,
-        }
+        return asdict(self)
 
 
 def conservation_report(traj: Trajectory) -> dict[str, SeriesDrift]:

@@ -1,23 +1,30 @@
 """Small subspace utilities shared by the sequence and extension checks,
-and the sparse contractions behind the algebraic identity checks.
+and the sparse arrays behind the structure constants and cocycle data.
 
-The identity checks read a dense array through its nonzeros (COO index
-arrays), pair up the nonzeros of two factors that share a summation index
-(:func:`join`), and add the products that land on the same output index
-(:func:`max_abs_of_sum`).  Their cost grows with the number of nonzero
-products, not with the dense size of the tensors they stand for.
+Structure constants, omega and phi are stored as their nonzeros only
+(:class:`Coo`).  The identity checks pair up the nonzeros of two factors
+that share a summation index (:func:`join`, which refuses to form more
+than ``MAX_SPARSE_TERMS`` products) and add the products that land on the
+same output index (:func:`max_abs_of_sum`).  Their cost grows with the
+number of nonzero products, not with the dense size of the tensors.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from .errors import SizeLimitError
+from .tolerances import MAX_SPARSE_TERMS
 
 __all__ = [
     "orthonormal_columns",
     "projector",
     "complement_residual",
     "projector_distance",
-    "coo",
+    "Coo",
+    "as_coo",
     "join",
     "sum_by_key",
     "max_abs_of_sum",
@@ -65,20 +72,67 @@ def projector_distance(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     return float(np.linalg.norm(pa - pb, 2))
 
 
-def coo(a: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Nonzero entries of a dense array: one index array per axis, and the
-    values, in row-major order."""
+@dataclass(frozen=True)
+class Coo:
+    """The nonzero entries of an array of ``shape``: one index array per
+    axis and the values, in row-major order of the indices, each index
+    once.  :meth:`of` builds one of read-only arrays that it owns, so a
+    caller's arrays are never frozen; :meth:`dense` builds the array."""
+
+    shape: tuple[int, ...]
+    idx: tuple[np.ndarray, ...]
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, shape, idx, values, dtype=None) -> "Coo":
+        """The array with ``values`` at ``idx``, given in any order: values
+        at a repeated index are summed in the order given, zeros dropped."""
+        keys = np.ravel_multi_index(tuple(np.asarray(i, dtype=np.intp) for i in idx), shape)
+        keys, v = sum_by_key(keys, np.broadcast_to(np.asarray(values, dtype=dtype), keys.shape))
+        idx, v = np.unravel_index(keys[v != 0], shape), v[v != 0]
+        for a in (*idx, v):
+            a.setflags(write=False)
+        return cls(tuple(shape), idx, v)
+
+    def dense(self) -> np.ndarray:
+        """The array itself, built on each call."""
+        a = np.zeros(self.shape, dtype=self.values.dtype)
+        a[self.idx] = self.values
+        return a
+
+    def contract(self, vectors: dict[int, np.ndarray]) -> np.ndarray:
+        """The dense array over the axes not in ``vectors``, each axis in
+        it summed against its vector."""
+        v = self.values
+        for axis, x in vectors.items():
+            v = v * np.asarray(x)[self.idx[axis]]
+        rest = [a for a in range(len(self.shape)) if a not in vectors]
+        out = np.zeros([self.shape[a] for a in rest], dtype=v.dtype)
+        np.add.at(out, tuple(self.idx[a] for a in rest), v)
+        return out
+
+
+def as_coo(a, dtype=None) -> Coo:
+    """``a`` as a Coo with values of ``dtype`` (by default its own): a Coo
+    is kept (its values converted if their dtype differs), a dense array is
+    read through its nonzeros."""
+    if isinstance(a, Coo):
+        return a if dtype in (None, a.values.dtype) else Coo.of(a.shape, a.idx, a.values, dtype)
+    a = np.asarray(a, dtype=dtype)
     idx = np.nonzero(a)
-    return idx, a[idx]
+    return Coo.of(a.shape, idx, a[idx])
 
 
 def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of positions (p, q) with ``left[p] == right[q]``, for two
-    integer key arrays; the pairs of a sparse product summed over the key."""
+    integer key arrays; the pairs of a sparse product summed over the key.
+    More than ``MAX_SPARSE_TERMS`` pairs are refused before any is formed."""
     order = np.argsort(right, kind="stable")
     keys = right[order]
     lo = np.searchsorted(keys, left, "left")
     counts = np.searchsorted(keys, left, "right") - lo
+    if (total := int(counts.sum())) > MAX_SPARSE_TERMS:
+        raise SizeLimitError(f"would pair {total} nonzero products, more than {MAX_SPARSE_TERMS}")
     p = np.repeat(np.arange(left.size), counts)
     offset = np.arange(p.size) - np.repeat(np.cumsum(counts) - counts, counts)
     return p, order[np.repeat(lo, counts) + offset]

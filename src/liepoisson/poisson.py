@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import DualPairing, LieAlgebra, _coords, bracket_eval
 from .errors import NumericDomainError
 from .extension import ExtensionSpec, coadjoint_extension
-from .linalg import coo, join, sum_by_key
+from .linalg import Coo, join
 from .tolerances import FD_STEP
 
 __all__ = [
@@ -85,6 +85,7 @@ def fd_gradient(fun: Callable[[np.ndarray], float], b: np.ndarray, step: float) 
     b = np.asarray(b)
     h = step * max(1.0, float(np.linalg.norm(b)))
     n = b.shape[0]
+    eye = np.eye(n)
 
     def probe(direction):
         fp = fun(b + h * direction)
@@ -95,12 +96,10 @@ def fd_gradient(fun: Callable[[np.ndarray], float], b: np.ndarray, step: float) 
 
     if np.iscomplexobj(b):
         out = np.zeros(n, dtype=complex)
-        eye = np.eye(n)
         for k in range(n):
             out[k] = probe(eye[k].astype(complex)) - 1j * probe(1j * eye[k])
         return out
     out = np.zeros(n)
-    eye = np.eye(n)
     for k in range(n):
         out[k] = probe(eye[k])
     return out
@@ -192,12 +191,12 @@ def hamiltonian_field(
     d = alg.dim
     (m, i, l), v = pairing.coadjoint_tensor
     a, x0 = (np.asarray(part, dtype=alg.dtype) for part in h.affine)
-    (ai, ap), av = coo(a)
+    ai, ap = np.nonzero(a)
+    av = a[ai, ap]
     s, t = join(i, ai)
     lo, hi = np.minimum(ap[t], l[s]), np.maximum(ap[t], l[s])
-    keys, qv = sum_by_key(np.ravel_multi_index((m[s], lo, hi), (d, d, d)), v[s] * av[t])
-    keys, qv = keys[qv != 0], qv[qv != 0]
-    qm, qp, ql = np.unravel_index(keys, (d, d, d))
+    q = Coo.of((d, d, d), (m[s], lo, hi), v[s] * av[t])
+    (qm, qp, ql), qv = q.idx, q.values
     rows, starts = np.unique(qm, return_index=True)
     lin = np.zeros((d, d), dtype=v.dtype)
     np.add.at(lin, (m, l), v * x0[i])

@@ -40,6 +40,7 @@ import numpy as np
 
 from .algebra import DualPairing, _coords, abelian, gl, matrix_trace_gram, realify
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
+from .linalg import Coo
 from .poisson import SmoothFunction, slot_derivatives
 
 __all__ = [
@@ -120,15 +121,12 @@ def semidirect_extension_spec(n: int) -> ExtensionSpec:
     n_alg = abelian(2 * n)
     h_c = gl(n, scalar_field="complex")
     h_alg = realify(h_c)
-    dh = h_alg.dim  # 2 n^2
-    mats = np.zeros((dh, 2 * n, 2 * n))
-    for idx in range(n * n):
-        i, j = divmod(idx, n)
-        e = np.zeros((n, n))
-        e[i, j] = 1.0
-        # action of E_ij and of i E_ij on realified vectors (Re, Im)
-        mats[idx] = np.block([[e, np.zeros((n, n))], [np.zeros((n, n)), e]])
-        mats[n * n + idx] = np.block([[np.zeros((n, n)), -e], [e, np.zeros((n, n))]])
+    i, j = np.indices((n, n)).reshape(2, -1)
+    e = i * n + j
+    # action of E_ij and of i E_ij on realified vectors (Re, Im): E_ij on
+    # both parts, and -E_ij from Im to Re, E_ij from Re to Im
+    idx = np.r_[e, e, n * n + e, n * n + e], np.r_[i, n + i, i, n + i], np.r_[j, n + j, n + j, j]
+    mats = Coo.of((h_alg.dim, 2 * n, 2 * n), idx, np.repeat([1.0, 1.0, -1.0, 1.0], n * n))
     phi = DerivationMap(h_alg, n_alg, mats)
     omega = SkewBilinearMap.zero(h_alg, n_alg)
 

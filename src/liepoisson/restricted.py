@@ -48,7 +48,7 @@ d/dRe - i d/dIm.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .algebra import (
 )
 from .errors import DimensionMismatchError
 from .extension import DerivationMap, ExtensionSpec, SkewBilinearMap
+from .linalg import Coo
 from .poisson import SmoothFunction, slot_derivatives
 
 __all__ = [
@@ -125,12 +126,7 @@ class BlockOperator:
 
     @classmethod
     def zero(cls, n_plus: int, n_minus: int) -> "BlockOperator":
-        return cls(
-            np.zeros((n_plus, n_plus)),
-            np.zeros((n_plus, n_minus)),
-            np.zeros((n_minus, n_plus)),
-            np.zeros((n_minus, n_minus)),
-        )
+        return cls.from_full(np.zeros((n_plus + n_minus,) * 2), n_plus)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return BlockOperator(
@@ -232,18 +228,9 @@ def restricted_dual_maps(
         raise DimensionMismatchError("kappa does not match n+")
     rho = np.asarray(rho)
     phi_star = -_comm(x.pp, kappa)
-    phidot_star = BlockOperator(
-        _comm(rho, kappa),
-        np.zeros((n_plus, n_minus)),
-        np.zeros((n_minus, n_plus)),
-        np.zeros((n_minus, n_minus)),
-    )
-    omega_star = BlockOperator(
-        np.zeros((n_plus, n_plus)),
-        kappa @ x.pm,
-        -x.mp @ kappa,
-        np.zeros((n_minus, n_minus)),
-    )
+    zero = BlockOperator.zero(n_plus, n_minus)
+    phidot_star = replace(zero, pp=_comm(rho, kappa))
+    omega_star = replace(zero, pm=kappa @ x.pm, mp=-x.mp @ kappa)
     return phi_star, phidot_star, omega_star
 
 
@@ -360,17 +347,16 @@ def restricted_extension_spec(n_plus: int, n_minus: int) -> ExtensionSpec:
     h_alg = gl(n, scalar_field="complex")
 
     dn, dh = n_plus * n_plus, n * n
-    w = np.zeros((dn, dh, dh), dtype=complex)
     p, q, r = np.indices((n_plus, n_minus, n_plus)).reshape(3, -1)
-    q = q + n_plus
-    w[p * n_plus + r, p * n + q, q * n + r] = 1.0
-    w[p * n_plus + r, q * n + r, p * n + q] = -1.0
+    pq, qr = p * n + q + n_plus, (q + n_plus) * n + r
+    idx = np.r_[p * n_plus + r, p * n_plus + r], np.r_[pq, qr], np.r_[qr, pq]
+    w = Coo.of((dn, dh, dh), idx, np.repeat([1.0, -1.0], p.size), complex)
 
     # phi(E_pq) rho = E_pq rho - rho E_pq on row-major coordinates of rho
-    mats = np.zeros((dh, dn, dn), dtype=complex)
     p, q, b = np.indices((n_plus,) * 3).reshape(3, -1)
-    np.add.at(mats, (p * n + q, p * n_plus + b, q * n_plus + b), 1.0)
-    np.add.at(mats, (p * n + q, b * n_plus + q, b * n_plus + p), -1.0)
+    e = p * n + q
+    idx = np.r_[e, e], np.r_[p * n_plus + b, b * n_plus + q], np.r_[q * n_plus + b, b * n_plus + p]
+    mats = Coo.of((dh, dn, dn), idx, np.repeat([1.0, -1.0], p.size), complex)
 
     n_pairing = DualPairing(n_alg, matrix_trace_gram(n_plus).astype(complex))
     h_pairing = DualPairing(h_alg, matrix_trace_gram(n).astype(complex))

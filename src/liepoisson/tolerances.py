@@ -38,8 +38,8 @@ NEWTON_CONTRACTION = 0.5
 # float64 that is 80 MB, and about 250 MB of CSV text.
 MAX_TRAJECTORY_VALUES = 10_000_000
 
-# Largest number of dense values that one array built from a config may
-# hold: dim^3 structure constants of a builtin or inline algebra or of the
-# built extension (dim n + dim h), or the W*-split's basis.  As complex128
-# that is 512 MB.  Sizes beyond it are refused before anything is built.
-MAX_STRUCTURE_VALUES = 2**25
+# Largest number of terms one array built from a config, or one join, may
+# hold: the CLI counts the values its builders will write (the built
+# extension's d^2 gram, more than its nonzero constants, or the W*-split's
+# basis), linalg.join the nonzero products of a join (~270 bytes each).
+MAX_SPARSE_TERMS = 2**20

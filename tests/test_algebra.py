@@ -212,7 +212,6 @@ def test_builtin_constructors():
     assert la.builtin_algebra("so3").dim == 3
     assert la.builtin_algebra("gl3").dim == 9
     assert la.builtin_algebra("abelian5").dim == 5
-    assert la.builtin_algebra({"builtin": "gl", "n": 2}).dim == 4
     with pytest.raises(KeyError):
         la.builtin_algebra("sp4")
 

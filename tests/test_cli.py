@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -492,6 +493,11 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("attach-algebras-unknown-space", "verify",
      _with(SHIPPED["sequence.json"], "sequence.attach_algebras", {"x": "so3"}),
      "sequence.attach_algebras.x"),
+    ("sequence-first-complex", "verify",
+     _with(SHIPPED["sequence.json"], "sequence.first",
+           [[[1, 5], *SHIPPED["sequence.json"]["sequence"]["first"][0][1:]],
+            *SHIPPED["sequence.json"]["sequence"]["first"][1:]]),
+     "sequence.first"),
 ]
 
 
@@ -547,17 +553,20 @@ def test_structure_bound_is_checked_before_building(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli.restricted, "restricted_extension_spec", stop)
     monkeypatch.setattr(cli.quantum, "semidirect_extension_spec", stop)
     monkeypatch.setattr(cli, "builtin_algebra", stop)
+    # every builtin, restricted and semidirect size is refused by the d^2
+    # values of the built extension's gram, which outnumber its nonzeros
     cases = [  # (system, body, exit code, field of a refusal)
-        ("restricted", {"n_plus": 9, "n_minus": 9}, 2, "restricted.n_plus"),
-        ("restricted", {"n_plus": 12, "n_minus": 12}, 2, "restricted.n_plus"),
-        ("restricted", {"n_plus": 1, "n_minus": 20}, 2, "restricted.n_minus"),
+        ("restricted", {"n_plus": 15, "n_minus": 15}, 2, "restricted.n_plus"),
+        ("restricted", {"n_plus": 40, "n_minus": 40}, 2, "restricted.n_plus"),
+        ("restricted", {"n_plus": 1, "n_minus": 31}, 2, "restricted.n_minus"),
         ("restricted", {"n_plus": 3, "n_minus": 2}, 1, None),
-        ("semidirect_qm", {"n": 13}, 2, "semidirect_qm.n"),
+        ("semidirect_qm", {"n": 23}, 2, "semidirect_qm.n"),
         ("semidirect_qm", {"n": 2}, 1, None),
         ("extension", {"n": "gl1000", "h": "so3"}, 2, "extension.n"),
-        ("extension", {"n": {"builtin": "abelian", "n": 400}, "h": "so3"}, 2, "extension.n"),
+        ("extension", {"n": {"dim": 3}, "h": "gl32"}, 2, "extension.h"),
+        ("extension", {"n": {"builtin": "abelian", "n": 2000}, "h": "so3"}, 2, "extension.n"),
         ("extension", {"n": {"dim": 10**6}, "h": "so3"}, 2, "extension.n.dim"),
-        ("extension", {"n": {"dim": 3}, "h": {"dim": 320}}, 2, "extension.h.dim"),
+        ("extension", {"n": {"dim": 3}, "h": {"dim": 1100}}, 2, "extension.h.dim"),
     ]
     for system, body, code, field in cases:
         doc = {"system": system, system: body, "checks": ["compatibility"]}
@@ -565,8 +574,71 @@ def test_structure_bound_is_checked_before_building(tmp_path, capsys, monkeypatc
         err = capsys.readouterr().err
         assert field is None or f"(field: {field})" in err, err
     assert built == [(3, 2), (2,)]
-    for workload_size in ((4, 4), (8, 8)):  # the largest benchmark size, the largest admitted
+    for workload_size in ((4, 4), (14, 14)):  # the largest benchmark size, the largest admitted
         assert cli._restricted_dims(cli._Node(dict(zip(("n_plus", "n_minus"), workload_size))))
+
+    # a dense inline algebra of dim 20: its Jacobi join would pair 2.9 million
+    # nonzero products, and is refused before it forms them
+    rng = np.random.default_rng(3)
+    dense = [[k, i, j, float(rng.normal())]
+             for k in range(20) for i in range(20) for j in range(i + 1, 20)]
+    doc = {"system": "extension", "extension": {"n": {"dim": 20, "structure_constants": dense},
+                                                "h": "abelian1"}}
+    tracemalloc.start()
+    try:
+        code = cli.run_cli(["verify", write(tmp_path, "dense.json", doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "(field: extension.n)" in capsys.readouterr().err
+    assert peak < 64 * 2**20
+
+
+def test_join_beyond_the_bound_names_the_size(tmp_path, capsys):
+    """A size that the builders admit but whose Jacobi join outgrows the
+    bound exits 2 naming the size, before the products are formed: the
+    built extension's join in the structure check, or the one that
+    validates a builtin algebra."""
+    cases = [
+        ({"system": "restricted", "restricted": {"n_plus": 14, "n_minus": 1},
+          "checks": ["structure"]}, "restricted.n_plus"),
+        ({"system": "extension", "extension": {"n": "gl24", "h": "so3"}}, "extension.n"),
+    ]
+    for doc, field in cases:
+        assert cli.run_cli(["verify", write(tmp_path, "big.json", doc)]) == 2
+        err = capsys.readouterr().err
+        assert "nonzero products" in err and f"(field: {field})" in err, err
+
+
+def test_builtin_dict_form_verifies(tmp_path, capsys):
+    doc = {"system": "extension",
+           "extension": {"n": "abelian1", "h": {"builtin": "gl", "n": 2}}}
+    assert cli.run_cli(["verify", write(tmp_path, "dict.json", doc)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+
+
+def test_repeated_triplets_last_write_wins(tmp_path, capsys):
+    """[k, i, j, v] sets v at (k, i, j) and -v at (k, j, i); a later entry at
+    either index overwrites both."""
+    for omega, value in (([[0, 0, 1, 1.0], [0, 1, 0, 3.0]], -3.0),
+                         ([[0, 1, 0, 3.0], [0, 0, 1, 1.0]], 1.0),
+                         ([[0, 0, 1, 1.0], [0, 0, 1, 0.0]], None)):
+        doc = {"system": "extension",
+               "extension": {"n": "abelian1", "h": "abelian2", "omega": omega}}
+        assert cli.run_cli(["bracket-table", write(tmp_path, "t.json", doc)]) == 0
+        table = json.loads(capsys.readouterr().out)["structure_constants"]
+        assert table == ([] if value is None else [[0, 1, 2, value]])
+
+
+def test_blown_up_flow_prints_only_the_error(tmp_path, capsys):
+    """A flow that leaves the finite floats exits 1 with one diagnostic;
+    numpy's overflow warnings on the way there are not printed."""
+    doc = _with(SHIPPED["restricted.json"], "integrator.dt", 1.5)
+    assert cli.run_cli(["simulate", write(tmp_path, "blow.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: state left the range of finite floats")
+    assert err.count("\n") == 1, err
 
 
 def test_cli_module_exits_2_without_traceback(tmp_path):

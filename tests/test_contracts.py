@@ -16,6 +16,7 @@ from liepoisson import algebra as la
 from liepoisson import cli
 from liepoisson import extension as ext
 from liepoisson import restricted as rs
+from liepoisson.linalg import Coo
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -78,16 +79,28 @@ def test_malformed_predual_rows_exit_2(tmp_path, capsys, key, rows):
     assert f"(field: extension.{key})" in err
 
 
+def _coo_arrays(coo):
+    return (*coo.idx, coo.values)
+
+
 def test_constants_are_owned_once():
-    """A read-only array is kept without a copy (build_extension hands over
-    the one it builds); a caller's writeable array is copied, not frozen."""
+    """Constants, omega and phi are stored once, as read-only COO arrays that
+    their Coo owns: a caller's arrays, dense or COO, are never frozen, and
+    build_extension's traced peak is bounded by the bytes of the COO it
+    writes, not by the dense d^3 array."""
     c = la.so3().structure_constants.copy()
-    alg = la.LieAlgebra(c)
-    assert c.flags.writeable and not np.shares_memory(alg.structure_constants, c)
-    c.setflags(write=False)
-    assert la.LieAlgebra(c).structure_constants is c
+    idx = np.nonzero(c)
+    values = c[idx]
+    for stored in (la.LieAlgebra(c).constants, Coo.of(c.shape, idx, values)):
+        assert not any(a.flags.writeable for a in _coo_arrays(stored))
+        caller = (c, *idx, values)
+        assert not any(np.shares_memory(a, b) for a in _coo_arrays(stored) for b in caller)
+        assert np.array_equal(stored.dense(), c)
+    assert all(a.flags.writeable for a in (c, *idx, values))
 
     spec = rs.restricted_extension_spec(3, 3)
+    for coo in (spec.n.constants, spec.h.constants, spec.omega.entries, spec.phi.entries):
+        assert not any(a.flags.writeable for a in _coo_arrays(coo))
     report = ext.check_compatibility(spec)
     tracemalloc.start()
     try:
@@ -95,8 +108,9 @@ def test_constants_are_owned_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not built.structure_constants.flags.writeable
-    assert peak < 1.5 * built.structure_constants.nbytes
+    coo_bytes = sum(a.nbytes for a in _coo_arrays(built.constants))
+    assert not any(a.flags.writeable for a in _coo_arrays(built.constants))
+    assert peak < 4 * coo_bytes < built.dim**3 * 16 / 10
 
 
 def test_benchmark_hooks_resolve():

@@ -474,8 +474,8 @@ def test_norm_squared_heisenberg_flow_satisfies_the_bracket_contract():
 def test_coadjoint_tensor_is_built_once_per_pairing(monkeypatch):
     e, p = cli._built(rs.restricted_extension_spec(3, 2))
     builds = []
-    coo = la.coo
-    monkeypatch.setattr(la, "coo", lambda a: builds.append(a.shape) or coo(a))
+    fold = la._coadjoint_entries
+    monkeypatch.setattr(la, "_coadjoint_entries", lambda c, g: builds.append(c.shape) or fold(c, g))
     h = cli._restricted_hamiltonian("quadratic", {}, (3, 2), p)
     rng = np.random.default_rng(35)
     b = rng.normal(size=e.dim) + 1j * rng.normal(size=e.dim)

@@ -294,6 +294,26 @@ def test_restricted_5x5_within_memory_bound(tmp_path, capsys):
     assert peak < 256 * 2**20
 
 
+def test_restricted_6x6_within_memory_bound(tmp_path, capsys):
+    """verify and a 10-step RK4 simulate on restricted (6, 6), each under a
+    96 MB traced peak: nothing of size d^3 or d^4 is built."""
+    doc = {"system": "restricted", "hamiltonian": {"name": "quadratic"},
+           "restricted": {"n_plus": 6, "n_minus": 6, "kappa0": {"constructor": "random"},
+                          "sigma0": {"constructor": "random_block"}},
+           "integrator": {"method": "rk4", "dt": 1e-3, "steps": 10}}
+    cfg = tmp_path / "r6.json"
+    cfg.write_text(json.dumps(doc))
+    for cmd in ("verify", "simulate"):
+        tracemalloc.start()
+        try:
+            code = cli.run_cli([cmd, str(cfg), "--out", str(tmp_path / cmd)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 96 * 2**20, (cmd, peak)
+
+
 # ---------------------------------------------------------------------------
 # CLI boundary
 # ---------------------------------------------------------------------------
