@@ -403,15 +403,13 @@ def _run_check(
         a_sub = _predual_basis(body.get("a_predual", None), spec.h)
         return check_predual_closure(spec, c_sub, a_sub).as_dict()
     if name == "exactness":
-        d = check_exact_sequence(_sequence_from_body(body)).as_dict()
-        d.pop("exact")
-        return d
+        rep = check_exact_sequence(_sequence_from_body(body)).as_dict()
+        return {k: v for k, v in rep.items() if k != "exact"}
     if name == "dual_map":
         seq = _sequence_from_body(body)
         dual = dual_sequence(seq)
         rep = check_exact_sequence(dual).as_dict()
-        rep.pop("exact")
-        out = {f"dual_{k}": float(v) for k, v in rep.items()}
+        out = {f"dual_{k}": float(v) for k, v in rep.items() if k != "exact"}
         # adjoint identity on random probes
         worst = 0.0
         for m in (seq.first, seq.second):
@@ -713,15 +711,17 @@ def _block(node: _Node, dims: tuple[int, int], seed: int) -> np.ndarray:
     """The full matrix of a block operator at ``dims``: the constructor
     {"constructor": "random_block", "seed": s}, or the four blocks
     {"pp", "pm", "mp", "mm"} as complex matrices."""
+    p, m = dims
+    shapes = {"pp": (p, p), "pm": (p, m), "mp": (m, p), "mm": (m, m)}
     if isinstance(node.value, dict) and "constructor" in node.value:
         kind = node["constructor"]
         if kind.value != "random_block":
             raise kind.error(f"unknown constructor {kind.value!r}")
         rng = np.random.default_rng(node.get("seed", seed).count(0))
-        return restricted.random_block(*dims, rng).to_full()
-    p, m = dims
-    shapes = {"pp": (p, p), "pm": (p, m), "mp": (m, p), "mm": (m, m)}
-    b = {key: node[key].cmatrix(shape) for key, shape in shapes.items()}
+        # independent standard complex gaussian blocks, each real part drawn first
+        b = {k: rng.normal(size=s) + 1j * rng.normal(size=s) for k, s in shapes.items()}
+    else:
+        b = {key: node[key].cmatrix(shape) for key, shape in shapes.items()}
     return np.block([[b["pp"], b["pm"]], [b["mp"], b["mm"]]])
 
 
@@ -776,8 +776,8 @@ def _integrator_config(doc: _Node) -> IntegratorConfig:
             newton_tol=cfg.get("newton_tol", 1e-12).number(),
             newton_max_iter=cfg.get("newton_max_iter", 50).count(1),
         )
-    except ValueError as exc:
-        raise cfg.error(f"bad integrator settings: {exc}")
+    except ValueError as exc:  # each message opens with the setting's name
+        raise cfg[str(exc).split()[0]].error(f"bad integrator settings: {exc}")
 
 
 def _csv(columns: list[str], table: np.ndarray) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import DimensionMismatchError, UnsupportedPresentationError
-from .linalg import complement_residual, orthonormal_columns, projector_distance
+from .linalg import complement_residual, projector_distance
 from .tolerances import SUBSPACE_TOL
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "MatrixStarAlgebra",
     "CentralSplitReport",
     "wstar_central_split",
-    "predual_restriction_residual",
 ]
 
 
@@ -307,19 +306,3 @@ def wstar_central_split(
     iso_defect = comp_dim - int(np.linalg.matrix_rank(comp_basis))
 
     return CentralSplitReport(z, idem, central, image_res, cross, split, iso_defect)
-
-
-def predual_restriction_residual(
-    m: LinearMapRec, source_subspace: np.ndarray, target_subspace: np.ndarray
-) -> float:
-    """How far a map takes a designated subspace outside another.
-
-    Applies ``m`` to an orthonormal basis of ``source_subspace`` and
-    measures the largest component outside ``target_subspace``; 0 means the
-    restriction is well defined.  Used for the predual row of a dualized
-    sequence.
-    """
-    src = orthonormal_columns(source_subspace)
-    if src.shape[1] == 0:
-        return 0.0
-    return complement_residual(m.matrix @ src, target_subspace)

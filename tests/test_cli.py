@@ -202,7 +202,7 @@ def test_simulate_bad_integrator_exits_2(tmp_path, capsys):
     cfg = rigid_config()
     cfg["integrator"]["dt"] = -1.0
     assert cli.run_cli(["simulate", write(tmp_path, "rb.json", cfg)]) == 2
-    assert "integrator" in capsys.readouterr().err
+    assert "(field: integrator.dt)" in capsys.readouterr().err
 
 
 def test_verify_sequence_system(tmp_path, capsys):
@@ -400,7 +400,10 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("newton-max-iter-zero", "simulate",
      _with(rigid_config(), "integrator.newton_max_iter", 0), "integrator.newton_max_iter"),
     ("newton-tol-negative", "simulate",
-     _with(rigid_config(), "integrator.newton_tol", -1.0), "integrator"),
+     _with(rigid_config(), "integrator.newton_tol", -1.0), "integrator.newton_tol"),
+    ("dt-zero", "simulate", _with(rigid_config(), "integrator.dt", 0), "integrator.dt"),
+    ("method-unknown", "simulate",
+     _with(rigid_config(), "integrator.method", "euler"), "integrator.method"),
     ("steps-bool", "simulate", _with(rigid_config(), "integrator.steps", True), "integrator.steps"),
     ("dt-string", "simulate", _with(rigid_config(), "integrator.dt", "0.01"), "integrator.dt"),
     ("omega-value-bool", "verify",

@@ -1,7 +1,9 @@
 """Contracts that outlive any one implementation: verify and bracket-table
 bytes, the config boundary of the predual rows, storage of the structure
-constants, and the library functions the benchmark wraps by name."""
+constants, the library functions the benchmark wraps by name, and a reader
+for every public name of the package."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -113,10 +115,42 @@ def test_constants_are_owned_once():
     assert peak < 4 * coo_bytes < built.dim**3 * 16 / 10
 
 
-def test_benchmark_hooks_resolve():
-    """perfbench/spans.py wraps library functions by module and name."""
+def _traced():
+    """perfbench/spans.py's (module, function, span) triples."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for module, function, _span in spans.TRACED:
+    return spans.TRACED
+
+
+def test_benchmark_hooks_resolve():
+    """perfbench/spans.py wraps library functions by module and name."""
+    for module, function, _span in _traced():
         assert callable(getattr(importlib.import_module(f"liepoisson.{module}"), function))
+
+
+def test_every_public_name_has_a_reader():
+    """Each public top-level function or class of the package is read: by a
+    Name or Attribute reference somewhere in src/ (a docstring does not
+    count), by an export from the package, by a benchmark span, or by the
+    CLI's __all__.  A closed form that only the tests read lives with them."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "liepoisson").glob("*.py")}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    kept = {(m, f) for m, f, _span in _traced()} | {("cli", name) for name in cli.__all__}
+    kept |= {(node.module, alias.name) for node in trees["__init__"].body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unread = sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+        and (module, node.name) not in kept
+    )
+    assert not unread, f"public names that nothing in the package reads: {unread}"

@@ -20,9 +20,11 @@ from liepoisson.tolerances import VERIFICATION_TOL
 
 from closed_forms import (
     QM_NAMED_HAMILTONIANS,
+    block_to_json,
     coupled,
     named_restricted_hamiltonian,
     qm_point,
+    random_block,
     restricted_point,
 )
 
@@ -82,13 +84,13 @@ def test_field_matches_restricted_closed_form(dims, name):
     n_plus = dims[0]
     params = {
         "A": rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus)),
-        "X0": rs.random_block(*dims, rng),
+        "X0": random_block(*dims, rng),
     }
     f = named_restricted_hamiltonian(name, params, dims)
     field = _extension_field(rs.restricted_extension_spec(*dims), f)
     for _ in range(3):
         kappa = rng.normal(size=(n_plus, n_plus)) + 1j * rng.normal(size=(n_plus, n_plus))
-        b = restricted_point(kappa, rs.random_block(*dims, rng))
+        b = restricted_point(kappa, random_block(*dims, rng))
         _close(field(b), rs.restricted_hamiltonian_field(f, b, dims))
 
 
@@ -131,11 +133,11 @@ def test_restricted_simulate_follows_the_closed_form(tmp_path):
     rng = np.random.default_rng(3)
     dims = (3, 2)
     kappa0 = 0.5 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    sigma0 = rs.random_block(*dims, rng) * 0.5
+    sigma0 = random_block(*dims, rng) * 0.5
     doc = {
         "system": "restricted",
         "restricted": {"n_plus": 3, "n_minus": 2, "kappa0": _cplx(kappa0),
-                       "sigma0": rs.block_to_json(sigma0)},
+                       "sigma0": block_to_json(sigma0, 3)},
         "hamiltonian": {"name": "quadratic"},
         "casimirs": ["kappa_frobenius_sq", "sigma_frobenius_sq"],
         "integrator": {"method": "rk4", "dt": 0.01, "steps": 20},
@@ -272,7 +274,7 @@ def test_compiled_affine_field_matches_the_gradient_path(alg, pairing, h):
 
 def _restricted_point(rng, dims):
     kappa = rng.normal(size=(dims[0],) * 2) + 1j * rng.normal(size=(dims[0],) * 2)
-    return restricted_point(kappa, rs.random_block(*dims, rng))
+    return restricted_point(kappa, random_block(*dims, rng))
 
 
 @pytest.mark.parametrize("name", ["linear_kappa", "linear_sigma", "quadratic"])
@@ -280,10 +282,10 @@ def test_restricted_hamiltonians_match_the_closed_forms(name):
     rng = np.random.default_rng(21)
     dims = (3, 2)
     params = {"A": rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
-              "X0": rs.random_block(*dims, rng)}
+              "X0": random_block(*dims, rng)}
     oracle = named_restricted_hamiltonian(name, params, dims)
     e, p = cli._built(rs.restricted_extension_spec(*dims))
-    h = cli._restricted_hamiltonian(name, {**params, "X0": params["X0"].to_full()}, dims, p)
+    h = cli._restricted_hamiltonian(name, params, dims, p)
     field = po.hamiltonian_field(h, e, p)
     for _ in range(3):
         b = _restricted_point(rng, dims)
@@ -379,12 +381,12 @@ def test_restricted_spectral_casimirs(tmp_path):
     rng = np.random.default_rng(26)
     steps = 80
     kappa = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    sigma = rs.random_block(3, 2, rng)
-    scale = 4.0 / np.sqrt(np.sum(np.abs(kappa) ** 2) + np.sum(np.abs(sigma.to_full()) ** 2))
+    sigma = random_block(3, 2, rng)
+    scale = 4.0 / np.sqrt(np.sum(np.abs(kappa) ** 2) + np.sum(np.abs(sigma) ** 2))
     doc = {
         "system": "restricted",
         "restricted": {"n_plus": 3, "n_minus": 2, "kappa0": _cplx(scale * kappa),
-                       "sigma0": rs.block_to_json(sigma * scale)},
+                       "sigma0": block_to_json(sigma * scale, 3)},
         "hamiltonian": {"name": "quadratic"},
         "casimirs": ["kappa_trace_2", "kappa_trace_3", "kappa_trace_4"],
     }

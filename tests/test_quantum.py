@@ -10,10 +10,13 @@ from liepoisson.errors import DimensionMismatchError
 from closed_forms import (
     coupled,
     linear_rho,
+    matrix_element_representative,
     named_restricted_hamiltonian,
+    qm_bracket,
     qm_point,
     qm_split,
     quadratic_v,
+    random_block,
 )
 
 
@@ -63,7 +66,7 @@ def test_rho_only_bracket(rng):
     f = linear_rho(x1)
     g = linear_rho(x2)
     expected = np.real(np.trace(qm_split(b, n)[1] @ (x1 @ x2 - x2 @ x1)))
-    assert qm.qm_bracket(f, g, b, n) == pytest.approx(float(expected))
+    assert qm_bracket(f, g, b, n) == pytest.approx(float(expected))
 
 
 def test_v_only_functions_commute(rng):
@@ -72,7 +75,7 @@ def test_v_only_functions_commute(rng):
     b = rand_state(rng, n)
     f = quadratic_v(hermitian(rng, n))
     g = quadratic_v(hermitian(rng, n))
-    assert qm.qm_bracket(f, g, b, n) == pytest.approx(0.0, abs=1e-14)
+    assert qm_bracket(f, g, b, n) == pytest.approx(0.0, abs=1e-14)
 
 
 def _linear(x, u):
@@ -95,7 +98,7 @@ def test_mixed_linear_matches_extension_bracket(rng):
     for _ in range(10):
         f = _linear(crandom(rng, n, n), crandom(rng, n))
         g = _linear(crandom(rng, n, n), crandom(rng, n))
-        lhs = qm.qm_bracket(f, g, b, n)
+        lhs = qm_bracket(f, g, b, n)
         rhs = po.extension_poisson_bracket(f, g, b, spec)
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
@@ -157,7 +160,7 @@ def test_flow_satisfies_bracket_contract(maker, rng):
         bd = qm.qm_hamilton_rhs(h, b, n)
         for f, ddt in linear_coordinate_functions(n):
             lhs = ddt(bd)
-            rhs = qm.qm_bracket(f, h, b, n)
+            rhs = qm_bracket(f, h, b, n)
             worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-8
 
@@ -172,7 +175,7 @@ def test_bracket_consistency_polynomial_hamiltonian(rng):
         b = rand_state(rng, n)
         bd = qm.qm_hamilton_rhs(h, b, n)
         for f, ddt in coords[:6]:
-            worst = max(worst, abs(ddt(bd) - qm.qm_bracket(f, h, b, n)))
+            worst = max(worst, abs(ddt(bd) - qm_bracket(f, h, b, n)))
     assert worst < 1e-8
 
 
@@ -180,7 +183,7 @@ def _oracle_cases():
     """(spec, oracle, random flat point) for the two closed-form systems."""
     rng = np.random.default_rng(41)
     spec = rs.restricted_extension_spec(3, 2)
-    params = {"A": crandom(rng, 3, 3), "X0": rs.random_block(3, 2, rng)}
+    params = {"A": crandom(rng, 3, 3), "X0": random_block(3, 2, rng)}
     parts = [named_restricted_hamiltonian(k, params, (3, 2))
              for k in ("linear_kappa", "linear_sigma", "quadratic")]
     h = po.SmoothFunction(
@@ -214,7 +217,7 @@ def test_representing_element_reproduces_functional(rng):
     worst = 0.0
     for _ in range(10):
         v, w = crandom(rng, n), crandom(rng, n)
-        b = qm.matrix_element_representative(v, w)
+        b = matrix_element_representative(v, w)
         for i in range(n):
             for j in range(n):
                 x = np.zeros((n, n), dtype=complex)

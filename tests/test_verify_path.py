@@ -22,6 +22,8 @@ from liepoisson import extension as ex
 from liepoisson import restricted as rs
 from liepoisson.linalg import complement_residual
 
+from closed_forms import restricted_omega
+
 REL = 1e-12
 
 
@@ -128,16 +130,13 @@ def restricted_loop(n_plus, n_minus):
     n = n_plus + n_minus
     dn, dh = n_plus * n_plus, n * n
     eye = np.eye(n, dtype=complex)
-    blocks = [
-        rs.BlockOperator.from_full(np.outer(eye[i // n], eye[i % n]), n_plus)
-        for i in range(dh)
-    ]
+    blocks = [np.outer(eye[i // n], eye[i % n]) for i in range(dh)]
     w = np.zeros((dn, dh, dh), dtype=complex)
     mats = np.zeros((dh, dn, dn), dtype=complex)
     for i in range(dh):
         for j in range(dh):
-            w[:, i, j] = rs.restricted_omega(blocks[i], blocks[j]).reshape(-1)
-        xpp = blocks[i].pp
+            w[:, i, j] = restricted_omega(blocks[i], blocks[j], n_plus).reshape(-1)
+        xpp = blocks[i][:n_plus, :n_plus]
         mats[i] = np.kron(xpp, np.eye(n_plus)) - np.kron(np.eye(n_plus), xpp.T)
     return w, mats
 
