@@ -23,8 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePairingError, DimensionMismatchError
-from .linalg import Coo, as_coo, cyclic_terms, join, max_abs_of_sum
-from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL
+from .linalg import Coo, as_coo, cyclic_terms, join, max_abs_of_sum, null_space
+from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL, JACOBI_BLOCK_TERMS
 
 __all__ = [
     "LieAlgebra",
@@ -58,8 +58,13 @@ class LieAlgebra:
     [e_i, e_j], as a Coo of shape (d, d, d); a dense array given instead is
     read through its nonzeros.  Antisymmetry must hold exactly at
     construction; the Jacobi identity is checked up to
-    ``CONSTRUCTION_TOL``.  Pass ``validate=False`` to store deliberately
-    broken constants (negative tests, diagnostics).
+    ``CONSTRUCTION_TOL``.  ``validate=False`` skips both checks: the named
+    constructors (:func:`gl`, :func:`so3`, :func:`heisenberg`,
+    :func:`abelian`, :func:`realify`) pass it, because their identities
+    hold by construction (the tests check each with
+    :func:`check_structure`), and so does ``build_extension``, whose
+    compatibility check stands for Jacobi.  Constants read from a document
+    are validated; negative tests pass it to store broken constants.
     """
 
     constants: Coo
@@ -215,14 +220,30 @@ def jacobi_residual(c) -> float:
     products of nonzero constants that share l, and each product is added
     at its three cyclic positions, so time and memory follow the number of
     such products rather than d^4.  ``c`` is a Coo or a dense array.
+
+    The products are formed in blocks of whole runs of the lead index m,
+    each of at most ``JACOBI_BLOCK_TERMS`` products; a run beyond that is
+    refused before it is formed.  The nonzeros are row-major, so a run is a
+    slice of them, and every defect gets its terms in the order of one
+    join over all of them: the residual does not depend on the blocks.
     """
     c = as_coo(c)
     d = c.shape[0]
     (a, b, e), v = c.idx, c.values
-    # factor p is c[l, i, j] and factor q is c[m, l, k]: l = a[p] = b[q]
-    p, q = join(a, b)
-    m, i, j, k = a[q], b[p], e[p], e[q]
-    return max_abs_of_sum((d,) * 4, cyclic_terms(m, i, j, k, v[p] * v[q]))
+    # factor p is c[l, i, j] and factor q is c[m, l, k]: l = a[p] = b[q];
+    # the runs of m = a[q] start at edges, after `before` products
+    edges = np.r_[np.flatnonzero(np.diff(a, prepend=-1)), a.size]
+    before = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=d)[b])))[edges]
+    worst, start = 0.0, 0
+    while start < edges.size - 1:
+        fits = np.searchsorted(before, before[start] + JACOBI_BLOCK_TERMS, "right") - 1
+        stop = max(start + 1, fits)
+        p, q = join(a, b[edges[start]:edges[stop]], JACOBI_BLOCK_TERMS)
+        q += edges[start]
+        m, i, j, k = a[q], b[p], e[p], e[q]
+        worst = max(worst, max_abs_of_sum((d,) * 4, cyclic_terms(m, i, j, k, v[p] * v[q])))
+        start = stop
+    return worst
 
 
 @dataclass(frozen=True)
@@ -262,14 +283,12 @@ def center_of(alg: LieAlgebra) -> list[np.ndarray]:
     Computed as the nullspace of the stacked ad maps; empty list when the
     center is trivial.
     """
-    import scipy.linalg  # local: importing scipy costs every CLI start
-
     d = alg.dim
     if d == 0:
         return []
     # ad_x as a linear function of x: stacked[(k, j), i] = c[k, i, j]
     stacked = alg.structure_constants.transpose(0, 2, 1).reshape(d * d, d)
-    null = scipy.linalg.null_space(stacked)
+    null = null_space(stacked)
     return [null[:, i] for i in range(null.shape[1])]
 
 
@@ -282,7 +301,7 @@ def so3() -> LieAlgebra:
     """so(3): [e1, e2] = e3 and cyclic (cross-product constants)."""
     i, j, k = np.array([(0, 1, 2), (1, 2, 0), (2, 0, 1)]).T
     c = Coo.of((3, 3, 3), (np.r_[k, k], np.r_[i, j], np.r_[j, i]), np.repeat([1.0, -1.0], 3))
-    return LieAlgebra(c, name="so3")
+    return LieAlgebra(c, name="so3", validate=False)
 
 
 def _commutator_constants(n: int, sign: float = 1.0, dtype=float) -> Coo:
@@ -298,19 +317,19 @@ def gl(n: int, scalar_field: str = _REAL) -> LieAlgebra:
     """gl(n) in the elementary-matrix basis E_ij, row-major ordering."""
     c = _commutator_constants(n)
     labels = tuple(f"E{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    return LieAlgebra(c, basis_labels=labels, name=f"gl{n}", scalar_field=scalar_field)
+    return LieAlgebra(c, labels, f"gl{n}", scalar_field, validate=False)
 
 
 def heisenberg() -> LieAlgebra:
     """The 3-dimensional Heisenberg algebra: [p, q] = z, z central."""
     c = Coo.of((3, 3, 3), ([2, 2], [0, 1], [1, 0]), [1.0, -1.0])
-    return LieAlgebra(c, basis_labels=("p", "q", "z"), name="heisenberg")
+    return LieAlgebra(c, basis_labels=("p", "q", "z"), name="heisenberg", validate=False)
 
 
 def abelian(n: int, scalar_field: str = _REAL) -> LieAlgebra:
     """The abelian algebra of dimension n."""
     c = Coo.of((n, n, n), ([], [], []), [])
-    return LieAlgebra(c, name=f"abelian{n}", scalar_field=scalar_field)
+    return LieAlgebra(c, name=f"abelian{n}", scalar_field=scalar_field, validate=False)
 
 
 def identity_pairing(alg: LieAlgebra) -> DualPairing:
@@ -367,7 +386,7 @@ def realify(alg: LieAlgebra) -> LieAlgebra:
     k, i, j, vals = (np.concatenate(a) for a in zip(*parts))
     C = Coo.of((2 * d,) * 3, (k, i, j), vals)
     labels = tuple(alg.basis_labels) + tuple(f"i*{l}" for l in alg.basis_labels)
-    return LieAlgebra(C, basis_labels=labels, name=f"{alg.name}_r")
+    return LieAlgebra(C, basis_labels=labels, name=f"{alg.name}_r", validate=False)
 
 
 def realify_pairing(pairing: DualPairing, realified: LieAlgebra) -> DualPairing:

@@ -15,7 +15,9 @@ threshold or a computation fails, 2 on a malformed config, with a
 diagnostic that names the offending field by its dotted path in the
 document (see ``_Node``, through which every JSON value is read).  Inputs
 whose builders would write, or whose checks would pair in one join, more
-than ``MAX_SPARSE_TERMS`` terms exit 2 before they are formed.
+than ``MAX_SPARSE_TERMS`` terms exit 2 before they are formed; so does an
+algebra whose Jacobi join would pair more than ``JACOBI_BLOCK_TERMS``
+products at one lead index (that join runs in blocks of lead indices).
 
 Each system is one entry of ``_SYSTEMS``; a subcommand looks the system up
 once and runs generic code.  Configs are validated when a system is built,
@@ -142,6 +144,13 @@ class _Node:
             raise self.error("must be a JSON object")
         return self.value
 
+    def only(self, allowed) -> dict:
+        """The object, refusing a key that ``allowed`` does not list."""
+        for key in self.obj():
+            if key not in allowed:
+                raise self[key].error(f"unknown key, expected one of {sorted(allowed)}")
+        return self.value
+
     def entries(self) -> list[_Node]:
         if not isinstance(self.required(), list):
             raise self.error("must be a JSON list")
@@ -225,8 +234,6 @@ class _Node:
                 alg = builtin_algebra(ref)
             except (KeyError, ValueError) as exc:
                 raise self.error(f"bad algebra reference: {exc}")
-            except SizeLimitError as exc:  # its Jacobi check at construction
-                raise self.error(str(exc))
             return alg, identity_pairing(alg)
         if not (isinstance(ref, dict) and "dim" in ref):
             raise self.error("algebra reference must be a builtin name or an inline document")
@@ -477,9 +484,7 @@ def _check_keys(entry: _Node, allowed):
     """Refuse a key of a function entry that ``allowed`` does not list, and
     a parameter that ``allowed`` lists but the entry leaves out, unless it
     is optional.  ``name`` and ``fn`` are checked by the callers."""
-    for key in entry.value:
-        if key not in allowed:
-            raise entry[key].error(f"unknown key, expected one of {sorted(allowed)}")
+    entry.only(allowed)
     for key in allowed:
         if key not in entry.value and key not in ("name", "fn", *_OPTIONAL_PARAMS):
             fn = entry.value.get("fn", entry.value.get("name"))
@@ -710,10 +715,11 @@ _RESTRICTED_OBSERVABLES = {
 def _block(node: _Node, dims: tuple[int, int], seed: int) -> np.ndarray:
     """The full matrix of a block operator at ``dims``: the constructor
     {"constructor": "random_block", "seed": s}, or the four blocks
-    {"pp", "pm", "mp", "mm"} as complex matrices."""
+    {"pp", "pm", "mp", "mm"} as complex matrices; any other key is refused."""
     p, m = dims
     shapes = {"pp": (p, p), "pm": (p, m), "mp": (m, p), "mm": (m, m)}
     if isinstance(node.value, dict) and "constructor" in node.value:
+        node.only(("constructor", "seed"))
         kind = node["constructor"]
         if kind.value != "random_block":
             raise kind.error(f"unknown constructor {kind.value!r}")
@@ -721,6 +727,7 @@ def _block(node: _Node, dims: tuple[int, int], seed: int) -> np.ndarray:
         # independent standard complex gaussian blocks, each real part drawn first
         b = {k: rng.normal(size=s) + 1j * rng.normal(size=s) for k, s in shapes.items()}
     else:
+        node.only(shapes)
         b = {key: node[key].cmatrix(shape) for key, shape in shapes.items()}
     return np.block([[b["pp"], b["pm"]], [b["mp"], b["mm"]]])
 

@@ -34,7 +34,9 @@ class UnsupportedPresentationError(LiePoissonError):
 
 
 class SizeLimitError(LiePoissonError):
-    """Sparse work beyond ``tolerances.MAX_SPARSE_TERMS``, refused unformed."""
+    """Sparse work beyond ``tolerances.MAX_SPARSE_TERMS`` (one join) or
+    ``tolerances.JACOBI_BLOCK_TERMS`` (one block of the Jacobi join),
+    refused unformed."""
 
 
 class IntegratorFailureError(LiePoissonError):

@@ -19,6 +19,8 @@ from .errors import SizeLimitError
 from .tolerances import MAX_SPARSE_TERMS
 
 __all__ = [
+    "orth",
+    "null_space",
     "orthonormal_columns",
     "projector",
     "complement_residual",
@@ -30,6 +32,27 @@ __all__ = [
     "max_abs_of_sum",
     "cyclic_terms",
 ]
+
+
+def _svd_rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """The number of singular values ``s`` of a matrix of ``shape`` above
+    ``max(s) * eps * max(shape)``, the rank rule of scipy.linalg."""
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(shape)
+    return int(np.sum(s > tol))
+
+
+def orth(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of ``a``: its left singular
+    vectors of the singular values above the rank rule of :func:`_svd_rank`."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, : _svd_rank(s, a.shape)]
+
+
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of ``a``: its right singular
+    vectors past the rank of :func:`_svd_rank`."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    return vh[_svd_rank(s, a.shape):].T.conj()
 
 
 def orthonormal_columns(basis: np.ndarray) -> np.ndarray:
@@ -123,16 +146,19 @@ def as_coo(a, dtype=None) -> Coo:
     return Coo.of(a.shape, idx, a[idx])
 
 
-def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def join(
+    left: np.ndarray, right: np.ndarray, limit: int = MAX_SPARSE_TERMS
+) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of positions (p, q) with ``left[p] == right[q]``, for two
-    integer key arrays; the pairs of a sparse product summed over the key.
-    More than ``MAX_SPARSE_TERMS`` pairs are refused before any is formed."""
+    integer key arrays, ordered by p and then by q; the pairs of a sparse
+    product summed over the key.  More than ``limit`` pairs are refused
+    before any is formed."""
     order = np.argsort(right, kind="stable")
     keys = right[order]
     lo = np.searchsorted(keys, left, "left")
     counts = np.searchsorted(keys, left, "right") - lo
-    if (total := int(counts.sum())) > MAX_SPARSE_TERMS:
-        raise SizeLimitError(f"would pair {total} nonzero products, more than {MAX_SPARSE_TERMS}")
+    if (total := int(counts.sum())) > limit:
+        raise SizeLimitError(f"would pair {total} nonzero products, more than {limit}")
     p = np.repeat(np.arange(left.size), counts)
     offset = np.arange(p.size) - np.repeat(np.cumsum(counts) - counts, counts)
     return p, order[np.repeat(lo, counts) + offset]

@@ -125,7 +125,7 @@ def restricted_hamiltonian_field(h: SmoothFunction, b, dims: tuple[int, int]) ->
 def _negative_commutator_algebra(n: int) -> LieAlgebra:
     """(n x n) matrices with bracket -(ab - ba), row-major basis."""
     c = _commutator_constants(n, sign=-1.0, dtype=complex)
-    return LieAlgebra(c, name=f"l1({n})", scalar_field="complex")
+    return LieAlgebra(c, name=f"l1({n})", scalar_field="complex", validate=False)
 
 
 def restricted_extension_spec(n_plus: int, n_minus: int) -> ExtensionSpec:

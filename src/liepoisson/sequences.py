@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import LieAlgebra
 from .errors import DimensionMismatchError, UnsupportedPresentationError
-from .linalg import complement_residual, projector_distance
+from .linalg import complement_residual, null_space, orth, projector_distance
 from .tolerances import SUBSPACE_TOL
 
 __all__ = [
@@ -140,15 +140,13 @@ def _hom_residual(m: LinearMapRec) -> float | None:
 
 
 def check_exact_sequence(seq: SequenceSpec) -> ExactnessReport:
-    import scipy.linalg  # local: importing scipy costs every CLI start
-
     first, second = seq.first.matrix, seq.second.matrix
     rank_first = np.linalg.matrix_rank(first) if first.size else 0
     rank_second = np.linalg.matrix_rank(second) if second.size else 0
     inj = seq.first.source.dim - rank_first
     sur = seq.second.target.dim - rank_second
-    image = scipy.linalg.orth(first) if rank_first else first[:, :0]
-    kernel = scipy.linalg.null_space(second)
+    image = orth(first)
+    kernel = null_space(second)
     residual = projector_distance(image, kernel)
     return ExactnessReport(
         int(inj),

@@ -43,3 +43,10 @@ MAX_TRAJECTORY_VALUES = 10_000_000
 # extension's d^2 gram, more than its nonzero constants, or the W*-split's
 # basis), linalg.join the nonzero products of a join (~270 bytes each).
 MAX_SPARSE_TERMS = 2**20
+
+# Largest number of nonzero products one block of the Jacobi join forms.
+# algebra.jacobi_residual joins in blocks of whole runs of the lead index,
+# so its memory stays near 2^18 * 280 bytes (~70 MB, the sorted cyclic
+# keys included) at any size, and refuses only a lead index whose products
+# alone exceed the block.
+JACOBI_BLOCK_TERMS = MAX_SPARSE_TERMS // 4

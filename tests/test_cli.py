@@ -312,6 +312,36 @@ def test_shipped_configs_exit_codes(tmp_path, capsys, config, command):
         assert out.stat().st_size > 0
 
 
+def test_shipped_configs_run_without_scipy():
+    """Every shipped config under every subcommand exits as in a normal run
+    in an interpreter where importing scipy fails."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from liepoisson import cli\n"
+        "codes = {}\n"
+        "for cfg in sys.argv[1:]:\n"
+        "    for cmd in ('verify', 'simulate', 'bracket-table'):\n"
+        "        out, err = io.StringIO(), io.StringIO()\n"
+        "        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "            code = cli.run_cli([cmd, cfg])\n"
+        "        codes[f'{cfg} {cmd}'] = [code, bool(out.getvalue()), err.getvalue()]\n"
+        "print(json.dumps(codes))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", script, *map(str, CONFIGS)], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    codes = json.loads(run.stdout)
+    for config in CONFIGS:
+        for command in ("verify", "simulate", "bracket-table"):
+            code, wrote, err = codes[f"{config} {command}"]
+            if (config.name, command) in NO_OUTPUT:
+                assert code == 2 and "(field: system)" in err
+            else:
+                assert (code, wrote, err) == (0, True, ""), (config.name, command, err)
+
+
 def _with(doc, path, value):
     """A copy of ``doc`` with the dotted ``path`` set to ``value``."""
     doc = json.loads(json.dumps(doc))
@@ -491,6 +521,13 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
     ("X0-infinite", "simulate",
      _with(SHIPPED["restricted.json"], "hamiltonian",
            {"name": "linear_sigma", "X0": _zero_blocks(3, 2, float("inf"))}), "hamiltonian.X0.pp"),
+    ("sigma0-unknown-key", "simulate",
+     _with(SHIPPED["restricted.json"], "restricted.sigma0",
+           {**_zero_blocks(3, 2, 0.0), "dims": [3, 2]}), "restricted.sigma0.dims"),
+    ("X0-misspelt-block", "simulate",
+     _with(SHIPPED["restricted.json"], "hamiltonian",
+           {"name": "linear_sigma", "X0": {**_zero_blocks(3, 2, 0.0), "Pm": [[0.0, 0.0]] * 3}}),
+     "hamiltonian.X0.Pm"),
     ("attach-algebras-list", "verify",
      _with(SHIPPED["sequence.json"], "sequence.attach_algebras", [1]), "sequence.attach_algebras"),
     ("attach-algebras-unknown-space", "verify",
@@ -599,19 +636,25 @@ def test_structure_bound_is_checked_before_building(tmp_path, capsys, monkeypatc
 
 
 def test_join_beyond_the_bound_names_the_size(tmp_path, capsys):
-    """A size that the builders admit but whose Jacobi join outgrows the
-    bound exits 2 naming the size, before the products are formed: the
-    built extension's join in the structure check, or the one that
-    validates a builtin algebra."""
-    cases = [
-        ({"system": "restricted", "restricted": {"n_plus": 14, "n_minus": 1},
-          "checks": ["structure"]}, "restricted.n_plus"),
-        ({"system": "extension", "extension": {"n": "gl24", "h": "so3"}}, "extension.n"),
-    ]
-    for doc, field in cases:
-        assert cli.run_cli(["verify", write(tmp_path, "big.json", doc)]) == 2
-        err = capsys.readouterr().err
-        assert "nonzero products" in err and f"(field: {field})" in err, err
+    """The Jacobi join runs in blocks of whole runs of the lead index, so
+    only a lead index whose products alone outgrow a block is refused,
+    before they are formed, with an exit 2 naming the field: a dense inline
+    algebra of dim 24 pairs 552 * 552 = 304 704 products at each."""
+    rng = np.random.default_rng(5)
+    dense = [[k, i, j, float(rng.normal())]
+             for k in range(24) for i in range(24) for j in range(i + 1, 24)]
+    doc = {"system": "extension", "extension": {"n": {"dim": 24, "structure_constants": dense},
+                                                "h": "abelian1"}}
+    tracemalloc.start()
+    try:
+        code = cli.run_cli(["verify", write(tmp_path, "big.json", doc)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "304704 nonzero products" in err and "(field: extension.n)" in err, err
+    assert peak < 32 * 2**20
 
 
 def test_builtin_dict_form_verifies(tmp_path, capsys):

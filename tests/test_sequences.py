@@ -5,6 +5,7 @@ import scipy.linalg
 from liepoisson import algebra as la
 from liepoisson import sequences as sq
 from liepoisson.errors import DimensionMismatchError, UnsupportedPresentationError
+from liepoisson.linalg import null_space, orth
 
 from closed_forms import predual_restriction_residual
 
@@ -33,6 +34,30 @@ def random_exact_sequence(rng, nu=2, nw=3, random_grams=True):
     return sq.SequenceSpec(
         sq.LinearMapRec(first, u, v), sq.LinearMapRec(second, v, w)
     )
+
+
+def low_rank(rng, shape, rank, cplx):
+    def draw(size):
+        return rng.normal(size=size) + (1j * rng.normal(size=size) if cplx else 0)
+
+    return draw((shape[0], rank)) @ draw((rank, shape[1]))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("shape,rank", [
+    ((5, 3), 3), ((3, 5), 3), ((6, 6), 2), ((4, 7), 1), ((7, 4), 0), ((3, 3), 0),
+    ((0, 4), 0), ((4, 0), 0), ((0, 0), 0),
+])
+def test_orth_and_null_space_match_scipy(rng, shape, rank, cplx):
+    """The numpy-only range and kernel bases span what scipy.linalg's do,
+    under the same rank rule."""
+    a = low_rank(rng, shape, rank, cplx)
+    for ours, theirs in ((orth(a), scipy.linalg.orth(a)),
+                         (null_space(a), scipy.linalg.null_space(a))):
+        assert ours.shape == theirs.shape
+        assert np.max(np.abs(ours @ ours.conj().T - theirs @ theirs.conj().T), initial=0.0) < 1e-12
+    assert orth(a).shape[1] == rank
+    assert null_space(a).shape[1] == shape[1] - rank
 
 
 def test_canonical_sequence_exact():

@@ -6,6 +6,7 @@ plain loop and dense-einsum forms of the same definitions, kept only in
 the tests.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,7 +21,7 @@ from liepoisson import algebra as la
 from liepoisson import cli
 from liepoisson import extension as ex
 from liepoisson import restricted as rs
-from liepoisson.linalg import complement_residual
+from liepoisson.linalg import Coo, as_coo, complement_residual
 
 from closed_forms import restricted_omega
 
@@ -236,6 +237,22 @@ def test_restricted_spec_matches_loop_form(dims):
     assert np.array_equal(spec.phi.mats, mats)
 
 
+@pytest.mark.parametrize("alg", [
+    *(la.gl(n, field) for n in range(1, 7) for field in ("real", "complex")),
+    *(rs._negative_commutator_algebra(n) for n in range(1, 5)),
+    la.so3(),
+    la.heisenberg(),
+    la.abelian(3),
+    la.realify(la.gl(3, "complex")),
+], ids=lambda alg: f"{alg.name}-{alg.scalar_field}")
+def test_named_constructors_are_exact_lie_algebras(alg):
+    """The named constructors skip the validation at construction; their
+    antisymmetry and Jacobi residuals are exactly 0."""
+    rep = la.check_structure(alg)
+    assert rep.antisymmetry_residual == 0.0
+    assert rep.jacobi_residual == 0.0
+
+
 def test_algebra_to_json_triplet_order():
     ext = ex.build_extension(rs.restricted_extension_spec(2, 1))
     c = ext.structure_constants
@@ -249,6 +266,52 @@ def test_algebra_to_json_triplet_order():
     assert la.algebra_to_json(ext)["structure_constants"] == expected
     real = la.algebra_to_json(la.so3())["structure_constants"]
     assert real == [[0, 1, 2, 1.0], [1, 0, 2, -1.0], [2, 0, 1, 1.0]]
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi join in blocks of the lead index
+# ---------------------------------------------------------------------------
+
+
+def largest_run(c):
+    """The most products that one lead index m of the Jacobi join of c pairs."""
+    a, b, _ = c.idx
+    per_q = np.bincount(a, minlength=c.shape[0])[b]
+    return int(np.bincount(a, weights=per_q, minlength=c.shape[0]).max())
+
+
+def counted_joins(monkeypatch):
+    """Record the size of every join that the algebra module forms."""
+    sizes = []
+    original = la.join
+
+    def join(*args):
+        p, q = original(*args)
+        sizes.append(p.size)
+        return p, q
+
+    monkeypatch.setattr(la, "join", join)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["real", "complex", "restricted4x4", "restricted4x4-scaled"])
+def test_blocked_jacobi_equals_one_block(rng, monkeypatch, case):
+    """Blocks as small as whole runs of the lead index allow give, bit for
+    bit, the residual of one join over all products."""
+    if case.startswith("restricted"):
+        c = ex.build_extension(rs.restricted_extension_spec(4, 4)).constants
+        if case.endswith("scaled"):  # non-integer constants with a nonzero defect
+            c = Coo.of(c.shape, c.idx, c.values * (1 + rng.random(c.values.size)))
+    else:
+        c = as_coo(random_skew(rng, (9,) * 3, case == "complex"))
+    sizes = counted_joins(monkeypatch)
+    one_block = la.jacobi_residual(c)
+    assert len(sizes) == 1
+    monkeypatch.setattr(la, "JACOBI_BLOCK_TERMS", largest_run(c))
+    assert la.jacobi_residual(c) == one_block
+    assert len(sizes) > 5 and max(sizes[1:]) <= largest_run(c)
+    assert sum(sizes[1:]) == sizes[0]
+    assert (one_block == 0.0) == (case == "restricted4x4")
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +376,47 @@ def test_restricted_6x6_within_memory_bound(tmp_path, capsys):
         assert peak < 96 * 2**20, (cmd, peak)
 
 
+def test_blocked_verify_and_large_simulate_within_memory_bound(tmp_path, capsys, monkeypatch):
+    """verify on restricted (8, 8), whose Jacobi join spans two blocks, and
+    a 10-step RK4 simulate on (12, 12), which validates no constructor,
+    each under a 96 MB traced peak."""
+    sizes = counted_joins(monkeypatch)
+    for n, cmd in ((8, "verify"), (12, "simulate")):
+        doc = {"system": "restricted", "hamiltonian": {"name": "quadratic"},
+               "restricted": {"n_plus": n, "n_minus": n, "kappa0": {"constructor": "random"},
+                              "sigma0": {"constructor": "random_block"}},
+               "integrator": {"method": "rk4", "dt": 1e-3, "steps": 10}}
+        cfg = tmp_path / f"r{n}.json"
+        cfg.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code = cli.run_cli([cmd, str(cfg), "--out", str(tmp_path / cmd)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, capsys.readouterr().err
+        assert peak < 96 * 2**20, (cmd, peak)
+    # verify: n, h and two blocks of the extension; simulate: the two joins
+    # of the coadjoint tensor
+    assert len(sizes) == 4 + 2
+
+
 # ---------------------------------------------------------------------------
 # CLI boundary
 # ---------------------------------------------------------------------------
+
+
+def test_no_module_imports_scipy():
+    """numpy is the only runtime dependency: no import of scipy in src/."""
+    for path in Path(la.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, node.lineno)
 
 
 def test_import_loads_no_scipy():
