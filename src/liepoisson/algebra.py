@@ -23,8 +23,18 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePairingError, DimensionMismatchError
-from .linalg import Coo, as_coo, cyclic_terms, join, max_abs_of_sum, null_space
-from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL, JACOBI_BLOCK_TERMS
+from .linalg import (
+    Coo,
+    LeadJoin,
+    as_coo,
+    cyclic_terms,
+    join,
+    max_abs_by_lead,
+    max_abs_of_sum,
+    monomial_abs,
+    null_space,
+)
+from .tolerances import CONSTRUCTION_TOL, GRAM_CONDITION_TOL
 
 __all__ = [
     "LieAlgebra",
@@ -122,7 +132,10 @@ class LieAlgebra:
 @dataclass(frozen=True)
 class DualPairing:
     """Nondegenerate pairing ``<b, x> = b^T gram x`` between a predual model
-    and the algebra; both sides use coordinate vectors of length dim."""
+    and the algebra; both sides use coordinate vectors of length dim.  The
+    gram's conditioning is read from its singular values: the absolute
+    values of its nonzeros when it is monomial (a scaled signed
+    permutation, as every built-in pairing is), an SVD otherwise."""
 
     algebra: LieAlgebra
     gram: np.ndarray = None  # identity by default
@@ -135,10 +148,12 @@ class DualPairing:
         g = np.asarray(g, dtype=self.algebra.dtype).copy()
         if g.shape != (d, d):
             raise DimensionMismatchError(f"gram shape {g.shape} != ({d}, {d})")
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[-1] <= GRAM_CONDITION_TOL * sv[0]:
+        sv = monomial_abs(g)
+        if sv is None:
+            sv = np.linalg.svd(g, compute_uv=False)
+        if (low := np.min(sv)) <= GRAM_CONDITION_TOL * (high := np.max(sv)):
             raise DegeneratePairingError(
-                f"gram nearly singular (singular values {sv[-1]:g} to {sv[0]:g})"
+                f"gram nearly singular (singular values {low:g} to {high:g})"
             )
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
@@ -181,11 +196,22 @@ def _coadjoint_entries(c: Coo, g: np.ndarray) -> Coo:
     gl_, gk = np.nonzero(g)
     p, q = join(k, gk)
     t = Coo.of(c.shape, (i[p], j[p], gl_[q]), v[p] * -g[gl_[q], gk[q]])
-    ginv = np.linalg.inv(g)
-    gj, gm = np.nonzero(ginv)
+    ginv = _inverse_entries(g)
+    (gj, gm), gv = ginv.idx, ginv.values
     (ti, tj, tl), tv = t.idx, t.values
     p, q = join(tj, gj)
-    return Coo.of(c.shape, (gm[q], ti[p], tl[p]), ginv[gj[q], gm[q]] * tv[p])
+    return Coo.of(c.shape, (gm[q], ti[p], tl[p]), gv[q] * tv[p])
+
+
+def _inverse_entries(g: np.ndarray) -> Coo:
+    """The nonzeros of g^-1.  A monomial g's inverse has the reciprocals of
+    its nonzeros at the transposed positions, taken as 1 x 1 inverses: the
+    LAPACK solve of np.linalg.inv(g) on each, so the values are the same to
+    the bit, and no dense inverse is formed."""
+    if monomial_abs(g) is None:
+        return as_coo(np.linalg.inv(g))
+    r, c = np.nonzero(g)
+    return Coo.of(g.shape, (c, r), np.linalg.inv(g[r, c][:, None, None])[:, 0, 0])
 
 
 def _coords(x, dim: int) -> np.ndarray:
@@ -219,31 +245,18 @@ def jacobi_residual(c) -> float:
     T[m, i, j, k] = sum_l c[l, i, j] c[m, l, k].  T is formed from the
     products of nonzero constants that share l, and each product is added
     at its three cyclic positions, so time and memory follow the number of
-    such products rather than d^4.  ``c`` is a Coo or a dense array.
-
-    The products are formed in blocks of whole runs of the lead index m,
-    each of at most ``JACOBI_BLOCK_TERMS`` products; a run beyond that is
-    refused before it is formed.  The nonzeros are row-major, so a run is a
-    slice of them, and every defect gets its terms in the order of one
-    join over all of them: the residual does not depend on the blocks.
+    such products rather than d^4.  ``c`` is a Coo or a dense array.  The
+    products are formed in blocks of the lead index m
+    (:func:`~liepoisson.linalg.max_abs_by_lead`); the residual does not
+    depend on the blocks.
     """
     c = as_coo(c)
-    d = c.shape[0]
     (a, b, e), v = c.idx, c.values
-    # factor p is c[l, i, j] and factor q is c[m, l, k]: l = a[p] = b[q];
-    # the runs of m = a[q] start at edges, after `before` products
-    edges = np.r_[np.flatnonzero(np.diff(a, prepend=-1)), a.size]
-    before = np.concatenate(([0], np.cumsum(np.bincount(a, minlength=d)[b])))[edges]
-    worst, start = 0.0, 0
-    while start < edges.size - 1:
-        fits = np.searchsorted(before, before[start] + JACOBI_BLOCK_TERMS, "right") - 1
-        stop = max(start + 1, fits)
-        p, q = join(a, b[edges[start]:edges[stop]], JACOBI_BLOCK_TERMS)
-        q += edges[start]
-        m, i, j, k = a[q], b[p], e[p], e[q]
-        worst = max(worst, max_abs_of_sum((d,) * 4, cyclic_terms(m, i, j, k, v[p] * v[q])))
-        start = stop
-    return worst
+
+    def terms(q, p):  # factor q is c[m, l, k], factor p is c[l, i, j]
+        return cyclic_terms(a[q], b[p], e[p], e[q], v[p] * v[q])
+
+    return max_abs_by_lead((c.shape[0],) * 4, [LeadJoin(a, b, a, terms)])
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ diagnostic that names the offending field by its dotted path in the
 document (see ``_Node``, through which every JSON value is read).  Inputs
 whose builders would write, or whose checks would pair in one join, more
 than ``MAX_SPARSE_TERMS`` terms exit 2 before they are formed; so does an
-algebra whose Jacobi join would pair more than ``JACOBI_BLOCK_TERMS``
-products at one lead index (that join runs in blocks of lead indices).
+input whose Jacobi, derivation, cocycle or representation residual would
+pair more than ``MAX_LEAD_TERMS`` products at one lead index (each runs
+in blocks of lead indices).
 
 Each system is one entry of ``_SYSTEMS``; a subcommand looks the system up
 once and runs generic code.  Configs are validated when a system is built,
@@ -893,7 +894,9 @@ def _emit(text: str, out: str | None):
         raise ConfigError(f"cannot write output: {exc}", "--out")
 
 
-def run_cli(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of the process."""
     parser = argparse.ArgumentParser(
         prog="liepoisson",
         description="Verify and integrate finite-dimensional Lie-Poisson systems.",
@@ -908,8 +911,11 @@ def run_cli(argv=None) -> int:
         p.add_argument("config", help="path to a JSON config")
         p.add_argument("--out", default=None, help="write output to this file")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized draws")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def run_cli(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.seed < 0:
             raise ConfigError(f"must be a non-negative integer, got {args.seed}", "--seed")

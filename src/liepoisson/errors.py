@@ -35,7 +35,7 @@ class UnsupportedPresentationError(LiePoissonError):
 
 class SizeLimitError(LiePoissonError):
     """Sparse work beyond ``tolerances.MAX_SPARSE_TERMS`` (one join) or
-    ``tolerances.JACOBI_BLOCK_TERMS`` (one block of the Jacobi join),
+    ``tolerances.MAX_LEAD_TERMS`` (one lead index of a blocked residual),
     refused unformed."""
 
 

@@ -19,8 +19,9 @@ bracket.  The cocycle identity is always evaluated as the fully cyclic
 sum in (e, e', e''), and the report records that convention.  omega and
 phi are stored as their nonzeros, like the constants of n and h; each
 residual is summed over the nonzero products of those four, never over
-dense (dim n, dim h, dim h, dim h) tensors, and :func:`build_extension`
-writes the constants of n + h by offsetting their nonzeros.
+dense (dim n, dim h, dim h, dim h) tensors, in blocks of its lead output
+index (linalg.max_abs_by_lead), and :func:`build_extension` writes the
+constants of n + h by offsetting their nonzeros.
 
 The coadjoint action of the extension on the direct sum of the predual
 models decomposes into dual maps of phi and omega; those dual maps are
@@ -42,14 +43,15 @@ from .errors import (
 )
 from .linalg import (
     Coo,
+    LeadJoin,
     as_coo,
     complement_residual,
     cyclic_terms,
-    join,
-    max_abs_of_sum,
+    max_abs_by_lead,
     orthonormal_columns,
+    orthonormal_complement,
 )
-from .tolerances import COMPATIBILITY_FAIL, COMPATIBILITY_PASS, MAX_SPARSE_TERMS
+from .tolerances import COMPATIBILITY_FAIL, COMPATIBILITY_PASS
 
 __all__ = [
     "SkewBilinearMap",
@@ -147,17 +149,18 @@ class DerivationMap:
             sum_l m[i, c, l] cn[l, a, b] - cn[c, l, b] m[i, l, a]
                                          - cn[c, a, l] m[i, l, b]
 
-        summed over nonzero products only."""
+        summed over nonzero products only, in blocks of i."""
         (mi, mr, mc), mv = self.entries.idx, self.entries.values
         (nk, na, nb), nv = self.codomain.constants.idx, self.codomain.constants.values
-        p, q = join(mc, nk)  # m[i, c, l] cn[l, a, b]
-        lhs = (mi[p], mr[p], na[q], nb[q]), mv[p] * nv[q]
-        p, q = join(na, mr)  # cn[c, l, b] m[i, l, a]
-        left = (mi[q], nk[p], mc[q], nb[p]), -nv[p] * mv[q]
-        p, q = join(nb, mr)  # cn[c, a, l] m[i, l, b]
-        right = (mi[q], nk[p], na[p], mc[q]), -nv[p] * mv[q]
         dh, dn = self.domain.dim, self.codomain.dim
-        return max_abs_of_sum((dh, dn, dn, dn), [lhs, left, right])
+        return max_abs_by_lead((dh, dn, dn, dn), [
+            LeadJoin(mi, mc, nk, lambda p, q: [  # m[i, c, l] cn[l, a, b]
+                ((mi[p], mr[p], na[q], nb[q]), mv[p] * nv[q])]),
+            LeadJoin(mi, mr, na, lambda q, p: [  # cn[c, l, b] m[i, l, a]
+                ((mi[q], nk[p], mc[q], nb[p]), -nv[p] * mv[q])]),
+            LeadJoin(mi, mr, nb, lambda q, p: [  # cn[c, a, l] m[i, l, b]
+                ((mi[q], nk[p], na[p], mc[q]), -nv[p] * mv[q])]),
+        ])
 
     @classmethod
     def zero(cls, h: LieAlgebra, n: LieAlgebra) -> "DerivationMap":
@@ -317,7 +320,8 @@ class CompatibilityReport:
 
 def check_compatibility(spec: ExtensionSpec) -> CompatibilityReport:
     """The three residuals; each is the max norm of a sum of products of
-    nonzero coefficients, grouped by output index."""
+    nonzero coefficients, grouped by output index and formed in blocks of
+    its first output index."""
     dn, dh = spec.n.dim, spec.h.dim
     (hk, hi, hj), hv = spec.h.constants.idx, spec.h.constants.values
     (nk, na, nb), nv = spec.n.constants.idx, spec.n.constants.values
@@ -328,21 +332,25 @@ def check_compatibility(spec: ExtensionSpec) -> CompatibilityReport:
 
     # cyclic cocycle identity, at (a, i, j, k):
     #   sum_cyc omega([e_i, e_j], e_k) - sum_cyc phi(e_i) omega(e_j, e_k)
-    p, q = join(hk, wi)  # ch[l, i, j] w[a, l, k]
-    omega_part = cyclic_terms(wa[q], hi[p], hj[p], wj[q], hv[p] * wv[q])
-    p, q = join(mc, wa)  # m[i, a, b] w[b, j, k]
-    phi_part = cyclic_terms(mr[p], mi[p], wi[q], wj[q], -mv[p] * wv[q])
-    cocycle = max_abs_of_sum((dn, dh, dh, dh), omega_part + phi_part)
+    cocycle = max_abs_by_lead((dn, dh, dh, dh), [
+        LeadJoin(wa, wi, hk, lambda q, p: cyclic_terms(  # ch[l, i, j] w[a, l, k]
+            wa[q], hi[p], hj[p], wj[q], hv[p] * wv[q])),
+        LeadJoin(mr, mc, wa, lambda p, q: cyclic_terms(  # m[i, a, b] w[b, j, k]
+            mr[p], mi[p], wi[q], wj[q], -mv[p] * wv[q])),
+    ])
 
-    # ad_{omega(e_i, e_j)} + phi([e_i, e_j]) - [phi(e_i), phi(e_j)], at (i, j, c, b)
-    p, q = join(na, wa)  # cn[c, a, b] w[a, i, j]
-    ad_omega = (wi[q], wj[q], nk[p], nb[p]), nv[p] * wv[q]
-    p, q = join(hk, mi)  # ch[k, i, j] m[k, c, b]
-    phi_bracket = (hi[p], hj[p], mr[q], mc[q]), hv[p] * mv[q]
-    p, q = join(mc, mr)  # m[x, c, l] m[y, l, b]: -phi(e_x) phi(e_y) + phi(e_y) phi(e_x)
-    t = mv[p] * mv[q]
-    commutator = [((mi[p], mi[q], mr[p], mc[q]), -t), ((mi[q], mi[p], mr[p], mc[q]), t)]
-    rep = max_abs_of_sum((dh, dh, dn, dn), [ad_omega, phi_bracket, *commutator])
+    # ad_{omega(e_i, e_j)} + phi([e_i, e_j]) - [phi(e_i), phi(e_j)], at (i, j, c, b);
+    # m[x, c, l] m[y, l, b] adds -phi(e_x) phi(e_y) at x and +phi(e_y) phi(e_x) at y
+    rep = max_abs_by_lead((dh, dh, dn, dn), [
+        LeadJoin(wi, wa, na, lambda q, p: [  # cn[c, a, b] w[a, i, j]
+            ((wi[q], wj[q], nk[p], nb[p]), nv[p] * wv[q])]),
+        LeadJoin(hi, hk, mi, lambda p, q: [  # ch[k, i, j] m[k, c, b]
+            ((hi[p], hj[p], mr[q], mc[q]), hv[p] * mv[q])]),
+        LeadJoin(mi, mc, mr, lambda p, q: [
+            ((mi[p], mi[q], mr[p], mc[q]), -(mv[p] * mv[q]))]),
+        LeadJoin(mi, mr, mc, lambda q, p: [
+            ((mi[q], mi[p], mr[p], mc[q]), mv[p] * mv[q])]),
+    ])
 
     return CompatibilityReport(deriv, cocycle, rep)
 
@@ -456,20 +464,21 @@ class ClosureReport:
         return asdict(self)
 
 
-def _dual_residual(row, block, summed, values, y, gram, basis) -> float:
-    """Largest component outside span(basis) of gram^-T r over the columns
-    r, one per (block, u), of sum values * y[summed, u] over the entries at
-    each row.  Blocks that no entry has are left out; the others are formed,
-    solved and projected at most ``MAX_SPARSE_TERMS`` values of r at once."""
-    blocks, col = np.unique(block, return_inverse=True)
-    per = max(1, min(blocks.size, MAX_SPARSE_TERMS // (len(gram) * max(1, y.shape[1]))))
+def _dual_residual(row, block, summed, values, y, m) -> float:
+    """Largest norm of ``m @ r`` over the columns r, one per (block, u), of
+    sum values * y[summed, u] over the entries at each row; with ``m`` the
+    complement coordinates of gram^-T, that is the largest component of
+    gram^-T r outside the designated predual.  Each block's columns are
+    formed at once, as ``(m[:, row] * values) @ y[summed]``; nothing is
+    formed when the complement is empty."""
+    if m.shape[0] == 0:
+        return 0.0
+    order = np.argsort(block, kind="stable")
+    starts = np.flatnonzero(np.diff(block[order], prepend=-1))
     worst = 0.0
-    for start in range(0, blocks.size, per):
-        pick = (col >= start) & (col < start + per)
-        rhs = np.zeros((len(gram), per, y.shape[1]), dtype=np.result_type(values, y))
-        np.add.at(rhs, (row[pick], col[pick] - start), values[pick, None] * y[summed[pick]])
-        rhs = np.linalg.solve(gram.T, rhs.reshape(len(gram), -1))
-        worst = max(worst, complement_residual(rhs, basis))
+    for e in np.split(order, starts[1:]):
+        mr = (m[:, row[e]] * values[e]) @ y[summed[e]]
+        worst = max(worst, float(np.max(np.linalg.norm(mr, axis=0), initial=0.0)))
     return worst
 
 
@@ -485,19 +494,32 @@ def check_predual_closure(
     span(a_sub), and of omega(eta, .)* c outside span(a_sub), over basis
     eta, zeta and an orthonormal basis of c_sub.
 
-    Each family is a product over the nonzeros of phi or omega and all
-    columns u, formed, solved against the source gram and projected in
-    blocks of at most ``MAX_SPARSE_TERMS`` values.
+    Each residual is taken in coordinates of the orthogonal complement of
+    the target subspace: with Q_perp its orthonormal basis, the component
+    of gram^-T r outside the subspace has the norm of M r, M =
+    Q_perp^H gram^-T, formed once.  A designated predual that is the whole
+    space has an empty complement, and its residuals are exactly 0 with
+    nothing formed.
     """
     gn, gh = spec.n_pairing.gram, spec.h_pairing.gram
-    cq = orthonormal_columns(np.asarray(c_sub, dtype=gn.dtype))
-    aq = np.asarray(a_sub, dtype=gh.dtype)
+    c_sub = np.asarray(c_sub, dtype=gn.dtype)
+    to_c, to_a = _complement_map(gn, c_sub), _complement_map(gh, a_sub)
+    if not (to_c.size or to_a.size):
+        return ClosureReport(0.0, 0.0, 0.0)
     (mi, ma, mb), mv = spec.phi.entries.idx, spec.phi.entries.values
     (wa, wi, wj), wv = spec.omega.entries.idx, spec.omega.entries.values
-    y = gn.T @ cq  # <u, .> on n for every column u, as coordinates
+    y = gn.T @ orthonormal_columns(c_sub)  # <u, .> on n for every column u, as coordinates
     # phi(e_i)^T y, (phi(.) f_b)^T y and omega(e_i, .)^T y, for all i, b, u
     return ClosureReport(
-        _dual_residual(mb, mi, ma, mv, y, gn, cq),
-        _dual_residual(mi, mb, ma, mv, y, gh, aq),
-        _dual_residual(wj, wi, wa, wv, y, gh, aq),
+        _dual_residual(mb, mi, ma, mv, y, to_c),
+        _dual_residual(mi, mb, ma, mv, y, to_a),
+        _dual_residual(wj, wi, wa, wv, y, to_a),
     )
+
+
+def _complement_map(gram: np.ndarray, sub) -> np.ndarray:
+    """M = Q_perp^H gram^-T = (gram^-1 conj(Q_perp))^T, for Q_perp an
+    orthonormal basis of the orthogonal complement of span(sub): no row
+    when ``sub`` spans the whole space."""
+    q = orthonormal_complement(np.asarray(sub))
+    return np.linalg.solve(gram, q.conj()).T if q.shape[1] else q.T

@@ -6,22 +6,28 @@ Structure constants, omega and phi are stored as their nonzeros only
 that share a summation index (:func:`join`, which refuses to form more
 than ``MAX_SPARSE_TERMS`` products) and add the products that land on the
 same output index (:func:`max_abs_of_sum`).  Their cost grows with the
-number of nonzero products, not with the dense size of the tensors.
+number of nonzero products, not with the dense size of the tensors.  A
+residual declares its products per lead output index (:class:`LeadJoin`)
+and :func:`max_abs_by_lead` forms them in blocks of whole lead indices, so
+its memory stays near ``BLOCK_TERMS`` products at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import SizeLimitError
-from .tolerances import MAX_SPARSE_TERMS
+from .tolerances import BLOCK_TERMS, MAX_LEAD_TERMS, MAX_SPARSE_TERMS
 
 __all__ = [
     "orth",
     "null_space",
     "orthonormal_columns",
+    "orthonormal_complement",
+    "monomial_abs",
     "projector",
     "complement_residual",
     "projector_distance",
@@ -30,6 +36,8 @@ __all__ = [
     "join",
     "sum_by_key",
     "max_abs_of_sum",
+    "LeadJoin",
+    "max_abs_by_lead",
     "cyclic_terms",
 ]
 
@@ -55,15 +63,47 @@ def null_space(a: np.ndarray) -> np.ndarray:
     return vh[_svd_rank(s, a.shape):].T.conj()
 
 
+def _check_independent(r: np.ndarray):
+    """Refuse a basis whose QR factor ``r`` has a negligible diagonal entry."""
+    if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(r))):
+        raise ValueError("subspace basis is not linearly independent")
+
+
 def orthonormal_columns(basis: np.ndarray) -> np.ndarray:
     """Orthonormalize the columns of ``basis`` (must be independent)."""
     b = np.atleast_2d(np.asarray(basis))
     if b.shape[1] == 0:
         return b
     q, r = np.linalg.qr(b)
-    if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(r))):
-        raise ValueError("subspace basis is not linearly independent")
+    _check_independent(r)
     return q
+
+
+def monomial_abs(a: np.ndarray) -> np.ndarray | None:
+    """The absolute values of the nonzeros of a square matrix with exactly
+    one nonzero in each row and each column, which are its singular values;
+    None for any other matrix."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    nz = a != 0
+    if not (np.all(nz.sum(axis=0) == 1) and np.all(nz.sum(axis=1) == 1)):
+        return None
+    return np.abs(a[nz])
+
+
+def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the orthogonal complement of the span
+    of the columns of ``basis`` (must be independent).  A square monomial
+    basis spans the whole space, and gets no column without a QR."""
+    b = np.atleast_2d(np.asarray(basis))
+    n, k = b.shape
+    if k == 0:
+        return np.eye(n, dtype=b.dtype)
+    if monomial_abs(b) is not None:
+        return np.zeros((n, 0), dtype=b.dtype)
+    q, r = np.linalg.qr(b, mode="complete")
+    _check_independent(r[:k])
+    return q[:, k:]
 
 
 def projector(basis: np.ndarray) -> np.ndarray:
@@ -154,7 +194,12 @@ def join(
     product summed over the key.  More than ``limit`` pairs are refused
     before any is formed."""
     order = np.argsort(right, kind="stable")
-    keys = right[order]
+    return _pairs(left, order, right[order], limit)
+
+
+def _pairs(left, order, keys, limit=MAX_SPARSE_TERMS) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`join` of ``left`` with the key array whose stable sorting
+    permutation is ``order`` and whose sorted keys are ``keys``."""
     lo = np.searchsorted(keys, left, "left")
     counts = np.searchsorted(keys, left, "right") - lo
     if (total := int(counts.sum())) > limit:
@@ -182,6 +227,68 @@ def max_abs_of_sum(shape: tuple[int, ...], terms) -> float:
     keys = np.concatenate([np.ravel_multi_index(idx, shape) for idx, _ in terms])
     values = np.concatenate([v for _, v in terms])
     return float(np.max(np.abs(sum_by_key(keys, values)[1]), initial=0.0))
+
+
+@dataclass(frozen=True)
+class LeadJoin:
+    """The products of two sparse factors that share a summation index, as
+    term lists of a residual whose first output index is a lead index.
+    ``lead`` and ``key`` hold the lead index and the summation index of each
+    nonzero of the factor that carries the lead, ``other`` the summation
+    index of each nonzero of the other factor.  ``terms(p, q)`` gives the
+    terms (as for :func:`max_abs_of_sum`) of the products of the nonzeros at
+    positions p of the lead factor and q of the other, each term at the
+    lead index of its p."""
+
+    lead: np.ndarray
+    key: np.ndarray
+    other: np.ndarray
+    terms: Callable[[np.ndarray, np.ndarray], list]
+
+    def counts(self, size: int) -> np.ndarray:
+        """How many products each of the ``size`` lead indices pairs."""
+        partners = np.bincount(self.other, minlength=int(self.key.max(initial=-1)) + 1)
+        return np.bincount(self.lead, partners[self.key], size).astype(np.int64)
+
+
+def max_abs_by_lead(shape: tuple[int, ...], joins: list[LeadJoin]) -> float:
+    """Max norm of the array of ``shape`` that is the sum of the terms of
+    ``joins``, whose first index is the lead index of each.
+
+    Consecutive lead indices are packed into blocks of at most
+    ``BLOCK_TERMS`` products (a lead index of more is a block of its own),
+    and each block pairs only the nonzeros that carry its lead indices.  A
+    lead index of more than ``MAX_LEAD_TERMS`` products is refused before
+    any product is formed.  Within a block the term lists follow the order
+    of ``joins``, and every output index gets its products in increasing
+    order of the summation index, as from one :func:`join` over all
+    nonzeros (each factor's nonzeros are row-major, and an output index
+    fixes every other index of its factors); so the result does not depend
+    on the blocks.
+    """
+    counts = sum(j.counts(shape[0]) for j in joins)
+    if (over := np.flatnonzero(counts > MAX_LEAD_TERMS)).size:
+        raise SizeLimitError(
+            f"would pair {counts[over[0]]} nonzero products, more than {MAX_LEAD_TERMS}"
+        )
+    before = np.concatenate(([0], np.cumsum(counts)))
+    runs = []  # per join: its lead side by lead index, its other side by key
+    for j in joins:
+        by_lead = np.argsort(j.lead, kind="stable")
+        by_key = np.argsort(j.other, kind="stable")
+        edges = np.searchsorted(j.lead[by_lead], np.arange(shape[0] + 1))
+        runs.append((j, by_lead, edges, by_key, j.other[by_key]))
+    worst, lo = 0.0, 0
+    while lo < shape[0]:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + BLOCK_TERMS, "right")) - 1)
+        terms = []
+        for j, by_lead, edges, by_key, keys in runs:
+            pick = by_lead[edges[lo]:edges[hi]]
+            p, q = _pairs(j.key[pick], by_key, keys)
+            terms += j.terms(pick[p], q)
+        worst = max(worst, max_abs_of_sum(shape, terms))
+        lo = hi
+    return worst
 
 
 def cyclic_terms(lead, i, j, k, values) -> list:

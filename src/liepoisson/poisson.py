@@ -198,9 +198,11 @@ def hamiltonian_field(
     q = Coo.of((d, d, d), (m[s], lo, hi), v[s] * av[t])
     (qm, qp, ql), qv = q.idx, q.values
     rows, starts = np.unique(qm, return_index=True)
-    lin = np.zeros((d, d), dtype=v.dtype)
-    np.add.at(lin, (m, l), v * x0[i])
-    linear = lin.any()
+    linear = x0.any()  # a zero x0 has no linear part, and no (d, d) array is built
+    if linear:
+        lin = np.zeros((d, d), dtype=v.dtype)
+        np.add.at(lin, (m, l), v * x0[i])
+        linear = lin.any()
 
     def affine_field(b: np.ndarray) -> np.ndarray:
         out = np.zeros(d, dtype=v.dtype)

@@ -269,36 +269,32 @@ def wstar_central_split(
         z[sl, sl] = np.eye(g.block_dims[b])
     one_minus_z = np.eye(n) - z
 
-    basis = g.basis()
+    basis = np.array(g.basis())  # (D, n, n)
     idem = float(np.max(np.abs(z @ z - z)))
-    central = max(float(np.max(np.abs(z @ x - x @ z))) for x in basis)
+    central = float(np.max(np.abs(z @ basis - basis @ z)))
+    inner, outer = z @ basis @ z, one_minus_z @ basis @ one_minus_z
 
     # image check: span of ideal-block basis equals z * (basis of g)
-    ideal_basis = np.column_stack(
-        [x.ravel() for x in basis if np.allclose(z @ x @ z, x)]
-    )
-    z_image = np.column_stack([(z @ x @ z).ravel() for x in basis])
+    fixed = [np.allclose(zxz, x) for zxz, x in zip(inner, basis)]
+    ideal_basis = basis[fixed].reshape(-1, n * n).T
+    z_image = inner.reshape(-1, n * n).T
     z_image = z_image[:, np.linalg.norm(z_image, axis=0) > 0]
     image_res = max(
         complement_residual(z_image, ideal_basis),
         complement_residual(ideal_basis, z_image),
     )
 
+    # products with every y at once, one x at a time: O(D n^2) memory
     cross = 0.0
     split = 0.0
-    for x in basis:
-        x1, x2 = z @ x @ z, one_minus_z @ x @ one_minus_z
-        for y in basis:
-            y1, y2 = z @ y @ z, one_minus_z @ y @ one_minus_z
-            cross = max(cross, float(np.max(np.abs(x1 @ y2))), float(np.max(np.abs(y2 @ x1))))
-            lhs = x @ y - y @ x
-            rhs = (x1 @ y1 - y1 @ x1) + (x2 @ y2 - y2 @ x2)
-            split = max(split, float(np.max(np.abs(lhs - rhs))))
+    for x, x1, x2 in zip(basis, inner, outer):
+        cross = max(cross, float(np.max(np.abs(x1 @ outer))), float(np.max(np.abs(outer @ x1))))
+        lhs = x @ basis - basis @ x
+        rhs = (x1 @ inner - inner @ x1) + (x2 @ outer - outer @ x2)
+        split = max(split, float(np.max(np.abs(lhs - rhs))))
 
     # the projection that kills the ideal restricts to a bijection on (1-z)g
-    comp_basis = np.column_stack(
-        [(one_minus_z @ x @ one_minus_z).ravel() for x in basis]
-    )
+    comp_basis = outer.reshape(-1, n * n).T
     comp_basis = comp_basis[:, np.linalg.norm(comp_basis, axis=0) > 0]
     comp_dim = sum(g.block_dims[b] ** 2 for b in range(k) if b not in ideal)
     iso_defect = comp_dim - int(np.linalg.matrix_rank(comp_basis))

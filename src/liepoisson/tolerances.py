@@ -44,9 +44,16 @@ MAX_TRAJECTORY_VALUES = 10_000_000
 # basis), linalg.join the nonzero products of a join (~270 bytes each).
 MAX_SPARSE_TERMS = 2**20
 
-# Largest number of nonzero products one block of the Jacobi join forms.
-# algebra.jacobi_residual joins in blocks of whole runs of the lead index,
-# so its memory stays near 2^18 * 280 bytes (~70 MB, the sorted cyclic
-# keys included) at any size, and refuses only a lead index whose products
-# alone exceed the block.
-JACOBI_BLOCK_TERMS = MAX_SPARSE_TERMS // 4
+# Largest number of nonzero products one lead index of a blocked identity
+# residual may pair.  linalg.max_abs_by_lead forms each residual (Jacobi,
+# derivation, cocycle, representation) in blocks of whole lead indices,
+# and refuses a lead index whose products alone exceed this bound before
+# any product is formed.
+MAX_LEAD_TERMS = MAX_SPARSE_TERMS // 4
+
+# Working-set target of one block of linalg.max_abs_by_lead: consecutive
+# lead indices are packed into blocks of at most this many products (one
+# lead index of more forms a block of its own), so a residual's memory
+# stays near 2^13 * 280 bytes (~2 MB, the sorted keys included) at any size
+# while no lead index pairs more; one of MAX_LEAD_TERMS takes ~70 MB.
+BLOCK_TERMS = 2**13

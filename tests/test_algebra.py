@@ -208,6 +208,56 @@ def test_degenerate_gram_rejected(so3):
         la.DualPairing(so3, np.diag([1.0, 1.0, 1e-14]))
 
 
+def scaled_signed_permutation(rng, d, cplx, scale=3.0):
+    values = rng.normal(size=d) * np.exp(scale * rng.normal(size=d))
+    if cplx:
+        values = values * np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
+    g = np.zeros((d, d), dtype=values.dtype)
+    g[np.arange(d), rng.permutation(d)] = values
+    return g
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_monomial_gram_conditioning_matches_the_svd(rng, monkeypatch, cplx):
+    """A monomial gram's singular values are the absolute values of its
+    nonzeros: the same min/max ratio as the SVD's, with no SVD taken, and
+    the same refusal of a nearly singular one."""
+    from liepoisson.linalg import monomial_abs
+
+    for d in (1, 2, 5, 9, 16):
+        g = scaled_signed_permutation(rng, d, cplx)
+        sv = np.linalg.svd(g, compute_uv=False)
+        ratio = np.min(monomial_abs(g)) / np.max(monomial_abs(g))
+        assert ratio == pytest.approx(sv[-1] / sv[0], rel=1e-12)
+    alg = la.gl(3, "complex" if cplx else "real")
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+    la.DualPairing(alg, scaled_signed_permutation(rng, 9, cplx, scale=1.0))
+    assert calls == []
+    near = scaled_signed_permutation(rng, 9, cplx, scale=0.0)
+    near[np.nonzero(near)[0][4], np.nonzero(near)[1][4]] *= 1e-11
+    with pytest.raises(DegeneratePairingError, match="nearly singular"):
+        la.DualPairing(alg, near)
+    assert calls == []
+    la.DualPairing(alg, np.eye(9) + 0.1 * near)  # not monomial: the SVD decides
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_monomial_inverse_entries_match_the_dense_inverse(rng, cplx):
+    """The nonzeros of a monomial gram's inverse, taken as 1 x 1 inverses,
+    are those of np.linalg.inv to the bit; other grams go through it."""
+    from liepoisson.linalg import as_coo
+
+    grams = [scaled_signed_permutation(rng, d, cplx) for d in (1, 3, 8, 30)]
+    grams.append(np.eye(6) + 0.1 * rng.normal(size=(6, 6)))  # not monomial
+    for g in grams:
+        fast, dense = la._inverse_entries(g), as_coo(np.linalg.inv(g))
+        assert all(np.array_equal(a, b) for a, b in zip(fast.idx, dense.idx))
+        assert fast.values.tobytes() == dense.values.tobytes()
+
+
 def test_builtin_constructors():
     assert la.builtin_algebra("so3").dim == 3
     assert la.builtin_algebra("gl3").dim == 9

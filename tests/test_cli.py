@@ -617,8 +617,9 @@ def test_structure_bound_is_checked_before_building(tmp_path, capsys, monkeypatc
     for workload_size in ((4, 4), (14, 14)):  # the largest benchmark size, the largest admitted
         assert cli._restricted_dims(cli._Node(dict(zip(("n_plus", "n_minus"), workload_size))))
 
-    # a dense inline algebra of dim 20: its Jacobi join would pair 2.9 million
-    # nonzero products, and is refused before it forms them
+    # a dense inline algebra of dim 20: its Jacobi join pairs 2.9 million
+    # nonzero products, 144 400 at each lead index, which the blocks admit;
+    # it is refused for its Jacobi defect, within the memory bound
     rng = np.random.default_rng(3)
     dense = [[k, i, j, float(rng.normal())]
              for k in range(20) for i in range(20) for j in range(i + 1, 20)]
@@ -655,6 +656,20 @@ def test_join_beyond_the_bound_names_the_size(tmp_path, capsys):
     assert code == 2
     assert "304704 nonzero products" in err and "(field: extension.n)" in err, err
     assert peak < 32 * 2**20
+
+
+def test_parser_is_built_once_and_keeps_usage(capsys):
+    """The argument parser is built on the first call of the process and
+    reused: --help and usage errors print and exit as on the first call."""
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["verify", "--help"], [], ["bogus"], ["verify"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.run_cli(argv)
+            outputs.append((exit_.value.code, *capsys.readouterr()))
+    assert outputs[:5] == outputs[5:]
+    assert [code for code, _, _ in outputs[:5]] == [0, 0, 2, 2, 2]
+    assert cli._parser() is cli._parser()
 
 
 def test_builtin_dict_form_verifies(tmp_path, capsys):

@@ -5,7 +5,7 @@ import scipy.linalg
 from liepoisson import algebra as la
 from liepoisson import sequences as sq
 from liepoisson.errors import DimensionMismatchError, UnsupportedPresentationError
-from liepoisson.linalg import null_space, orth
+from liepoisson.linalg import complement_residual, null_space, orth
 
 from closed_forms import predual_restriction_residual
 
@@ -167,6 +167,60 @@ def test_wstar_cross_products_vanish(rng):
         y = one_minus_z @ rng.normal(size=(5, 5)) @ one_minus_z
         assert np.max(np.abs(x @ y)) == 0.0
         assert np.max(np.abs(y @ x)) == 0.0
+
+
+def wstar_split_loop(g, ideal):
+    """The residuals of the W*-split, one pair of basis matrices at a time."""
+    n = g.total_dim
+    z = np.zeros((n, n))
+    for b in ideal:
+        sl = g.block_slice(b)
+        z[sl, sl] = np.eye(g.block_dims[b])
+    one_minus_z = np.eye(n) - z
+    basis = g.basis()
+    central = max(float(np.max(np.abs(z @ x - x @ z))) for x in basis)
+    ideal_basis = np.column_stack([x.ravel() for x in basis if np.allclose(z @ x @ z, x)])
+    z_image = np.column_stack([(z @ x @ z).ravel() for x in basis])
+    z_image = z_image[:, np.linalg.norm(z_image, axis=0) > 0]
+    cross = split = 0.0
+    for x in basis:
+        x1, x2 = z @ x @ z, one_minus_z @ x @ one_minus_z
+        for y in basis:
+            y1, y2 = z @ y @ z, one_minus_z @ y @ one_minus_z
+            cross = max(cross, float(np.max(np.abs(x1 @ y2))), float(np.max(np.abs(y2 @ x1))))
+            lhs = x @ y - y @ x
+            rhs = (x1 @ y1 - y1 @ x1) + (x2 @ y2 - y2 @ x2)
+            split = max(split, float(np.max(np.abs(lhs - rhs))))
+    comp_basis = np.column_stack([(one_minus_z @ x @ one_minus_z).ravel() for x in basis])
+    comp_basis = comp_basis[:, np.linalg.norm(comp_basis, axis=0) > 0]
+    comp_dim = sum(d * d for b, d in enumerate(g.block_dims) if b not in ideal)
+    return z, {
+        "idempotent_residual": float(np.max(np.abs(z @ z - z))),
+        "central_residual": central,
+        "image_residual": max(complement_residual(z_image, ideal_basis),
+                              complement_residual(ideal_basis, z_image)),
+        "cross_product_residual": cross,
+        "bracket_split_residual": split,
+        "projection_iso_defect": comp_dim - int(np.linalg.matrix_rank(comp_basis)),
+    }
+
+
+def test_wstar_split_equals_the_pairwise_loop(rng):
+    """The split batched over y for each x reports what the loop over every
+    pair of basis matrices reports: the shipped config's (2, 3) split of
+    block 0, and random block dims and ideals."""
+    cases = [((2, 3), (0,))]
+    for _ in range(6):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(2, 5)))
+        ideal = tuple(int(b) for b in rng.choice(len(dims), rng.integers(1, len(dims)),
+                                                 replace=False))
+        cases.append((dims, tuple(sorted(ideal))))
+    for dims, ideal in cases:
+        g = sq.MatrixStarAlgebra(dims)
+        rep = sq.wstar_central_split(g, ideal)
+        z, expected = wstar_split_loop(g, ideal)
+        assert np.array_equal(rep.z, z)
+        assert rep.as_dict() == expected, (dims, ideal)
 
 
 def test_wstar_split_rejects_bad_selection():

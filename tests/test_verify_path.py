@@ -20,8 +20,11 @@ import pytest
 from liepoisson import algebra as la
 from liepoisson import cli
 from liepoisson import extension as ex
+from liepoisson import linalg, poisson
 from liepoisson import restricted as rs
+from liepoisson.errors import SizeLimitError
 from liepoisson.linalg import Coo, as_coo, complement_residual
+from liepoisson.tolerances import BLOCK_TERMS
 
 from closed_forms import restricted_omega
 
@@ -210,6 +213,41 @@ def test_predual_closure_matches_loop_oracle(rng, dn, dh, cplx):
     assert min(phi, slot, omega) > 1e-3  # proper subspaces: nothing vanishes
 
 
+@pytest.mark.parametrize("dims", [(3, 2), (4, 4)])
+def test_complement_closure_on_restricted_subspaces(rng, dims):
+    """Random subspaces of codimension 3 of the restricted preduals, and the
+    whole space for c: the complement coordinates against the loop oracle."""
+    spec = rs.restricted_extension_spec(*dims)
+    dn, dh = spec.n.dim, spec.h.dim
+    c_sub = rng.normal(size=(dn, dn - 3)) + 1j * rng.normal(size=(dn, dn - 3))
+    a_sub = rng.normal(size=(dh, dh - 3)) + 1j * rng.normal(size=(dh, dh - 3))
+    for c in (c_sub, np.eye(dn)):
+        rep = ex.check_predual_closure(spec, c, a_sub)
+        oracle = closure_oracle(spec, c, a_sub)  # (phi, slot, omega), as ClosureReport
+        for value, expected in zip(rep.as_dict().values(), oracle):
+            close(value, expected)
+        assert min(oracle[1:]) > 1e-3
+    assert rep.phi_star_into_c == 0.0  # c the whole space: exactly 0
+
+
+def test_whole_space_closure_forms_nothing(monkeypatch):
+    """Whole-space preduals (square monomial bases) give exactly 0 with no
+    QR, no solve and no column formed."""
+    spec = rs.restricted_extension_spec(4, 4)
+    calls = []
+    for name in ("qr", "solve"):
+        def counted(*args, original=getattr(np.linalg, name), **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    perm = np.eye(spec.h.dim)[::-1] * 2.0
+    rep = ex.check_predual_closure(spec, np.eye(spec.n.dim), perm)
+    assert rep.as_dict() == {"phi_star_into_c": 0.0, "phi_slot_star_into_a": 0.0,
+                             "omega_star_into_a": 0.0}
+    assert calls == []
+
+
 def test_build_extension_alone_refuses_incompatible_data(rng):
     spec = random_spec(rng, 2, 3, False)
     with pytest.raises(ex.InvalidExtensionError):
@@ -269,8 +307,10 @@ def test_algebra_to_json_triplet_order():
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi join in blocks of the lead index
+# every identity residual in blocks of its lead index
 # ---------------------------------------------------------------------------
+
+ONE_BLOCK = 2**40  # a block target that puts every lead index in one block
 
 
 def largest_run(c):
@@ -280,24 +320,32 @@ def largest_run(c):
     return int(np.bincount(a, weights=per_q, minlength=c.shape[0]).max())
 
 
-def counted_joins(monkeypatch):
-    """Record the size of every join that the algebra module forms."""
-    sizes = []
-    original = la.join
+def sizes_total(c):
+    """All products of the Jacobi join of c."""
+    a, b, _ = c.idx
+    return int(np.bincount(a, minlength=c.shape[0])[b].sum())
 
-    def join(*args):
+
+def counted_joins(monkeypatch):
+    """Record the size of every pairing that linalg forms: a whole join, or
+    the join of one factor of one block of max_abs_by_lead."""
+    sizes = []
+    original = linalg._pairs
+
+    def pairs(*args):
         p, q = original(*args)
         sizes.append(p.size)
         return p, q
 
-    monkeypatch.setattr(la, "join", join)
+    monkeypatch.setattr(linalg, "_pairs", pairs)
     return sizes
 
 
 @pytest.mark.parametrize("case", ["real", "complex", "restricted4x4", "restricted4x4-scaled"])
 def test_blocked_jacobi_equals_one_block(rng, monkeypatch, case):
-    """Blocks as small as whole runs of the lead index allow give, bit for
-    bit, the residual of one join over all products."""
+    """Blocks as small as whole runs of the lead index allow, and blocks of
+    the default target, give bit for bit the residual of one join over all
+    products."""
     if case.startswith("restricted"):
         c = ex.build_extension(rs.restricted_extension_spec(4, 4)).constants
         if case.endswith("scaled"):  # non-integer constants with a nonzero defect
@@ -305,13 +353,51 @@ def test_blocked_jacobi_equals_one_block(rng, monkeypatch, case):
     else:
         c = as_coo(random_skew(rng, (9,) * 3, case == "complex"))
     sizes = counted_joins(monkeypatch)
+    monkeypatch.setattr(linalg, "BLOCK_TERMS", ONE_BLOCK)
     one_block = la.jacobi_residual(c)
     assert len(sizes) == 1
-    monkeypatch.setattr(la, "JACOBI_BLOCK_TERMS", largest_run(c))
+    monkeypatch.setattr(linalg, "BLOCK_TERMS", largest_run(c))
     assert la.jacobi_residual(c) == one_block
     assert len(sizes) > 5 and max(sizes[1:]) <= largest_run(c)
     assert sum(sizes[1:]) == sizes[0]
     assert (one_block == 0.0) == (case == "restricted4x4")
+    del sizes[:]
+    monkeypatch.setattr(linalg, "BLOCK_TERMS", BLOCK_TERMS)
+    assert la.jacobi_residual(c) == one_block
+    assert max(sizes) <= max(BLOCK_TERMS, largest_run(c)) and sum(sizes) == sizes_total(c)
+
+
+@pytest.mark.parametrize("dn,dh,cplx", [(3, 4, False), (4, 3, True), (5, 5, True)])
+def test_blocked_compatibility_equals_one_block(rng, monkeypatch, dn, dh, cplx):
+    """The derivation, cocycle and representation residuals of random
+    non-integer data are, bit for bit, the same in blocks of one lead index
+    and in one block."""
+    spec = random_spec(rng, dn, dh, cplx)
+    monkeypatch.setattr(linalg, "BLOCK_TERMS", ONE_BLOCK)
+    sizes = counted_joins(monkeypatch)
+    one_block = ex.check_compatibility(spec)
+    joins = len(sizes)  # 3 derivation, 2 cocycle and 4 representation factors
+    assert joins == 9
+    monkeypatch.setattr(linalg, "BLOCK_TERMS", 1)
+    blocked = ex.check_compatibility(spec)
+    assert blocked == one_block
+    assert len(sizes) - joins == 7 * dh + 2 * dn  # a block per lead index of each
+    assert min(one_block.derivation_residual, one_block.cocycle_residual,
+               one_block.representation_residual) > 1e-3
+
+
+def test_a_lead_index_beyond_the_bound_is_refused_unformed(monkeypatch):
+    """Only a lead index whose products alone exceed MAX_LEAD_TERMS is
+    refused, before any product is formed, and the message counts them."""
+    c = ex.build_extension(rs.restricted_extension_spec(3, 3)).constants
+    sizes = counted_joins(monkeypatch)
+    monkeypatch.setattr(linalg, "MAX_LEAD_TERMS", largest_run(c))
+    la.jacobi_residual(c)
+    del sizes[:]
+    monkeypatch.setattr(linalg, "MAX_LEAD_TERMS", largest_run(c) - 1)
+    with pytest.raises(SizeLimitError, match=f"would pair {largest_run(c)} nonzero products"):
+        la.jacobi_residual(c)
+    assert sizes == []
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +463,18 @@ def test_restricted_6x6_within_memory_bound(tmp_path, capsys):
 
 
 def test_blocked_verify_and_large_simulate_within_memory_bound(tmp_path, capsys, monkeypatch):
-    """verify on restricted (8, 8), whose Jacobi join spans two blocks, and
+    """verify on restricted (8, 8), whose residuals span many blocks, and
     a 10-step RK4 simulate on (12, 12), which validates no constructor,
     each under a 96 MB traced peak."""
-    sizes = counted_joins(monkeypatch)
+    sizes, whole = counted_joins(monkeypatch), []
+    for module in (la, poisson):  # the whole joins, as against the blocks of residuals
+        def counted(*args, original=module.join):
+            p, q = original(*args)
+            whole.append(p.size)
+            return p, q
+
+        monkeypatch.setattr(module, "join", counted)
+    counts = {}
     for n, cmd in ((8, "verify"), (12, "simulate")):
         doc = {"system": "restricted", "hamiltonian": {"name": "quadratic"},
                "restricted": {"n_plus": n, "n_minus": n, "kappa0": {"constructor": "random"},
@@ -396,9 +490,31 @@ def test_blocked_verify_and_large_simulate_within_memory_bound(tmp_path, capsys,
             tracemalloc.stop()
         assert code == 0, capsys.readouterr().err
         assert peak < 96 * 2**20, (cmd, peak)
-    # verify: n, h and two blocks of the extension; simulate: the two joins
-    # of the coadjoint tensor
-    assert len(sizes) == 4 + 2
+        for size in whole:
+            sizes.remove(size)
+        counts[cmd] = len(whole), max(sizes)
+        sizes[:], whole[:] = [], []
+    # verify: every residual in blocks of at most the target (no lead index
+    # of (8, 8) pairs more); simulate: the two joins of the coadjoint tensor
+    # and the one of the compiled field, and build_extension's compatibility
+    # check in blocks
+    assert counts["verify"][0] == 0 and counts["verify"][1] <= BLOCK_TERMS
+    assert counts["simulate"][0] == 3 and counts["simulate"][1] <= BLOCK_TERMS
+
+
+def test_restricted_8x8_verify_in_a_small_working_set(tmp_path, capsys):
+    """verify on restricted (8, 8) under a 16 MB traced peak: every identity
+    residual is formed in blocks of the working-set target, and the
+    whole-space predual closure forms nothing."""
+    cfg = restricted_config(tmp_path, 8, 8)
+    tracemalloc.start()
+    try:
+        code = cli.run_cli(["verify", cfg, "--out", str(tmp_path / "verify.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    assert peak < 16 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
