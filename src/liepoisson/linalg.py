@@ -63,9 +63,10 @@ def null_space(a: np.ndarray) -> np.ndarray:
     return vh[_svd_rank(s, a.shape):].T.conj()
 
 
-def _check_independent(r: np.ndarray):
-    """Refuse a basis whose QR factor ``r`` has a negligible diagonal entry."""
-    if np.min(np.abs(np.diag(r))) < 1e-12 * max(1.0, np.max(np.abs(r))):
+def _check_independent(diag: np.ndarray, entries: np.ndarray):
+    """Refuse a basis whose triangular factor has a negligible ``diag``
+    entry relative to its largest entry among ``entries``."""
+    if np.min(np.abs(diag)) < 1e-12 * max(1.0, np.max(np.abs(entries))):
         raise ValueError("subspace basis is not linearly independent")
 
 
@@ -75,7 +76,7 @@ def orthonormal_columns(basis: np.ndarray) -> np.ndarray:
     if b.shape[1] == 0:
         return b
     q, r = np.linalg.qr(b)
-    _check_independent(r)
+    _check_independent(np.diag(r), r)
     return q
 
 
@@ -94,15 +95,19 @@ def monomial_abs(a: np.ndarray) -> np.ndarray | None:
 def orthonormal_complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the orthogonal complement of the span
     of the columns of ``basis`` (must be independent).  A square monomial
-    basis spans the whole space, and gets no column without a QR."""
+    basis spans the whole space, and gets no column without a QR: its
+    columns are orthogonal, so the triangular factor of its QR has the
+    absolute values of its nonzeros on the diagonal and nothing else, and
+    the independence test reads them directly."""
     b = np.atleast_2d(np.asarray(basis))
     n, k = b.shape
     if k == 0:
         return np.eye(n, dtype=b.dtype)
-    if monomial_abs(b) is not None:
+    if (nz := monomial_abs(b)) is not None:
+        _check_independent(nz, nz)
         return np.zeros((n, 0), dtype=b.dtype)
     q, r = np.linalg.qr(b, mode="complete")
-    _check_independent(r[:k])
+    _check_independent(np.diag(r[:k]), r[:k])
     return q[:, k:]
 
 
@@ -264,7 +269,9 @@ def max_abs_by_lead(shape: tuple[int, ...], joins: list[LeadJoin]) -> float:
     order of the summation index, as from one :func:`join` over all
     nonzeros (each factor's nonzeros are row-major, and an output index
     fixes every other index of its factors); so the result does not depend
-    on the blocks.
+    on the blocks.  When every product fits in one block, the nonzeros are
+    joined in their stored order, with no sorting by lead index: an output
+    index fixes its lead index, so its products keep their order.
     """
     counts = sum(j.counts(shape[0]) for j in joins)
     if (over := np.flatnonzero(counts > MAX_LEAD_TERMS)).size:
@@ -272,6 +279,8 @@ def max_abs_by_lead(shape: tuple[int, ...], joins: list[LeadJoin]) -> float:
             f"would pair {counts[over[0]]} nonzero products, more than {MAX_LEAD_TERMS}"
         )
     before = np.concatenate(([0], np.cumsum(counts)))
+    if before[-1] <= BLOCK_TERMS:
+        return max_abs_of_sum(shape, [t for j in joins for t in j.terms(*join(j.key, j.other))])
     runs = []  # per join: its lead side by lead index, its other side by key
     for j in joins:
         by_lead = np.argsort(j.lead, kind="stable")

@@ -248,6 +248,19 @@ def test_whole_space_closure_forms_nothing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("slot", ["c", "a"])
+def test_near_dependent_monomial_predual_refused(slot):
+    """A square monomial basis skips the QR but not the independence test:
+    diag(1, ..., 1e-13) is refused as a QR of it would be."""
+    spec = rs.restricted_extension_spec(2, 2)
+    subs = {"c": np.eye(spec.n.dim), "a": np.eye(spec.h.dim)}
+    subs[slot][-1, -1] = 1e-13
+    with pytest.raises(ValueError, match="not linearly independent"):
+        linalg.orthonormal_columns(subs[slot])
+    with pytest.raises(ValueError, match="not linearly independent"):
+        ex.check_predual_closure(spec, subs["c"], subs["a"])
+
+
 def test_build_extension_alone_refuses_incompatible_data(rng):
     spec = random_spec(rng, 2, 3, False)
     with pytest.raises(ex.InvalidExtensionError):

@@ -24,7 +24,7 @@ random initial point.
 ``wall_s`` is one untraced call and ``traced_peak_mb`` the ``tracemalloc``
 peak of a second call.  The points are printed one JSON line each, and
 the whole sweep is written to ``--out`` when given.  Exit status 1 when a
-point does not exit 0 or its traced peak exceeds ``--bound-mb``.
+point does not exit 0 or its traced peak exceeds ``BOUND_MB``.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 STEPS, DT = 10, 1e-3
+BOUND_MB = 128  # traced peak bound per point
 
 
 def config(n) -> dict:
@@ -138,7 +139,6 @@ def main(argv=None) -> int:
     ap.add_argument("--cli-max", type=int, default=14, help="largest n run through the CLI")
     ap.add_argument("--library", type=int, nargs="*", default=[16],
                     help="sizes run through the library calls (none when given empty)")
-    ap.add_argument("--bound-mb", type=float, default=128.0, help="traced peak bound per point")
     ap.add_argument("--out", help="write the sweep as JSON to this file")
     ap.add_argument("--point", nargs=3, metavar=("N", "COMMAND", "VIA"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -159,11 +159,11 @@ def main(argv=None) -> int:
                           "stderr": run.stderr.strip()[-500:]}
             else:
                 result = json.loads(run.stdout.strip().splitlines()[-1])
-            failed |= result["exit"] != 0 or result.get("traced_peak_mb", 0) > args.bound_mb
+            failed |= result["exit"] != 0 or result.get("traced_peak_mb", 0) > BOUND_MB
             points.append(result)
             print(json.dumps(result), flush=True)
     if args.out:
-        sweep = {"config": config("n"), "bound_mb": args.bound_mb, "points": points}
+        sweep = {"config": config("n"), "bound_mb": BOUND_MB, "points": points}
         Path(args.out).write_text(json.dumps(sweep, indent=1) + "\n")
     return 1 if failed else 0
 
