@@ -10,6 +10,9 @@ Subcommands:
 * ``bracket-table <config>``: emit the structure constants of the built
   extension as JSON.
 
+Both JSON outputs are ``json.dumps(doc, indent=2, sort_keys=True)`` to the
+byte, with the structure-constant rows written from one row template.
+
 Exit codes: 0 when every check passes, 1 when a residual exceeds its
 threshold or a computation fails, 2 on a malformed config, with a
 diagnostic that names the offending field by its dotted path in the
@@ -606,8 +609,11 @@ def _sim_rigid_body(body: _Node, doc: _Node, seed: int) -> _SimSystem:
 
 
 def _complex_labels(name: str, shape: tuple[int, ...]) -> list[str]:
-    """CSV columns of a complex array, row-major: real parts, then imaginary."""
-    idx = ["".join(str(i + 1) for i in ix) for ix in np.ndindex(shape)]
+    """CSV columns of a complex array, row-major: real parts, then imaginary.
+    The 1-based indices are joined by "_" when an axis is longer than 9, so
+    (1, 11) and (11, 1) name different columns."""
+    sep = "_" if max(shape) > 9 else ""
+    idx = [sep.join(str(i + 1) for i in ix) for ix in np.ndindex(shape)]
     return [f"{name}{s}_re" for s in idx] + [f"{name}{s}_im" for s in idx]
 
 
@@ -796,6 +802,41 @@ def _csv(columns: list[str], table: np.ndarray) -> str:
     return "".join([",".join(columns) + "\n", *(line % tuple(row.tolist()) for row in table)])
 
 
+def _rows_text(rows) -> str | None:
+    """A top-level list of ``[k, i, j, v]`` rows, ``v`` a scalar or an
+    ``[re, im]`` pair, as ``json.dumps(..., indent=2)`` nests it, from one
+    ``%`` over a repeated row template; None for any other value, or when a
+    scalar is not an exact int or a finite exact float."""
+    if not (type(rows) is list and rows and all(type(r) is list and len(r) == 4 for r in rows)):
+        return None
+    pair = type(rows[0][3]) is list
+    if pair and not all(type(r[3]) is list and len(r[3]) == 2 for r in rows):
+        return None
+    flat = [x for r in rows for x in (r[:3] + r[3] if pair else r)]
+    try:  # a NaN or an inf makes the sum non-finite; an int beyond the floats overflows it
+        if not ({*map(type, flat)} <= {int, float} and math.isfinite(sum(flat))):
+            return None
+    except OverflowError:
+        return None
+    scalar = "\n      %r"
+    v = "\n      [\n        %r,\n        %r\n      ]" if pair else scalar
+    row = "\n    [" + ",".join([scalar] * 3 + [v]) + "\n    ]"
+    return "[" + ",".join([row] * len(rows)) % tuple(flat) + "\n  ]"
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``: a top-level value of
+    rows from :func:`_rows_text`, any other value dumped alone and indented
+    one level (an encoded string holds no raw newline); a document without
+    rows, such as a verify report, is dumped whole."""
+    rows = {k: _rows_text(v) for k, v in doc.items()} if type(doc) is dict else {}
+    if not (any(rows.values()) and all(type(k) is str for k in doc)):
+        return json.dumps(doc, indent=2, sort_keys=True)
+    items = (f"  {json.dumps(k)}: " + (rows[k] or json.dumps(
+        doc[k], indent=2, sort_keys=True).replace("\n", "\n  ")) for k in sorted(doc))
+    return "{\n" + ",\n".join(items) + "\n}"
+
+
 def run_simulate(doc: _Node, seed: int) -> str:
     name, entry, body = _lookup(doc)
     if entry.simulate is None:
@@ -922,7 +963,7 @@ def run_cli(argv=None) -> int:
         doc = _load_config(args.config)
         if args.command == "verify":
             report, code = run_verify(doc, args.seed)
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+            _emit(_json_text(report) + "\n", args.out)
             for chk in report["checks"]:  # a passed check has no residual at its threshold
                 for key, value in sorted(chk["residuals"].items()):
                     if not chk["passed"] and abs(value) >= chk["threshold"]:
@@ -932,10 +973,7 @@ def run_cli(argv=None) -> int:
         if args.command == "simulate":
             _emit(run_simulate(doc, args.seed), args.out)
             return 0
-        _emit(
-            json.dumps(run_bracket_table(doc), indent=2, sort_keys=True) + "\n",
-            args.out,
-        )
+        _emit(_json_text(run_bracket_table(doc)) + "\n", args.out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

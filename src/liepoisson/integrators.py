@@ -192,7 +192,7 @@ def integrate_flow(
                 y = _rk4_step(field_fn, y, cfg.dt)
             else:
                 y = midpoint.step(y, i)
-            if not np.isfinite(y).all():
+            if not np.logical_and.reduce(np.isfinite(y)):  # ndarray.all goes through Python
                 raise NumericBlowupError("state left the range of finite floats", i)
             record(i, y)
     return Trajectory(times, states, tracked)

@@ -196,19 +196,43 @@ def hamiltonian_field(
     s, t = join(i, ai)
     lo, hi = np.minimum(ap[t], l[s]), np.maximum(ap[t], l[s])
     q = Coo.of((d, d, d), (m[s], lo, hi), v[s] * av[t])
-    (qm, qp, ql), qv = q.idx, q.values
-    rows, starts = np.unique(qm, return_index=True)
-    linear = x0.any()  # a zero x0 has no linear part, and no (d, d) array is built
-    if linear:
+    lin = None  # a zero x0 has no linear part, and no (d, d) array is built
+    if x0.any():
         lin = np.zeros((d, d), dtype=v.dtype)
         np.add.at(lin, (m, l), v * x0[i])
-        linear = lin.any()
+        lin = lin if lin.any() else None
+    return _affine_field(q, lin, v.dtype)
+
+
+def _affine_field(q: Coo, lin: np.ndarray | None, dtype) -> Callable[[np.ndarray], np.ndarray]:
+    """b -> out + lin @ b, with out[m] the sum of Q[m, p, l] b_p b_l over
+    the nonzeros of Q in row m (``np.add.reduceat``), scattered into zeros
+    of ``dtype``; no linear part when ``lin`` is None.  When every row has
+    a product nothing is scattered, and when every row has one nothing is
+    summed; the result is the same to the bit."""
+    d = q.shape[0]
+    (qm, qp, ql), qv = q.idx, q.values
+    rows, starts = np.unique(qm, return_index=True)
+    full = rows.size == d  # every output row has a product: nothing to scatter
+    single = qv.size == rows.size  # every row has one product: nothing to sum
+    zero = np.zeros(d, dtype=dtype)
+    zero.flags.writeable = False
+
+    def quadratic_part(b: np.ndarray) -> np.ndarray:
+        terms = qv * b[qp] * b[ql]
+        return terms if single else np.add.reduceat(terms, starts)
 
     def affine_field(b: np.ndarray) -> np.ndarray:
-        out = np.zeros(d, dtype=v.dtype)
-        if qv.size:
-            out[rows] = np.add.reduceat(qv * b[qp] * b[ql], starts)
-        return out + lin @ b if linear else out
+        if full:
+            out = quadratic_part(b)
+        elif qv.size:
+            out = np.zeros(d, dtype=dtype)
+            out[rows] = quadratic_part(b)
+        elif lin is not None:  # 0.0 + x, not x alone: an x of -0.0 reads 0.0
+            return zero + lin @ b
+        else:
+            return np.zeros(d, dtype=dtype)
+        return out if lin is None else out + lin @ b
 
     return affine_field
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,20 @@ def e3_spec():
 @pytest.fixture(scope="session")
 def h3_spec():
     return heisenberg_spec()
+
+
+@pytest.fixture(autouse=True)
+def json_text_equals_json_dumps(monkeypatch):
+    """Every JSON output the CLI writes in the suite (each ``verify``
+    report and each bracket table) equals ``json.dumps(doc, indent=2,
+    sort_keys=True)``."""
+    from liepoisson import cli
+
+    writer = cli._json_text
+
+    def checked(doc):
+        text = writer(doc)
+        assert text == json.dumps(doc, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liepoisson import cli
-from liepoisson.errors import LiePoissonError
+from liepoisson.errors import ConfigError, LiePoissonError
 
 
 def write(tmp_path, name, doc):
@@ -819,3 +819,107 @@ def test_quadratic_uses_the_symmetric_part_of_its_gram(tmp_path):
     h = rows["skew"][:, 4]
     assert np.max(np.abs(h - h[0])) < 1e-9
     assert np.max(np.abs(rows["skew"] - rows["sym"])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the CSV labels
+# ---------------------------------------------------------------------------
+
+_EDGE_VALUES = [1.0, -2.0, 3, -4, 0.5, -1.25, 1 / 3, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _table(alg) -> dict:
+    """A bracket table as ``run_bracket_table`` writes it."""
+    from liepoisson.algebra import algebra_to_json
+
+    return {**algebra_to_json(alg), "compatibility": {"verdict": "pass", "max_residual": 0.0}}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_json_text_equals_json_dumps_on_random_bracket_tables(data):
+    """Tables of random real and complex constants, with integer,
+    non-integer, signed-zero, tiny and huge values, exact ints among them."""
+    from liepoisson.algebra import LieAlgebra
+
+    field = data.draw(st.sampled_from(["real", "complex"]))
+    d = data.draw(st.integers(2, 5))
+    values = st.sampled_from(_EDGE_VALUES) | st.floats(-1e6, 1e6, allow_nan=False)
+    c = np.zeros((d, d, d), dtype=complex if field == "complex" else float)
+    for k, i, j in data.draw(st.lists(st.tuples(*[st.integers(0, d - 1)] * 3), min_size=1)):
+        if i != j:
+            re = data.draw(values)
+            v = complex(re, data.draw(values)) if field == "complex" else re
+            c[k, i, j], c[k, j, i] = v, -v
+    table = _table(LieAlgebra(c, scalar_field=field, validate=False))
+    for row in table["structure_constants"]:  # exact ints and signed zeros the library never writes
+        if field == "real" and data.draw(st.booleans()):
+            row[3] = data.draw(st.sampled_from([-0.0, 0, 7, -(2**70)]))
+    assert cli._json_text(table) == _dumps(table)
+
+
+def test_json_text_equals_json_dumps_off_the_row_form():
+    """An abelian algebra (no constants), non-ASCII and escaped labels, and
+    rows that break the [k, i, j, v] form, alone or beside rows that keep
+    it, all take json.dumps itself."""
+    from liepoisson.algebra import LieAlgebra, abelian, so3
+
+    labelled = LieAlgebra(so3().constants, ("ξ₁", "e\n\"2\"", "\u2028"), "ñ", validate=False)
+    tables = [_table(abelian(3)), _table(labelled)]
+    odd = [[[0, 1, 2, float("nan")]], [[0, 1, 2, float("inf")]], [[0, 1, 2, [1.0, -float("inf")]]],
+           [[0, 1, 2, True]], [[0, 1, 2, np.float64(1.5)]], [[0, 1, 2]], [[0, 1, 2, 1.0], [0, 1]],
+           [[0, 1, 2, [1.0]]], [[0, 1, 2, [1.0, 2.0]], [0, 1, 2, 3.0]], [(0, 1, 2, 1.0)],
+           [[0, 1, 2, 2**2000]], [[0, 1, 2, 1e308], [0, 1, 2, 1e308]], [[0, 1, 2, "x"]], [1, 2]]
+    for rows in odd:
+        alone, beside = _table(abelian(1)), _table(labelled)
+        alone["structure_constants"] = beside["other"] = rows
+        tables += [alone, beside]
+    tables += [{}, {"a": []}, {"b": {}, "a": [[]]}]
+    for table in tables:
+        assert cli._json_text(table) == _dumps(table)
+
+
+@pytest.mark.parametrize("config", ["heisenberg.json", "restricted.json", "semidirect_qm.json"])
+def test_bracket_table_round_trips_as_an_inline_algebra(tmp_path, capsys, config):
+    """A bracket table fed back as the inline ``extension.n`` of a trivial
+    extension rebuilds its constants exactly: the n-block of the new table
+    equals the old one, row for row."""
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / config)
+    assert cli.run_cli(["bracket-table", cfg]) == 0
+    table = json.loads(capsys.readouterr().out)
+    h = {"dim": 1, "field": table["field"]}
+    doc = {"system": "extension", "extension": {"n": table, "h": h}}
+    assert cli.run_cli(["bracket-table", write(tmp_path, "round.json", doc)]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert again["dim"] == table["dim"] + 1
+    assert again["structure_constants"] == table["structure_constants"]
+
+
+def _admitted(read, body) -> bool:
+    try:
+        read(cli._Node(body))
+    except ConfigError:
+        return False
+    return True
+
+
+def test_csv_labels_are_distinct_for_every_admitted_shape():
+    """Restricted (n+, n-) and semidirect_qm n admitted by the structure
+    bound name every state column once; up to 9 per axis the indices are
+    joined without a separator, as before."""
+    shapes = [[("kappa", (p, p)), ("sigma", (p + m, p + m))] for p in range(1, 40)
+              for m in range(40) if _admitted(cli._restricted_dims, {"n_plus": p, "n_minus": m})]
+    shapes += [[("v", (n,)), ("rho", (n, n))] for n in range(1, 40)
+               if _admitted(cli._qm_n, {"n": n})]
+    assert max(s[1][1][0] for s in shapes) < 39  # the ranges reach past every admitted size
+    assert any(max(s[1][1]) > 9 for s in shapes)
+    for slots in shapes:
+        labels = [x for name, shape in slots for x in cli._complex_labels(name, shape)]
+        assert len(set(labels)) == len(labels), slots
+    assert cli._complex_labels("sigma", (9, 9))[9] == "sigma21_re"
+    assert cli._complex_labels("sigma", (11, 11))[10] == "sigma1_11_re"
+    assert cli._complex_labels("sigma", (11, 11))[11] == "sigma2_1_re"

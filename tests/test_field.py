@@ -16,6 +16,7 @@ from liepoisson import integrators as it
 from liepoisson import poisson as po
 from liepoisson import quantum as qm
 from liepoisson import restricted as rs
+from liepoisson.linalg import Coo
 from liepoisson.tolerances import VERIFICATION_TOL
 
 from closed_forms import (
@@ -488,3 +489,46 @@ def test_coadjoint_tensor_is_built_once_per_pairing(monkeypatch):
     _close(second, first, tol=1e-15)
     _close(compiled, first)
     _close(first, -la.ad_star(p, po.functional_derivative(h, b, p), b))
+
+
+def _scatter_reduce_field(q, lin, dtype, b):
+    """The general form of a compiled affine field: every row's products
+    summed by reduceat and scattered into zeros, then the linear part added."""
+    (qm, qp, ql), qv = q.idx, q.values
+    rows, starts = np.unique(qm, return_index=True)
+    out = np.zeros(q.shape[0], dtype=dtype)
+    if qv.size:
+        out[rows] = np.add.reduceat(qv * b[qp] * b[ql], starts)
+    return out if lin is None else out + lin @ b
+
+
+@pytest.mark.parametrize("rows", ["all", "some", "none"])
+@pytest.mark.parametrize("per_row", ["one", "several"])
+@pytest.mark.parametrize("linear", [False, True])
+def test_affine_field_fast_paths_equal_the_scatter_reduce_form(rows, per_row, linear):
+    """Every row with a product (no scatter), one product per row (no sum)
+    and no quadratic part (zeros plus the linear part) give the general
+    form's result to the bit, signs of zero included."""
+    rng = np.random.default_rng(7)
+    d = 6
+    kept = {"all": np.arange(d), "some": np.array([0, 2, 5]), "none": np.arange(0)}[rows]
+    m = np.repeat(kept, 1 if per_row == "one" else 3)
+    p = rng.integers(0, d, size=m.size)
+    l = rng.integers(0, d, size=m.size)
+    if per_row == "one":
+        p, l = np.zeros_like(m), m  # one distinct (p, l) in each row
+    q = Coo.of((d, d, d), (m, np.minimum(p, l), np.maximum(p, l)),
+               rng.choice([-1.5, 0.25, 2.0], size=m.size))
+    assert (np.unique(q.idx[0]).size == d) == (rows == "all")
+    assert (q.values.size == np.unique(q.idx[0]).size) == (per_row == "one" or rows == "none")
+    lin = None
+    if linear:
+        lin = rng.choice([-0.0, 0.0, 1.0, -2.0], size=(d, d))
+        lin[0] = -0.0  # row 0 of lin @ b sums signed zeros only
+    field = po._affine_field(q, lin, float)
+    for b in (rng.normal(size=d), np.where(rng.random(d) < 0.5, -0.0, 0.0),
+              np.array([-0.0, 1.0, -0.0, -2.0, 0.5, -0.0])):
+        got, want = field(b), _scatter_reduce_field(q, lin, float, b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

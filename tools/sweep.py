@@ -1,5 +1,6 @@
 """Size sweep of the restricted block model: wall time and traced memory of
-``verify`` and a 10-step RK4 ``simulate`` at each ``(n, n)``.
+``verify``, a 10-step RK4 ``simulate`` and ``bracket-table`` at each
+``(n, n)``.
 
 Run from the root of a source checkout:
 
@@ -14,7 +15,8 @@ functions that the CLI would call: for verify the structure residuals of
 n, h and the built extension, the compatibility residuals and the
 whole-space predual closure; for simulate the compiled field of the
 quadratic Hamiltonian, integrated in real coordinates from the same
-random initial point.
+random initial point; for bracket-table the compatibility report, the
+built extension's ``algebra_to_json`` document and the CLI's JSON writer.
 
     {"system": "restricted", "hamiltonian": {"name": "quadratic"},
      "restricted": {"n_plus": n, "n_minus": n, "kappa0": {"constructor": "random"},
@@ -67,8 +69,8 @@ def library_call(n: int, command: str, workdir: Path):
     passes the CLI's default threshold (simulate: always 0)."""
     import numpy as np
 
-    from liepoisson import poisson, restricted
-    from liepoisson.algebra import check_structure
+    from liepoisson import cli, poisson, restricted
+    from liepoisson.algebra import algebra_to_json, check_structure
     from liepoisson.extension import (
         build_extension, check_compatibility, check_predual_closure, direct_sum_pairing,
     )
@@ -112,7 +114,15 @@ def library_call(n: int, command: str, workdir: Path):
         h.eval(traj.states[:, :d] + 1j * traj.states[:, d:])
         return 0
 
-    return verify if command == "verify" else simulate
+    def bracket_table() -> int:
+        spec = restricted.restricted_extension_spec(n, n)
+        compat = check_compatibility(spec)
+        table = algebra_to_json(build_extension(spec, report=compat))
+        table["compatibility"] = compat.as_dict()
+        (workdir / "bracket-table.out").write_text(cli._json_text(table) + "\n")
+        return 0 if compat.verdict == "pass" else 1
+
+    return {"verify": verify, "simulate": simulate, "bracket-table": bracket_table}[command]
 
 
 def point(n: int, command: str, via: str) -> dict:
@@ -149,7 +159,7 @@ def main(argv=None) -> int:
     plan = [(n, "cli") for n in range(2, args.cli_max + 1)] + [(n, "library") for n in args.library]
     points, failed = [], False
     for n, via in plan:
-        for command in ("verify", "simulate"):
+        for command in ("verify", "simulate", "bracket-table"):
             run = subprocess.run(
                 [sys.executable, __file__, "--point", str(n), command, via],
                 capture_output=True, text=True,
