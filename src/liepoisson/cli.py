@@ -796,10 +796,15 @@ def _integrator_config(doc: _Node) -> IntegratorConfig:
 
 def _csv(columns: list[str], table: np.ndarray) -> str:
     """CSV text: the header, then one line per row of ``table``, each entry
-    formatted ``%.17e``.  Rows are converted one at a time, so no Python
-    copy of the whole table is held next to the text."""
+    formatted ``%.17e``.  Rows are formatted in blocks of at most 256, with
+    one ``%`` per block, so no Python copy of the whole table is held next
+    to the text."""
     line = ",".join(["%.17e"] * table.shape[1]) + "\n"
-    return "".join([",".join(columns) + "\n", *(line % tuple(row.tolist()) for row in table)])
+    parts = [",".join(columns) + "\n"]
+    for start in range(0, len(table), 256):
+        rows = table[start:start + 256]
+        parts.append((line * len(rows)) % tuple(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def _rows_text(rows) -> str | None:

@@ -201,40 +201,52 @@ def hamiltonian_field(
         lin = np.zeros((d, d), dtype=v.dtype)
         np.add.at(lin, (m, l), v * x0[i])
         lin = lin if lin.any() else None
-    return _affine_field(q, lin, v.dtype)
+    return AffineField(q, lin, v.dtype)
 
 
-def _affine_field(q: Coo, lin: np.ndarray | None, dtype) -> Callable[[np.ndarray], np.ndarray]:
-    """b -> out + lin @ b, with out[m] the sum of Q[m, p, l] b_p b_l over
-    the nonzeros of Q in row m (``np.add.reduceat``), scattered into zeros
-    of ``dtype``; no linear part when ``lin`` is None.  When every row has
-    a product nothing is scattered, and when every row has one nothing is
-    summed; the result is the same to the bit."""
-    d = q.shape[0]
-    (qm, qp, ql), qv = q.idx, q.values
-    rows, starts = np.unique(qm, return_index=True)
-    full = rows.size == d  # every output row has a product: nothing to scatter
-    single = qv.size == rows.size  # every row has one product: nothing to sum
-    zero = np.zeros(d, dtype=dtype)
-    zero.flags.writeable = False
+class AffineField:
+    """A compiled affine field, b -> out + lin @ b.  ``out`` is
+    ``np.add.reduceat`` of the products Q[m, p, l] b_p b_l over the rows m
+    with one, scattered into zeros of ``dtype``.  When every row has a
+    product nothing is scattered, and when every row has one nothing is
+    summed; the result is the same to the bit.
 
-    def quadratic_part(b: np.ndarray) -> np.ndarray:
-        terms = qv * b[qp] * b[ql]
-        return terms if single else np.add.reduceat(terms, starts)
+    ``products`` lists a real field with no linear part and at most one
+    product per row as ``(m, v, p, l)``, Python lists in row order, so
+    that row m of the field is ``v * b[p] * b[l]``; it is None for any
+    other field.  :func:`~liepoisson.integrators.integrate_flow` runs RK4
+    on Python floats from it when the field's type is exactly this class,
+    so a wrapper, even one made with ``functools.wraps``, runs on numpy.
+    The class is slotted: such a wrapper copies no ``products``."""
 
-    def affine_field(b: np.ndarray) -> np.ndarray:
-        if full:
-            out = quadratic_part(b)
-        elif qv.size:
-            out = np.zeros(d, dtype=dtype)
-            out[rows] = quadratic_part(b)
-        elif lin is not None:  # 0.0 + x, not x alone: an x of -0.0 reads 0.0
-            return zero + lin @ b
-        else:
-            return np.zeros(d, dtype=dtype)
-        return out if lin is None else out + lin @ b
+    __slots__ = ("dim", "dtype", "lin", "qv", "qp", "ql", "rows", "starts",
+                 "full", "single", "zero", "products")
 
-    return affine_field
+    def __init__(self, q: Coo, lin: np.ndarray | None, dtype):
+        d = self.dim = q.shape[0]
+        (qm, self.qp, self.ql), self.qv = q.idx, q.values
+        self.rows, self.starts = np.unique(qm, return_index=True)
+        self.full = self.rows.size == d  # every output row has a product: nothing to scatter
+        self.single = self.qv.size == self.rows.size  # every row has one product: nothing to sum
+        self.dtype, self.lin = dtype, lin
+        self.zero = np.zeros(d, dtype=dtype)
+        self.zero.flags.writeable = False
+        real = np.dtype(dtype).kind == "f"
+        self.products = None
+        if real and lin is None and self.single:
+            self.products = tuple(a.tolist() for a in (qm, self.qv, self.qp, self.ql))
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        if not self.qv.size:
+            if self.lin is None:
+                return np.zeros(self.dim, dtype=self.dtype)
+            return self.zero + self.lin @ b  # 0.0 + x, not x alone: an x of -0.0 reads 0.0
+        terms = self.qv * b[self.qp] * b[self.ql]
+        out = terms if self.single else np.add.reduceat(terms, self.starts)
+        if not self.full:
+            out, rows = np.zeros(self.dim, dtype=self.dtype), out
+            out[self.rows] = rows
+        return out if self.lin is None else out + self.lin @ b
 
 
 def hamiltonian_vector_field(

@@ -57,3 +57,11 @@ MAX_LEAD_TERMS = MAX_SPARSE_TERMS // 4
 # stays near 2^13 * 280 bytes (~2 MB, the sorted keys included) at any size
 # while no lead index pairs more; one of MAX_LEAD_TERMS takes ~70 MB.
 BLOCK_TERMS = 2**13
+
+# Largest dimension at which integrate_flow runs RK4 on Python floats for a
+# compiled real field with no linear part and at most one product per row.
+# Such a numpy step is mostly the fixed cost of its ~35 calls, which the
+# float loop saves, while the loop's own cost grows with d: with a product
+# in every row it was 2.9x faster at d = 3, 1.7x at d = 16, 1.2x at d = 24
+# and 0.9x at d = 32, so the bound keeps a margin below the crossover.
+RK4_FLOAT_MAX_DIM = 16

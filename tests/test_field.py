@@ -525,7 +525,7 @@ def test_affine_field_fast_paths_equal_the_scatter_reduce_form(rows, per_row, li
     if linear:
         lin = rng.choice([-0.0, 0.0, 1.0, -2.0], size=(d, d))
         lin[0] = -0.0  # row 0 of lin @ b sums signed zeros only
-    field = po._affine_field(q, lin, float)
+    field = po.AffineField(q, lin, float)
     for b in (rng.normal(size=d), np.where(rng.random(d) < 0.5, -0.0, 0.0),
               np.array([-0.0, 1.0, -0.0, -2.0, 0.5, -0.0])):
         got, want = field(b), _scatter_reduce_field(q, lin, float, b)

@@ -1,8 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepoisson import algebra as la
 from liepoisson import cli
@@ -10,6 +13,8 @@ from liepoisson import functions as fn
 from liepoisson import integrators as it
 from liepoisson import poisson as po
 from liepoisson.errors import IntegratorFailureError, NumericBlowupError
+from liepoisson.linalg import Coo
+from liepoisson.tolerances import RK4_FLOAT_MAX_DIM
 
 
 def rigid_body_field(inertia=(1.0, 2.0, 3.0)):
@@ -204,3 +209,147 @@ def test_warm_started_midpoint_evals_per_step_on_shipped_configs(config, bound):
     cfg = cli._integrator_config(root)
     it.integrate_flow(field, system.state0, cfg)
     assert field.calls / cfg.steps <= bound
+
+
+# --- RK4 on Python floats ---------------------------------------------------
+
+
+def product_field(d, rows, v, p, l, lin=None):
+    """An AffineField with the product v[k] * b[p[k]] * b[l[k]] in row
+    rows[k] (ascending) and none in the other rows, plus ``lin @ b``; the
+    values are kept as given, -0.0 included, which Coo.of would drop."""
+    idx = tuple(np.asarray(a, dtype=np.intp) for a in (rows, p, l))
+    return po.AffineField(Coo((d, d, d), idx, np.asarray(v, dtype=float)), lin, float)
+
+
+def outcome(field, y0, cfg, observables=None):
+    """The trajectory, or the step of the NumericBlowupError."""
+    try:
+        return it.integrate_flow(field, y0, cfg, observables)
+    except NumericBlowupError as err:
+        return err.step
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, int) or isinstance(got, int):
+        assert got == want
+        return
+    assert got.tracked.keys() == want.tracked.keys()
+    for a, b in [(got.times, want.times), (got.states, want.states),
+                 *((got.tracked[k], want.tracked[k]) for k in want.tracked)]:
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_FLOATS = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 1e150, -1e-300]) | st.floats(-3.0, 3.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(data=st.data())
+def test_float_rk4_equals_the_numpy_step(data):
+    """Random real fields with at most one product per row, rows missing,
+    signed zeros and huge values in the coefficients and the initial
+    state: the float path gives the numpy path's trajectory to the bit,
+    signs of zero included, with and without observables, or a blow-up at
+    the same step."""
+    d = data.draw(st.integers(1, RK4_FLOAT_MAX_DIM))
+    rows = sorted(data.draw(st.sets(st.integers(0, d - 1))))
+    index = st.integers(0, d - 1)
+    p = [data.draw(index) for _ in rows]
+    l = [data.draw(index) for _ in rows]
+    v = [data.draw(_FLOATS) for _ in rows]
+    field = product_field(d, rows, v, p, l)
+    y0 = np.array([data.draw(_FLOATS) for _ in range(d)])
+    cfg = it.IntegratorConfig("rk4", dt=data.draw(st.sampled_from([1e-3, 0.05, 0.7])),
+                              steps=data.draw(st.integers(1, 30)))
+    assert it._rk4_floats(field, d, cfg.dt) is not None
+    observables = {"sum_sq": lambda y: np.sum(y * y), "last": lambda y: y[-1]}
+    for obs in (None, observables):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = outcome(lambda y: field(y), y0, cfg, obs)
+        assert_same_outcome(outcome(field, y0, cfg, obs), want)
+
+
+def test_float_rk4_blowup_reports_the_numpy_step():
+    """y' = y^2 from 2 overflows; both paths stop at the same step."""
+    field = product_field(1, [0], [1.0], [0], [0])
+    cfg = it.IntegratorConfig("rk4", dt=1.0, steps=50)
+    assert it._rk4_floats(field, 1, cfg.dt) is not None
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = outcome(lambda y: field(y), np.array([2.0]), cfg)
+    got = outcome(field, np.array([2.0]), cfg)
+    assert isinstance(want, int) and 1 <= want <= 50
+    assert got == want
+
+
+@pytest.mark.parametrize("system", ["rigid_body", "heisenberg"])
+def test_workload_fields_take_the_float_path(system, monkeypatch):
+    """The compiled rigid-body and Heisenberg fields qualify: the float
+    path calls no AffineField, and gives the numpy path's trajectory."""
+    alg = la.so3() if system == "rigid_body" else la.heisenberg()
+    pairing = la.identity_pairing(alg)
+    h = fn.rigid_body_energy([1.0, 2.0, 3.5]) if system == "rigid_body" else fn.quadratic(pairing)
+    field = po.hamiltonian_field(h, alg, pairing)
+    assert type(field) is po.AffineField and field.products is not None
+    y0, cfg = np.array([0.3, -0.0, 0.9]), it.IntegratorConfig("rk4", dt=0.01, steps=200)
+    want = it.integrate_flow(lambda y: field(y), y0, cfg, {"H": h.eval})
+    calls = counted(po.AffineField.__call__)
+    monkeypatch.setattr(po.AffineField, "__call__", calls)
+    assert_same_outcome(it.integrate_flow(field, y0, cfg, {"H": h.eval}), want)
+    assert calls.calls == 0
+
+
+def test_wrapped_field_sees_four_calls_per_step():
+    """A functools.wraps wrapper (which copies __dict__) does not qualify,
+    so a counting wrapper sees RK4's 4 field calls per step."""
+    field = product_field(3, [0, 1, 2], [1.0, -2.0, 0.5], [1, 0, 0], [2, 2, 1])
+
+    @functools.wraps(field)
+    def wrapped(y):
+        wrapped.calls += 1
+        return field(y)
+
+    wrapped.calls = 0
+    assert it._rk4_floats(wrapped, 3, 0.01) is None
+    it.integrate_flow(wrapped, np.array([0.1, 0.2, 0.3]), it.IntegratorConfig("rk4", 0.01, 25))
+    assert wrapped.calls == 100
+
+
+def _numpy_path_fields():
+    """(field, dim): fields that integrate_flow keeps on numpy."""
+    lin = np.random.default_rng(3).normal(size=(3, 3))
+    big = RK4_FLOAT_MAX_DIM + 1
+    so3 = la.so3()
+    per_call = fn.SmoothFunction(lambda b: 0.5 * b @ b, lambda b: b)
+    return [
+        pytest.param(product_field(3, [0, 1, 2], [1.0, -2.0, 0.5], [1, 0, 0], [2, 2, 1], lin), 3,
+                     id="linear part"),
+        pytest.param(product_field(3, [0, 0, 2], [1.0, 2.0, 0.5], [0, 1, 1], [1, 2, 1]), 3,
+                     id="two products in a row"),
+        pytest.param(product_field(big, range(big), np.ones(big), range(big), range(big)), big,
+                     id="above the bound"),
+        pytest.param(po.hamiltonian_field(per_call, so3, la.identity_pairing(so3)), 3,
+                     id="per-call gradient"),
+    ]
+
+
+@pytest.mark.parametrize("field, dim", _numpy_path_fields())
+def test_other_fields_take_the_numpy_path(field, dim):
+    """A linear part, a row with two products, a dimension above
+    RK4_FLOAT_MAX_DIM and a per-call gradient each keep the numpy step:
+    the field is called 4 times per step and the trajectory is the numpy
+    path's."""
+    assert it._rk4_floats(field, dim, 0.01) is None
+    calls = counted(field)
+    y0, cfg = np.linspace(-0.5, 0.5, dim), it.IntegratorConfig("rk4", 0.01, 10)
+    got = it.integrate_flow(calls, y0, cfg)
+    assert calls.calls == 40
+    assert_same_outcome(it.integrate_flow(field, y0, cfg), got)
+
+
+def test_complex_field_has_no_float_form():
+    q = Coo((2, 2, 2), (np.array([0, 1]), np.array([0, 1]), np.array([1, 1])),
+            np.array([1.0 + 1j, -2.0]))
+    field = po.AffineField(q, None, complex)
+    assert field.products is None
+    assert it._rk4_floats(field, 2, 0.01) is None

@@ -23,8 +23,9 @@ built extension's ``algebra_to_json`` document and the CLI's JSON writer.
                     "sigma0": {"constructor": "random_block"}},
      "integrator": {"method": "rk4", "dt": 1e-3, "steps": 10}}
 
-``wall_s`` is one untraced call and ``traced_peak_mb`` the ``tracemalloc``
-peak of a second call.  The points are printed one JSON line each, and
+``wall_s`` is the best of ``REPEATS`` untraced calls, so that neighbouring
+sizes can be ordered, and ``traced_peak_mb`` the ``tracemalloc`` peak of
+one more call.  The points are printed one JSON line each, and
 the whole sweep is written to ``--out`` when given.  Exit status 1 when a
 point does not exit 0 or its traced peak exceeds ``BOUND_MB``.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -43,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 STEPS, DT = 10, 1e-3
 BOUND_MB = 128  # traced peak bound per point
+REPEATS = 3  # untraced calls per point; wall_s is the fastest
 
 
 def config(n) -> dict:
@@ -126,14 +129,16 @@ def library_call(n: int, command: str, workdir: Path):
 
 
 def point(n: int, command: str, via: str) -> dict:
-    """Time one call, then trace the peak of a second one."""
+    """Time ``REPEATS`` calls, then trace the peak of one more."""
     sys.path.insert(0, str(ROOT / "src"))
     make = cli_call if via == "cli" else library_call
     with tempfile.TemporaryDirectory() as tmp:
         call = make(n, command, Path(tmp))
-        start = time.perf_counter()
-        code = call()
-        wall = time.perf_counter() - start
+        wall = math.inf
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            code = call()
+            wall = min(wall, time.perf_counter() - start)
         tracemalloc.start()
         try:
             call()
