@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import poisson, quantum, restricted
+from . import csvtext, poisson, quantum, restricted
 from .algebra import (
     DualPairing,
     LieAlgebra,
@@ -796,15 +796,9 @@ def _integrator_config(doc: _Node) -> IntegratorConfig:
 
 def _csv(columns: list[str], table: np.ndarray) -> str:
     """CSV text: the header, then one line per row of ``table``, each entry
-    formatted ``%.17e``.  Rows are formatted in blocks of at most 256, with
-    one ``%`` per block, so no Python copy of the whole table is held next
-    to the text."""
-    line = ",".join(["%.17e"] * table.shape[1]) + "\n"
-    parts = [",".join(columns) + "\n"]
-    for start in range(0, len(table), 256):
-        rows = table[start:start + 256]
-        parts.append((line * len(rows)) % tuple(rows.ravel().tolist()))
-    return "".join(parts)
+    formatted ``%.17e``, byte for byte as ``%`` writes it (the rows come
+    from :func:`csvtext.row_blocks`)."""
+    return "".join([",".join(columns) + "\n", *csvtext.row_blocks(table)])
 
 
 def _rows_text(rows) -> str | None:

@@ -52,7 +52,7 @@ import numpy as np
 
 from .errors import IntegratorFailureError, NumericBlowupError
 from .poisson import AffineField
-from .tolerances import NEWTON_CONTRACTION, RK4_FLOAT_MAX_DIM
+from .tolerances import JACOBIAN_FD_STEP, NEWTON_CONTRACTION, RK4_FLOAT_MAX_DIM
 
 __all__ = [
     "IntegratorConfig",
@@ -175,7 +175,7 @@ class _MidpointSolver:
         self.increment = None  # z - y of the last solved stage
 
     def _refresh(self, z, fz, step_index):
-        jac = _fd_jacobian(self.f, z, fz, 1e-7 * max(1.0, np.linalg.norm(z)))
+        jac = _fd_jacobian(self.f, z, fz, JACOBIAN_FD_STEP * max(1.0, np.linalg.norm(z)))
         try:
             self.m = np.linalg.inv(self.eye - self.half_dt * jac)
         except np.linalg.LinAlgError as exc:
@@ -204,7 +204,8 @@ class _MidpointSolver:
             fz = self.f(z)
             residual = z - y - self.half_dt * fz
             norm = math.sqrt(residual @ residual)
-            done = norm < self.tol * max(1.0, math.sqrt(z @ z))
+            # tol * max(1, |z|), with |z| formed only when norm >= tol
+            done = norm < self.tol or norm < self.tol * math.sqrt(z @ z)
             contracted = not fresh and norm <= NEWTON_CONTRACTION * prev
             if self.m is None or not (done or contracted):
                 self._refresh(z, fz, step_index)

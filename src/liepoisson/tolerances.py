@@ -28,6 +28,10 @@ SUBSPACE_TOL = 1e-8
 # Relative step for central finite differences.
 FD_STEP = 1e-5
 
+# Relative step of the one-sided differences behind the midpoint Newton
+# Jacobian: a column is (f(z + h e_j) - f(z)) / h, h = this * max(1, |z|).
+JACOBIAN_FD_STEP = 1e-7
+
 # Simplified Newton keeps its midpoint iteration matrix while each
 # iteration shrinks the stage residual norm by at least this factor, and
 # rebuilds the Jacobian at the first iteration that does not.
@@ -65,3 +69,8 @@ BLOCK_TERMS = 2**13
 # in every row it was 2.9x faster at d = 3, 1.7x at d = 16, 1.2x at d = 24
 # and 0.9x at d = 32, so the bound keeps a margin below the crossover.
 RK4_FLOAT_MAX_DIM = 16
+
+# Largest number of values csvtext formats in one block of whole rows.  A
+# block's numpy working set peaks near 0.5 MB, inside the slack that a CSV
+# string (held once as blocks, once joined) leaves under its memory bound.
+CSV_BLOCK_VALUES = 4096

@@ -4,12 +4,17 @@ trajectories ``simulate`` writes."""
 
 import io
 import json
+import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liepoisson import algebra as la
 from liepoisson import cli
+from liepoisson import csvtext
 from liepoisson import extension as ext
 from liepoisson import functions as fn
 from liepoisson import integrators as it
@@ -17,7 +22,7 @@ from liepoisson import poisson as po
 from liepoisson import quantum as qm
 from liepoisson import restricted as rs
 from liepoisson.linalg import Coo
-from liepoisson.tolerances import VERIFICATION_TOL
+from liepoisson.tolerances import CSV_BLOCK_VALUES, VERIFICATION_TOL
 
 from closed_forms import (
     QM_NAMED_HAMILTONIANS,
@@ -372,6 +377,125 @@ def test_csv_rows_match_per_value_formatting():
         table.flat[: len(special)] = special[: table.size]
         want = "".join(",".join(f"{v:.17e}" for v in row) + "\n" for row in table)
         assert cli._csv(["t"] * shape[1], table) == ",".join(["t"] * shape[1]) + "\n" + want
+
+
+def _csv_mismatches(table: np.ndarray) -> list[tuple[float, str]]:
+    """The values whose field in ``cli._csv`` differs from ``f"{v:.17e}"``
+    (all of them when the row structure differs)."""
+    want = [[f"{v:.17e}" for v in row] for row in table.tolist()]
+    lines = cli._csv(["c"] * table.shape[1], table).split("\n")
+    got = [line.split(",") for line in lines[1:-1]]
+    if lines[-1] or [len(r) for r in got] != [len(r) for r in want]:
+        return [(v, "") for v in table.ravel().tolist()]
+    return [(v, g) for vs, gs, ws in zip(table.tolist(), got, want) for v, g, w in zip(vs, gs, ws) if g != w]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 400), st.integers(1, 24)),
+    picks=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 2**64 - 1)), max_size=8),
+)
+def test_csv_matches_percent_formatting_on_raw_bit_patterns(seed, shape, picks):
+    """Every float64 bit pattern, over the full exponent range: subnormals,
+    |v| beyond 1e280, and NaN and infinities (random, and drawn picks)."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=shape, dtype=np.uint64)
+    for i, pattern in picks:
+        bits.flat[i % bits.size] = pattern
+    assert _csv_mismatches(bits.view(np.float64)) == []
+
+
+def _ties() -> list[float]:
+    """Values m 2^-e, m odd, that sit exactly halfway between two 18-digit
+    decimals (19 significant digits, the last a 5), which dtoa rounds to
+    even; their 18th digits are both odd and even."""
+    values = (m * 2.0**-e for m in [*range(1, 2**10, 2), 2**20 + 1, 2**40 + 1] for e in range(100))
+    ties = [v for v in values if len(Decimal(v).as_tuple().digits) == 19]
+    assert len(ties) > 500
+    return ties
+
+
+def _powers_of_ten() -> list[float]:
+    out = []
+    for j in range(-323, 309):
+        x = float(f"1e{j}")
+        down = up = x
+        for _ in range(3):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            out += [float(down), float(up)]
+        out.append(x)
+    return [v for v in out if np.isfinite(v)]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _ties(),
+        _powers_of_ten(),
+        [9.9999999999999999e5, 9.99999999999999999e-5, -9.999999999999999999e99, 1e23, 1e22],
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-280, -1e280, 1.7976931348623157e308],
+        [1e100, -1e-100, 1.5e-123, 3.25e250, -7.0e-200, 1e99, 1e-99],
+    ],
+    ids=["ties", "powers-of-ten", "literals-read-as-powers", "zeros-subnormals-extremes", "three-digit-exponents"],
+)
+def test_csv_matches_percent_formatting_on_hard_values(values):
+    for cols in (1, 7):
+        assert _csv_mismatches(np.resize(values, (-(-len(values) // cols), cols))) == []
+
+
+def test_csv_refuses_exponent_guesses_one_off(monkeypatch):
+    """A guess of k one too high leaves floor(p + t) below 10^17, one too
+    low lets N reach 10^18: both values are written by ``%``."""
+    values = np.array([v for v in _powers_of_ten() if v > 0])
+    true_k = np.array([int(f"{v:.17e}".partition("e")[2]) for v in values])
+
+    def guess(a):
+        """Nudged up or down by the last bit of the value itself, so that the
+        guess does not depend on where a block starts."""
+        odd = (a.view(np.uint64) & np.uint64(1)).astype(bool)
+        return np.floor(np.log10(a * np.where(odd, 1 + 2.0**-40, 1 - 2.0**-40)))
+
+    off = guess(values) - true_k
+    assert (off == 1).sum() > 100 and (off == -1).sum() > 100
+    monkeypatch.setattr(csvtext, "_exponent_guess", guess)
+    assert _csv_mismatches(values.reshape(-1, 1)) == []
+
+
+def test_csv_fields_of_zeros_subnormals_and_three_digit_exponents():
+    """9.9999999999999999e5 reads as the double 1e6.  No double rounds up to
+    10^18 at the right exponent: 18 digits are finer than their spacing."""
+    table = np.array([[9.9999999999999999e5, -0.0, 1e100, 4.94e-324]])
+    assert cli._csv(["a", "b", "c", "d"], table) == (
+        "a,b,c,d\n1.00000000000000000e+06,-0.00000000000000000e+00,"
+        "1.00000000000000002e+100,4.94065645841246544e-324\n"
+    )
+
+
+def test_csv_blocks_with_fallbacks_on_their_edges_and_an_inf():
+    """Several blocks of whole rows: ties on both sides of a block edge, an
+    infinity and a subnormal each take ``%`` within their blocks."""
+    cols = 7
+    rows = 3 * (CSV_BLOCK_VALUES // cols) + 5
+    table = np.random.default_rng(26).normal(size=(rows, cols)) * 1e3
+    edge = CSV_BLOCK_VALUES // cols * cols
+    table.flat[edge - 1] = 1 + 2.0**-18  # a tie, last value of the first block
+    table.flat[edge] = 1 + 3 * 2.0**-18  # first value of the second block
+    table.flat[2 * edge + 3] = np.inf
+    table.flat[-1] = 5e-324
+    assert _csv_mismatches(table) == []
+
+
+def test_csv_peak_memory_is_twice_the_text():
+    """The shape of rk4-flows' semidirect_qm table: the blocks and the joined
+    text are held at once, and the kernel's working set stays within 0.5 MB."""
+    table = np.random.default_rng(27).normal(size=(6001, 15))
+    tracemalloc.start()
+    try:
+        text = cli._csv(["c"] * 15, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + 2**19
 
 
 def test_restricted_spectral_casimirs(tmp_path):
