@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -794,11 +794,12 @@ def _integrator_config(doc: _Node) -> IntegratorConfig:
         raise cfg[str(exc).split()[0]].error(f"bad integrator settings: {exc}")
 
 
-def _csv(columns: list[str], table: np.ndarray) -> str:
-    """CSV text: the header, then one line per row of ``table``, each entry
-    formatted ``%.17e``, byte for byte as ``%`` writes it (the rows come
-    from :func:`csvtext.row_blocks`)."""
-    return "".join([",".join(columns) + "\n", *csvtext.row_blocks(table)])
+def _csv(columns: list[str], table: np.ndarray) -> Iterator[str]:
+    """CSV text in pieces: the header, then the blocks of
+    :func:`csvtext.row_blocks`, one line per row of ``table``, each entry
+    formatted ``%.17e``, byte for byte as ``%`` writes it."""
+    yield ",".join(columns) + "\n"
+    yield from csvtext.row_blocks(table)
 
 
 def _rows_text(rows) -> str | None:
@@ -836,7 +837,9 @@ def _json_text(doc: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}"
 
 
-def run_simulate(doc: _Node, seed: int) -> str:
+def run_simulate(doc: _Node, seed: int) -> Iterator[str]:
+    """The CSV of the configured flow, in pieces; the trajectory is
+    integrated before this returns, the text is formed as it is read."""
     name, entry, body = _lookup(doc)
     if entry.simulate is None:
         raise doc["system"].error(f"system {name!r} cannot be simulated")
@@ -920,16 +923,18 @@ def _lookup(doc: _Node) -> tuple[str, _System, _Node]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(text: str, out: str | None):
-    """Write ``text`` to stdout, or to the file ``out``, placed under
-    LIEPOISSON_OUTDIR when that is set and ``out`` is relative."""
+def _emit(pieces: Iterable[str], out: str | None):
+    """Write the text ``pieces`` one at a time to stdout, or to the file
+    ``out``, placed under LIEPOISSON_OUTDIR when that is set and ``out``
+    is relative."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     p = Path(os.environ.get("LIEPOISSON_OUTDIR", ""), out)
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(text)
+        with p.open("w") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}", "--out")
 
@@ -962,7 +967,7 @@ def run_cli(argv=None) -> int:
         doc = _load_config(args.config)
         if args.command == "verify":
             report, code = run_verify(doc, args.seed)
-            _emit(_json_text(report) + "\n", args.out)
+            _emit([_json_text(report) + "\n"], args.out)
             for chk in report["checks"]:  # a passed check has no residual at its threshold
                 for key, value in sorted(chk["residuals"].items()):
                     if not chk["passed"] and abs(value) >= chk["threshold"]:
@@ -972,7 +977,7 @@ def run_cli(argv=None) -> int:
         if args.command == "simulate":
             _emit(run_simulate(doc, args.seed), args.out)
             return 0
-        _emit(_json_text(run_bracket_table(doc)) + "\n", args.out)
+        _emit([_json_text(run_bracket_table(doc)) + "\n"], args.out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -214,13 +214,15 @@ class AffineField:
     ``products`` lists a real field with no linear part and at most one
     product per row as ``(m, v, p, l)``, Python lists in row order, so
     that row m of the field is ``v * b[p] * b[l]``; it is None for any
-    other field.  :func:`~liepoisson.integrators.integrate_flow` runs RK4
-    on Python floats from it when the field's type is exactly this class,
-    so a wrapper, even one made with ``functools.wraps``, runs on numpy.
-    The class is slotted: such a wrapper copies no ``products``."""
+    other field.  :func:`~liepoisson.integrators.integrate_flow` generates
+    an RK4 step on Python floats from it, and evaluates a real field with
+    only a linear part as ``np.matmul(lin, t, out=k)``, when the field's
+    type is exactly this class; a wrapper, even one made with
+    ``functools.wraps``, is called.  The class is slotted: such a wrapper
+    copies no ``products``."""
 
     __slots__ = ("dim", "dtype", "lin", "qv", "qp", "ql", "rows", "starts",
-                 "full", "single", "zero", "products")
+                 "full", "single", "products")
 
     def __init__(self, q: Coo, lin: np.ndarray | None, dtype):
         d = self.dim = q.shape[0]
@@ -229,8 +231,6 @@ class AffineField:
         self.full = self.rows.size == d  # every output row has a product: nothing to scatter
         self.single = self.qv.size == self.rows.size  # every row has one product: nothing to sum
         self.dtype, self.lin = dtype, lin
-        self.zero = np.zeros(d, dtype=dtype)
-        self.zero.flags.writeable = False
         real = np.dtype(dtype).kind == "f"
         self.products = None
         if real and lin is None and self.single:
@@ -240,7 +240,7 @@ class AffineField:
         if not self.qv.size:
             if self.lin is None:
                 return np.zeros(self.dim, dtype=self.dtype)
-            return self.zero + self.lin @ b  # 0.0 + x, not x alone: an x of -0.0 reads 0.0
+            return self.lin @ b  # matmul sums from +0.0, as 0.0 + lin @ b does
         terms = self.qv * b[self.qp] * b[self.ql]
         out = terms if self.single else np.add.reduceat(terms, self.starts)
         if not self.full:

@@ -64,13 +64,21 @@ BLOCK_TERMS = 2**13
 
 # Largest dimension at which integrate_flow runs RK4 on Python floats for a
 # compiled real field with no linear part and at most one product per row.
-# Such a numpy step is mostly the fixed cost of its ~35 calls, which the
-# float loop saves, while the loop's own cost grows with d: with a product
-# in every row it was 2.9x faster at d = 3, 1.7x at d = 16, 1.2x at d = 24
-# and 0.9x at d = 32, so the bound keeps a margin below the crossover.
+# Such a numpy step is mostly the fixed cost of its ~30 calls, which the
+# generated float step saves, while the step's own cost grows with d: with
+# a product in every row it was 9.1-9.5x faster than the in-place numpy
+# step at d = 3, 2.2-2.3x at d = 16, 1.6x at d = 24 and 1.1x at d = 32
+# (2 000 steps, best of 7, 2 shared vCPUs), so the bound keeps a margin
+# below the crossover.
 RK4_FLOAT_MAX_DIM = 16
 
+# Number of RK4 steps integrate_flow writes between finiteness checks of a
+# compiled field's states; a float-path block holds this many rows of
+# Python floats before they are copied into the trajectory.
+RK4_BLOCK_STEPS = 256
+
 # Largest number of values csvtext formats in one block of whole rows.  A
-# block's numpy working set peaks near 0.5 MB, inside the slack that a CSV
-# string (held once as blocks, once joined) leaves under its memory bound.
+# block's numpy working set peaks near 0.5 MB; simulate writes each block
+# out before it forms the next, so this and one block's ~100 KB of text
+# are all the CSV memory a run holds.
 CSV_BLOCK_VALUES = 4096

@@ -702,6 +702,16 @@ def test_blown_up_flow_prints_only_the_error(tmp_path, capsys):
     assert err.count("\n") == 1, err
 
 
+def test_failed_simulate_leaves_no_output_file(tmp_path, capsys):
+    """``--out`` is opened only once the trajectory exists, so a run that
+    blows up writes no file, not even an empty or partial one."""
+    doc = _with(SHIPPED["restricted.json"], "integrator.dt", 1.5)
+    out = tmp_path / "out" / "blow.csv"
+    assert cli.run_cli(["simulate", write(tmp_path, "blow.json", doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: state left the range of finite floats")
+    assert not out.parent.exists()
+
+
 def test_cli_module_exits_2_without_traceback(tmp_path):
     """Run as a program, so that a traceback would reach stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}

@@ -376,14 +376,15 @@ def test_csv_rows_match_per_value_formatting():
         table = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         table.flat[: len(special)] = special[: table.size]
         want = "".join(",".join(f"{v:.17e}" for v in row) + "\n" for row in table)
-        assert cli._csv(["t"] * shape[1], table) == ",".join(["t"] * shape[1]) + "\n" + want
+        header = ",".join(["t"] * shape[1]) + "\n"
+        assert "".join(cli._csv(["t"] * shape[1], table)) == header + want
 
 
 def _csv_mismatches(table: np.ndarray) -> list[tuple[float, str]]:
     """The values whose field in ``cli._csv`` differs from ``f"{v:.17e}"``
     (all of them when the row structure differs)."""
     want = [[f"{v:.17e}" for v in row] for row in table.tolist()]
-    lines = cli._csv(["c"] * table.shape[1], table).split("\n")
+    lines = "".join(cli._csv(["c"] * table.shape[1], table)).split("\n")
     got = [line.split(",") for line in lines[1:-1]]
     if lines[-1] or [len(r) for r in got] != [len(r) for r in want]:
         return [(v, "") for v in table.ravel().tolist()]
@@ -465,7 +466,7 @@ def test_csv_fields_of_zeros_subnormals_and_three_digit_exponents():
     """9.9999999999999999e5 reads as the double 1e6.  No double rounds up to
     10^18 at the right exponent: 18 digits are finer than their spacing."""
     table = np.array([[9.9999999999999999e5, -0.0, 1e100, 4.94e-324]])
-    assert cli._csv(["a", "b", "c", "d"], table) == (
+    assert "".join(cli._csv(["a", "b", "c", "d"], table)) == (
         "a,b,c,d\n1.00000000000000000e+06,-0.00000000000000000e+00,"
         "1.00000000000000002e+100,4.94065645841246544e-324\n"
     )
@@ -485,17 +486,24 @@ def test_csv_blocks_with_fallbacks_on_their_edges_and_an_inf():
     assert _csv_mismatches(table) == []
 
 
-def test_csv_peak_memory_is_twice_the_text():
-    """The shape of rk4-flows' semidirect_qm table: the blocks and the joined
-    text are held at once, and the kernel's working set stays within 0.5 MB."""
+def test_streamed_csv_peak_memory_is_one_block(tmp_path):
+    """The shape of rk4-flows' semidirect_qm table, written to a file: the
+    header and the blocks go out one at a time, so at most a block's text
+    (as bytes and as str) and the kernel's 0.5 MB working set are held, not
+    the 2.2 MB of the whole text."""
     table = np.random.default_rng(27).normal(size=(6001, 15))
+    block = max(map(len, csvtext.row_blocks(table)))
+    out = tmp_path / "out.csv"
     tracemalloc.start()
     try:
-        text = cli._csv(["c"] * 15, table)
+        cli._emit(cli._csv(["c"] * 15, table), str(out))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * len(text) + 2**19
+    text = out.read_text()
+    assert text == "".join(cli._csv(["c"] * 15, table))
+    assert len(text) > 20 * block
+    assert peak <= 2 * block + 2**19
 
 
 def test_restricted_spectral_casimirs(tmp_path):
