@@ -73,7 +73,7 @@ from .extension import (
     check_predual_closure,
     direct_sum_pairing,
 )
-from .functions import NAMED_FUNCTIONS, build_named_function, linear, quadratic, rigid_body_energy
+from .functions import linear, norm_squared, quadratic, rigid_body_energy, trace_polynomial
 from .integrators import IntegratorConfig, integrate_flow
 from .linalg import Coo, orthonormal_columns
 from .sequences import (
@@ -470,41 +470,151 @@ def run_verify(doc: _Node, seed: int) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SimSystem:
-    labels: list[str]
-    state0: np.ndarray
-    field: Callable[[np.ndarray], np.ndarray]
-    # "H", then the casimirs columns: each maps a stack of states (..., dim)
-    # to one value per state
-    tracked: dict[str, Callable[[np.ndarray], np.ndarray]]
+@dataclass(frozen=True)
+class _Slot:
+    """One slot of a simulated point: its CSV name, shape, offset in the
+    point, and layout, which says how the point stores the entries,
+    row-major: as "real" or "complex" numbers, or "realified", real parts
+    then imaginary parts.  The flat real state of a complex point holds
+    each slot realified."""
+
+    name: str
+    shape: tuple[int, ...]
+    offset: int
+    layout: str
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def span(self) -> slice:
+        """The slot's coordinates in the point."""
+        return slice(self.offset, self.offset + self.size * (2 if self.layout == "realified" else 1))
+
+    def labels(self) -> list[str]:
+        """CSV columns, real parts then imaginary parts for complex entries.
+        The 1-based indices are joined by "_" when an axis is longer than 9,
+        so (1, 11) and (11, 1) name different columns."""
+        sep = "_" if max(self.shape) > 9 else ""
+        idx = [sep.join(str(i + 1) for i in ix) for ix in np.ndindex(self.shape)]
+        parts = [""] if self.layout == "real" else ["_re", "_im"]
+        return [f"{self.name}{s}{part}" for part in parts for s in idx]
+
+    def point(self, value) -> np.ndarray:
+        """The coordinates of an array of the slot's shape."""
+        v = np.ravel(value)
+        return np.concatenate([v.real, v.imag]) if self.layout == "realified" else v
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where a complex point's flat state holds the entries' real and imaginary parts."""
+        re = 2 * self.offset + np.arange(self.size)
+        return re, re + self.size
+
+    def entries(self, b, real=False) -> np.ndarray:
+        """The slot's entries in a stack of points, shaped (..., *shape); of
+        a realified slot, only the real parts when ``real`` is true."""
+        x = b[..., self.span]
+        if self.layout == "realified":
+            x = x[..., : self.size] if real else x[..., : self.size] + 1j * x[..., self.size :]
+        return x.reshape(*x.shape[:-1], *self.shape)
+
+    def operator(self, a) -> np.ndarray:
+        """The matrix acting on the slot's coordinates as ``a`` acts on its entries."""
+        if self.layout != "realified":
+            return a
+        return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+    def linear(self, pairing: DualPairing, m) -> poisson.SmoothFunction:
+        """Re <b, x> for the point x holding ``m`` in this slot, zero elsewhere."""
+        piece = self.point(m)
+        x = np.zeros(pairing.predual_dim, dtype=piece.dtype)
+        x[self.span] = piece
+        return linear(pairing, x)
+
+    def frobenius_sq(self) -> poisson.SmoothFunction:
+        """The sum of the squares of the slot's entries' moduli."""
+        return poisson.SmoothFunction(lambda b: np.sum(np.abs(b[..., self.span]) ** 2, axis=-1))
+
+    def trace(self, k: int) -> poisson.SmoothFunction:
+        """Re tr(M^k) of the slot's matrix M.  Re tr M takes the real parts
+        alone: forming re + 1j im would turn a -0.0 into +0.0."""
+
+        def _eval(b):
+            power = np.linalg.matrix_power(self.entries(b, real=k == 1), k)
+            return np.real(np.trace(power, axis1=-2, axis2=-1))
+
+        return poisson.SmoothFunction(_eval)
+
+
+def _slots(layout: str, *shapes: tuple[str, tuple[int, ...]]) -> list[_Slot]:
+    """Consecutive slots of one layout, from (name, shape) pairs."""
+    out, offset = [], 0
+    for name, shape in shapes:
+        out.append(_Slot(name, shape, offset, layout))
+        offset = out[-1].span.stop
+    return out
+
+
+@dataclass(frozen=True)
+class _Declared:
+    """What a system declares for ``simulate``: the pairing of its predual,
+    its slots and their initial values, and its tables {config name:
+    (parameter readers, builder)} of Hamiltonians and of observables.  A
+    builder takes the parameters an entry gives, in the order of its
+    readers (an optional one last), and returns a SmoothFunction."""
+
+    pairing: DualPairing
+    slots: list[_Slot]
+    initial: list[np.ndarray]
+    hamiltonians: dict
+    observables: dict
+    default_h: poisson.SmoothFunction | None = None  # without a hamiltonian entry
 
 
 # the function parameters that an entry may leave out
 _OPTIONAL_PARAMS = ("gram", "coefficients", "coupling")
 
 
-def _check_keys(entry: _Node, allowed):
-    """Refuse a key of a function entry that ``allowed`` does not list, and
-    a parameter that ``allowed`` lists but the entry leaves out, unless it
-    is optional.  ``name`` and ``fn`` are checked by the callers."""
-    entry.only(allowed)
-    for key in allowed:
-        if key not in entry.value and key not in ("name", "fn", *_OPTIONAL_PARAMS):
-            fn = entry.value.get("fn", entry.value.get("name"))
-            raise entry[key].error(f"missing parameter of {fn!r}")
+def _function(entry: _Node, name: str, table: dict, keys: tuple[str, ...]):
+    """The function ``table[name]`` of a ``hamiltonian`` or ``casimirs``
+    entry, which gives, besides ``keys``, each of the function's parameters
+    that is not optional and no other key; a builder's ValueError names it."""
+    readers, build = table[name]
+    entry.only((*keys, *readers))
+    for key in readers:
+        if key not in entry.value and key not in _OPTIONAL_PARAMS:
+            raise entry[key].error(f"missing parameter of {name!r}")
+    params = [read(entry[key]) for key, read in readers.items() if key in entry.value]
+    try:
+        return build(*params)
+    except ValueError as exc:
+        raise entry.error(str(exc))
 
 
-def _params(entry: _Node, readers: dict) -> dict:
-    return {key: read(entry[key]) for key, read in readers.items() if key in entry.value}
-
-
-def _observables(doc: _Node, known: dict, make) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
-    """The ``casimirs`` columns: each entry is a function name from
-    ``known``, or an object {"name": column, "fn": function, params...}
-    whose params ``known[function]`` lists; ``make(fn, entry)`` returns
-    the column's function of predual points."""
-    out = {}
+def _sim_system(doc: _Node, seed: int) -> tuple[list[str], np.ndarray, Callable, dict]:
+    """The configured system's state labels, flat initial state, compiled
+    field X_h(b) = -ad*_{Dh(b)} b in flat real coordinates, and tracked
+    columns: "H", the Hamiltonian {"name": ..., params...}, then the
+    ``casimirs``, each a name or {"name": column, "fn": function, params...}
+    whose column is new to the header, not empty, and free of commas,
+    quotes and line breaks.  Each column maps a stack of flat states to
+    one value per state."""
+    system, registered, body = _lookup(doc)
+    if registered.simulate is None:
+        raise doc["system"].error(f"system {system!r} cannot be simulated")
+    sim = registered.simulate(body, seed)
+    labels = [label for slot in sim.slots for label in slot.labels()]
+    b0 = np.concatenate([slot.point(v) for slot, v in zip(sim.slots, sim.initial)])
+    if sim.default_h is not None and doc.get("hamiltonian", None).value is None:
+        h = sim.default_h
+    else:
+        name = doc["hamiltonian"]["name"]
+        if not (isinstance(name.required(), str) and name.value in sim.hamiltonians):
+            raise name.error(f"unknown function {name.value!r}")
+        h = _function(doc["hamiltonian"], name.value, sim.hamiltonians, ("name",))
+    tracked, header = {"H": h.eval}, {"t", *labels}
+    known = sim.observables
     for entry in doc.get("casimirs", []).entries():
         if isinstance(entry.value, str):
             entry = _Node({"fn": entry.value}, entry.path)
@@ -512,53 +622,16 @@ def _observables(doc: _Node, known: dict, make) -> dict[str, Callable[[np.ndarra
         col = entry.value.get("name", fn)
         if not (isinstance(fn, str) and fn in known and isinstance(col, str)):
             raise entry.error(f"bad entry {entry.value!r}: fn must be one of {sorted(known)}")
-        _check_keys(entry, ("name", "fn", *known[fn]))
-        out[col] = make(fn, entry)
-    return out
-
-
-def _named_function(name: str, entry: _Node, pairing: DualPairing):
-    """build_named_function on the parameters of a function entry, each
-    checked against the pairing; its errors name the entry."""
-    d = pairing.predual_dim
-    params = _params(entry, {
-        "coeffs": lambda p: p.floats(d),
-        "inertia": lambda p: p.floats(d),
-        "coefficients": _Node.floats,  # trace_poly: any number of them
-        "gram": lambda p: p.cmatrix((d, d), pairing.algebra.dtype),
-    })
-    try:
-        return build_named_function(name, params, pairing)
-    except ValueError as exc:
-        raise entry.error(str(exc))
-
-
-def _hamiltonian(doc: _Node, known: dict, make):
-    """The configured Hamiltonian ``make(name, entry)``: a name from
-    ``known`` whose entry gives the params ``known[name]`` lists."""
-    entry = doc["hamiltonian"]
-    name = entry["name"]
-    if not (isinstance(name.required(), str) and name.value in known):
-        raise name.error(f"unknown function {name.value!r}")
-    _check_keys(entry, ("name", *known[name.value]))
-    return make(name.value, entry)
-
-
-def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFunction,
-         observables: dict) -> _SimSystem:
-    """A system on the predual of ``alg``, from its initial point ``b0``,
-    Hamiltonian and observables (functions of predual points): the compiled
-    field X_h(b) = -ad*_{Dh(b)} b, integrated in flat real coordinates.  A
-    real point is its own flat state.  A complex one, which is a point of a
-    built extension, is stored slot by slot (n, then h): the real parts,
-    then the imaginary parts."""
-    field = poisson.hamiltonian_field(h, alg, pairing)
-    tracked = {"H": h.eval, **observables}
+        f = _function(entry, fn, known, ("name", "fn"))
+        if not col or col in header or col in tracked or any(c in col for c in ',"\r\n'):
+            raise entry["name"].error(f"column name {col!r} must be new to the header, "
+                                      "non-empty, and free of , \" CR and LF")
+        tracked[col] = f.eval
+    alg = sim.pairing.algebra
+    field = poisson.hamiltonian_field(h, alg, sim.pairing)
     if alg.dtype is float:
-        return _SimSystem(labels, b0, field, tracked)
-    dn, dh = alg.built_from.n.dim, alg.built_from.h.dim
-    re = np.concatenate([np.arange(dn), dn + np.arange(dn, dn + dh)])
-    im = re + np.repeat([dn, dh], [dn, dh])
+        return labels, b0, field, tracked
+    re, im = (np.concatenate(parts) for parts in zip(*(slot.flat() for slot in sim.slots)))
     order = np.argsort(np.concatenate([re, im]))
 
     def point(y):
@@ -568,35 +641,31 @@ def _sim(alg: LieAlgebra, pairing: DualPairing, labels, b0, h: poisson.SmoothFun
         return np.concatenate([b.real, b.imag])[order]
 
     tracked = {name: (lambda y, f=f: f(point(y))) for name, f in tracked.items()}
-    return _SimSystem(labels, flat(b0), lambda y: flat(field(point(y))), tracked)
+    return labels, flat(b0), lambda y: flat(field(point(y))), tracked
 
 
-def _pairing_sim(doc: _Node, alg, pairing, labels, b0, default_h=None) -> _SimSystem:
-    """A system whose Hamiltonian and observables are named functions over
-    ``pairing``."""
-    if default_h is not None and doc.get("hamiltonian", None).value is None:
-        h = default_h
-    else:
-        h = _hamiltonian(doc, NAMED_FUNCTIONS, partial(_named_function, pairing=pairing))
-    observables = _observables(
-        doc, NAMED_FUNCTIONS, lambda fn, entry: _named_function(fn, entry, pairing).eval
-    )
-    return _sim(alg, pairing, labels, b0, h, observables)
+def _pairing_functions(pairing: DualPairing) -> dict:
+    """The table of functions over ``pairing`` that rigid_body and extension
+    configs name, as Hamiltonians and as casimirs."""
+    d = pairing.predual_dim
+    vector = partial(_Node.floats, n=d)
+    gram = partial(_Node.cmatrix, shape=(d, d), dtype=pairing.algebra.dtype)
+
+    def trace_poly(coefficients=(1.0,)):
+        if math.isqrt(d) ** 2 != d:
+            raise ValueError(f"trace_poly needs a square predual dimension, got {d}")
+        return trace_polynomial(math.isqrt(d), coefficients)
+
+    return {
+        "linear": ({"coeffs": vector}, partial(linear, pairing)),
+        "quadratic": ({"gram": gram}, partial(quadratic, pairing)),
+        "rigid_body": ({"inertia": vector}, rigid_body_energy),
+        "trace_poly": ({"coefficients": _Node.floats}, trace_poly),  # any number of coefficients
+        "norm_squared": ({}, partial(norm_squared, pairing)),
+    }
 
 
-def _built_sim(doc: _Node, ext: LieAlgebra, pairing: DualPairing, labels, b0,
-               h: poisson.SmoothFunction, table: dict) -> _SimSystem:
-    """A system on the predual of a built extension whose observables come
-    from ``table``, as functions of the (c, a) slots of predual points."""
-    dn = ext.built_from.n.dim
-    columns = _observables(
-        doc, dict.fromkeys(table, ()),
-        lambda fn, _entry: lambda b, f=table[fn]: f(b[..., :dn], b[..., dn:]),
-    )
-    return _sim(ext, pairing, labels, b0, h, columns)
-
-
-def _sim_rigid_body(body: _Node, doc: _Node, seed: int) -> _SimSystem:
+def _sim_rigid_body(body: _Node, seed: int) -> _Declared:
     inertia = body["inertia"]
     moments = inertia.floats(3)
     state0 = body["initial"].floats(3)
@@ -604,17 +673,9 @@ def _sim_rigid_body(body: _Node, doc: _Node, seed: int) -> _SimSystem:
         energy = rigid_body_energy(moments)
     except ValueError as exc:
         raise inertia.error(str(exc))
-    alg = so3()
-    return _pairing_sim(doc, alg, identity_pairing(alg), ["b1", "b2", "b3"], state0, energy)
-
-
-def _complex_labels(name: str, shape: tuple[int, ...]) -> list[str]:
-    """CSV columns of a complex array, row-major: real parts, then imaginary.
-    The 1-based indices are joined by "_" when an axis is longer than 9, so
-    (1, 11) and (11, 1) name different columns."""
-    sep = "_" if max(shape) > 9 else ""
-    idx = [sep.join(str(i + 1) for i in ix) for ix in np.ndindex(shape)]
-    return [f"{name}{s}_re" for s in idx] + [f"{name}{s}_im" for s in idx]
+    pairing = identity_pairing(so3())
+    functions = _pairing_functions(pairing)
+    return _Declared(pairing, _slots("real", ("b", (3,))), [state0], functions, functions, energy)
 
 
 def _built(spec: ExtensionSpec) -> tuple[LieAlgebra, DualPairing]:
@@ -623,100 +684,60 @@ def _built(spec: ExtensionSpec) -> tuple[LieAlgebra, DualPairing]:
     return ext, direct_sum_pairing(spec, ext)
 
 
-def _sim_extension(body: _Node, doc: _Node, seed: int) -> _SimSystem:
+def _sim_extension(body: _Node, seed: int) -> _Declared:
     spec = _extension_spec_from_config(body)
     ext, pairing = _built(spec)
-    slots = (("c", spec.n.dim), ("a", spec.h.dim))
+    layout = "real" if ext.dtype is float else "complex"
+    slots = _slots(layout, ("c", (spec.n.dim,)), ("a", (spec.h.dim,)))
     read = _Node.floats if ext.dtype is float else _Node.cvector  # complex: [re, im] pairs too
-    b0 = [read(body["initial"][key], dim) for key, dim in slots]
-    if ext.dtype is float:
-        labels = [f"c{i + 1}" for i in range(spec.n.dim)] + [f"a{i + 1}" for i in range(spec.h.dim)]
-    else:
-        labels = _complex_labels("c", (spec.n.dim,)) + _complex_labels("a", (spec.h.dim,))
-    return _pairing_sim(doc, ext, pairing, labels, np.concatenate(b0))
+    initial = [read(body["initial"][slot.name], slot.size) for slot in slots]
+    functions = _pairing_functions(pairing)
+    return _Declared(pairing, slots, initial, functions, functions)
 
 
-# The semidirect system lives on its realified extension: a point is
-# c = (Re v, Im v) and a = (Re rho, Im rho), rho row-major, and an algebra
-# element (g_v, g_rho) has the same layout.  Observables are functions of
-# (c, a); Hamiltonians take their parsed parameters, n and the pairing.
-_QM_OBSERVABLES = {
-    "v_norm_sq": lambda c, a: np.sum(c * c, axis=-1),
-    "trace_rho_re": lambda c, a: np.trace(
-        a[..., : a.shape[-1] // 2].reshape(*a.shape[:-1], c.shape[-1] // 2, -1),
-        axis1=-2, axis2=-1),
-    "rho_frobenius_sq": lambda c, a: np.sum(a * a, axis=-1),
-}
-
-
-# each semidirect Hamiltonian and the parameters it takes
-_QM_HAMILTONIANS = {"linear_rho": ("H0",), "quadratic_v": ("A",), "coupled": ("H0", "A", "coupling")}
-
-
-def _qm_hamiltonian(name: str, params: dict, n: int, pairing: DualPairing):
-    """"linear_rho" Re trace(rho H0), "quadratic_v" 1/2 Re <v | A v> (with
-    the hermitian part of A) and "coupled", their sum plus coupling
-    Re <v | rho v>, whose gradient adds coupling ((rho + rho^H) v, v v^H)."""
-    if name == "linear_rho":
-        h0 = params["H0"]
-        return linear(pairing, np.concatenate([np.zeros(2 * n), h0.real.ravel(), h0.imag.ravel()]))
-    if name == "quadratic_v":
-        a = 0.5 * (params["A"] + params["A"].conj().T)
-        q = np.zeros((pairing.predual_dim,) * 2)
-        q[: 2 * n, : 2 * n] = np.block([[a.real, -a.imag], [a.imag, a.real]])
-        return quadratic(pairing, q)
-    lin, quad = (_qm_hamiltonian(part, params, n, pairing) for part in ("linear_rho", "quadratic_v"))
-    lam = params.get("coupling", 1.0)
-
-    def parts(b):
-        v = b[..., :n] + 1j * b[..., n : 2 * n]
-        r = b[..., 2 * n : 2 * n + n * n] + 1j * b[..., 2 * n + n * n :]
-        return v, r.reshape(*b.shape[:-1], n, n)
-
-    def _eval(b):
-        v, rho = parts(b)
-        vrv = np.einsum("...i,...ij,...j->...", v.conj(), rho, v)
-        return lin.eval(b) + quad.eval(b) + lam * np.real(vrv)
-
-    def _grad(b):
-        v, rho = parts(b)
-        gv, gr = (rho + rho.conj().T) @ v, np.outer(v, v.conj())
-        coupling = np.concatenate([gv.real, gv.imag, gr.real.ravel(), gr.imag.ravel()])
-        return lin.grad(b) + quad.grad(b) + lam * coupling
-
-    return poisson.SmoothFunction(_eval, _grad)
-
-
-def _sim_semidirect_qm(body: _Node, doc: _Node, seed: int) -> _SimSystem:
+def _sim_semidirect_qm(body: _Node, seed: int) -> _Declared:
+    """The semidirect system on its realified extension, v then rho, with
+    two Hamiltonians of its own: "quadratic_v" 1/2 Re <v | A v> (with the
+    hermitian part of A), and "coupled", Re trace(rho H0) plus that plus
+    coupling Re <v | rho v>, whose gradient adds coupling ((rho + rho^H) v, v v^H)."""
     n = _qm_n(body)
     v0 = body["v0"].cvector(n)
     rho0 = body["rho0"].cmatrix((n, n))
-    ext, pairing = _built(quantum.semidirect_extension_spec(n))
+    _, pairing = _built(quantum.semidirect_extension_spec(n))
+    v, rho = _slots("realified", ("v", (n,)), ("rho", (n, n)))
+
+    def quadratic_v(a):
+        q = np.zeros((pairing.predual_dim,) * 2)
+        q[v.span, v.span] = v.operator(0.5 * (a + a.conj().T))
+        return quadratic(pairing, q)
+
+    def coupled(h0, a, coupling=1.0):
+        lin, quad = rho.linear(pairing, h0), quadratic_v(a)
+
+        def _eval(b):
+            vb, rb = v.entries(b), rho.entries(b)
+            vrv = np.einsum("...i,...ij,...j->...", vb.conj(), rb, vb)
+            return lin.eval(b) + quad.eval(b) + coupling * np.real(vrv)
+
+        def _grad(b):
+            vb, rb = v.entries(b), rho.entries(b)
+            gv, gr = (rb + rb.conj().T) @ vb, np.outer(vb, vb.conj())
+            return lin.grad(b) + quad.grad(b) + coupling * np.concatenate([v.point(gv), rho.point(gr)])
+
+        return poisson.SmoothFunction(_eval, _grad)
+
     square = partial(_Node.cmatrix, shape=(n, n))
-    readers = {"H0": square, "A": square, "coupling": _Node.number}
-    h = _hamiltonian(
-        doc, _QM_HAMILTONIANS,
-        lambda name, entry: _qm_hamiltonian(name, _params(entry, readers), n, pairing),
-    )
-    labels = _complex_labels("v", (n,)) + _complex_labels("rho", (n, n))
-    b0 = np.concatenate([v0.real, v0.imag, rho0.real.ravel(), rho0.imag.ravel()])
-    return _built_sim(doc, ext, pairing, labels, b0, h, _QM_OBSERVABLES)
-
-
-def _kappa_trace(c, k: int):
-    """Re trace(kappa^k) of row-major kappa slots c."""
-    n = math.isqrt(c.shape[-1])
-    power = np.linalg.matrix_power(c.reshape(*c.shape[:-1], n, n), k)
-    return np.real(np.trace(power, axis1=-2, axis2=-1))
-
-
-# functions of c = kappa and a = sigma, both row-major; every Re tr(kappa^k)
-# is a Casimir, since the flow moves kappa by conjugation
-_RESTRICTED_OBSERVABLES = {
-    "kappa_frobenius_sq": lambda c, a: np.sum(np.abs(c) ** 2, axis=-1),
-    "sigma_frobenius_sq": lambda c, a: np.sum(np.abs(a) ** 2, axis=-1),
-    **{f"kappa_trace_{k}": lambda c, a, k=k: _kappa_trace(c, k) for k in (2, 3, 4)},
-}
+    hamiltonians = {
+        "linear_rho": ({"H0": square}, partial(rho.linear, pairing)),
+        "quadratic_v": ({"A": square}, quadratic_v),
+        "coupled": ({"H0": square, "A": square, "coupling": _Node.number}, coupled),
+    }
+    observables = {
+        "v_norm_sq": ({}, v.frobenius_sq),
+        "trace_rho_re": ({}, partial(rho.trace, 1)),
+        "rho_frobenius_sq": ({}, rho.frobenius_sq),
+    }
+    return _Declared(pairing, [v, rho], [v0, rho0], hamiltonians, observables)
 
 
 def _block(node: _Node, dims: tuple[int, int], seed: int) -> np.ndarray:
@@ -739,24 +760,7 @@ def _block(node: _Node, dims: tuple[int, int], seed: int) -> np.ndarray:
     return np.block([[b["pp"], b["pm"]], [b["mp"], b["mm"]]])
 
 
-# each restricted Hamiltonian and the parameters it takes
-_RESTRICTED_HAMILTONIANS = {"linear_kappa": ("A",), "linear_sigma": ("X0",), "quadratic": ()}
-
-
-def _restricted_hamiltonian(name: str, params: dict, dims, pairing: DualPairing):
-    """The named Hamiltonians over the (kappa, sigma) coordinates of the
-    built extension: "linear_kappa" Re tr(kappa A), "linear_sigma"
-    Re tr(sigma X0), "quadratic" 1/2 Re (tr kappa^2 + tr sigma^2), which is
-    1/2 Re <b, b> in the trace pairing."""
-    dn, da = dims[0] ** 2, sum(dims) ** 2
-    if name == "linear_kappa":
-        return linear(pairing, np.concatenate([params["A"].ravel(), np.zeros(da)]))
-    if name == "linear_sigma":
-        return linear(pairing, np.concatenate([np.zeros(dn), params["X0"].ravel()]))
-    return quadratic(pairing, pairing.gram)
-
-
-def _sim_restricted(body: _Node, doc: _Node, seed: int) -> _SimSystem:
+def _sim_restricted(body: _Node, seed: int) -> _Declared:
     dims = n_plus, n_minus = _restricted_dims(body)
     kappa = body["kappa0"]
     if isinstance(kappa.required(), dict) and kappa.value.get("constructor") == "random":
@@ -765,19 +769,22 @@ def _sim_restricted(body: _Node, doc: _Node, seed: int) -> _SimSystem:
     else:
         kappa0 = kappa.cmatrix((n_plus, n_plus))
     sigma0 = _block(body["sigma0"], dims, seed)
-    ext, pairing = _built(restricted.restricted_extension_spec(*dims))
-    readers = {
-        "A": partial(_Node.cmatrix, shape=(n_plus, n_plus)),
-        "X0": lambda node: _block(node, dims, seed),
+    _, pairing = _built(restricted.restricted_extension_spec(*dims))
+    c, a = _slots("complex", ("kappa", (n_plus, n_plus)), ("sigma", (n_plus + n_minus,) * 2))
+    hamiltonians = {
+        "linear_kappa": ({"A": partial(_Node.cmatrix, shape=(n_plus, n_plus))},
+                         partial(c.linear, pairing)),
+        "linear_sigma": ({"X0": lambda node: _block(node, dims, seed)}, partial(a.linear, pairing)),
+        # 1/2 Re (tr kappa^2 + tr sigma^2), which is 1/2 Re <b, b> in the trace pairing
+        "quadratic": ({}, partial(quadratic, pairing, pairing.gram)),
     }
-    h = _hamiltonian(
-        doc, _RESTRICTED_HAMILTONIANS,
-        lambda name, entry: _restricted_hamiltonian(name, _params(entry, readers), dims, pairing),
-    )
-    n = n_plus + n_minus
-    labels = _complex_labels("kappa", (n_plus, n_plus)) + _complex_labels("sigma", (n, n))
-    b0 = np.concatenate([kappa0.ravel(), sigma0.ravel()])
-    return _built_sim(doc, ext, pairing, labels, b0, h, _RESTRICTED_OBSERVABLES)
+    # every Re tr(kappa^k) is a Casimir, since the flow moves kappa by conjugation
+    observables = {
+        "kappa_frobenius_sq": ({}, c.frobenius_sq),
+        "sigma_frobenius_sq": ({}, a.frobenius_sq),
+        **{f"kappa_trace_{k}": ({}, partial(c.trace, k)) for k in (2, 3, 4)},
+    }
+    return _Declared(pairing, [c, a], [kappa0, sigma0], hamiltonians, observables)
 
 
 def _integrator_config(doc: _Node) -> IntegratorConfig:
@@ -840,20 +847,17 @@ def _json_text(doc: dict) -> str:
 def run_simulate(doc: _Node, seed: int) -> Iterator[str]:
     """The CSV of the configured flow, in pieces; the trajectory is
     integrated before this returns, the text is formed as it is read."""
-    name, entry, body = _lookup(doc)
-    if entry.simulate is None:
-        raise doc["system"].error(f"system {name!r} cannot be simulated")
-    system = entry.simulate(body, doc, seed)
+    labels, state0, field, tracked = _sim_system(doc, seed)
     cfg = _integrator_config(doc)
-    values = (cfg.steps + 1) * (1 + len(system.labels) + len(system.tracked))
+    values = (cfg.steps + 1) * (1 + len(labels) + len(tracked))
     if values > MAX_TRAJECTORY_VALUES:
         raise doc["integrator"]["steps"].error(
             f"{cfg.steps} steps would store {values} values, more than {MAX_TRAJECTORY_VALUES}"
         )
-    traj = integrate_flow(system.field, system.state0, cfg)
-    series = [f(traj.states) for f in system.tracked.values()]
+    traj = integrate_flow(field, state0, cfg)
+    series = [f(traj.states) for f in tracked.values()]
     table = np.column_stack([traj.times, traj.states, *series])
-    return _csv(["t", *system.labels, *system.tracked], table)
+    return _csv(["t", *labels, *tracked], table)
 
 
 def run_bracket_table(doc: _Node) -> dict:
@@ -878,7 +882,7 @@ class _System:
     spec: Callable[[_Node], ExtensionSpec] | None = None  # verify, bracket-table
     algebras: Callable[[], dict[str, LieAlgebra]] | None = None  # structure without a spec
     sequence: bool = False  # the body describes an exact sequence
-    simulate: Callable[[_Node, _Node, int], _SimSystem] | None = None  # (body, doc, seed)
+    simulate: Callable[[_Node, int], _Declared] | None = None  # (body, seed)
     sized_by: Callable[[_Node], _Node] = lambda body: body  # named when a join is refused
 
 

@@ -1,13 +1,10 @@
-"""Named scalar functions addressable from configs and tests.
-
-Vector-world builders return :class:`SmoothFunction` objects over a
-pairing; matrix-world helpers (trace polynomials) act on square-matrix
-predual slots flattened row-major against the trace pairing.
+"""Scalar functions of predual points, each a :class:`SmoothFunction`
+with an exact gradient: vector-world builders over a pairing, and trace
+polynomials on square-matrix slots flattened row-major against the trace
+pairing.  ``cli.py`` reads the config names of these functions.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,18 +17,7 @@ __all__ = [
     "rigid_body_energy",
     "norm_squared",
     "trace_polynomial",
-    "build_named_function",
-    "NAMED_FUNCTIONS",
 ]
-
-# each named function and the parameters its config entry may give
-NAMED_FUNCTIONS = {
-    "linear": ("coeffs",),
-    "quadratic": ("gram",),
-    "rigid_body": ("inertia",),
-    "trace_poly": ("coefficients",),
-    "norm_squared": (),
-}
 
 
 def linear(pairing: DualPairing, x0) -> SmoothFunction:
@@ -116,24 +102,3 @@ def trace_polynomial(n: int, coeffs) -> SmoothFunction:
 
     return SmoothFunction(eval=_eval, grad=_grad)
 
-
-def build_named_function(name: str, params: dict, pairing: DualPairing) -> SmoothFunction:
-    """Resolve a config entry {"name": ..., params} against a pairing.  A
-    missing required parameter raises KeyError, an unknown name or a bad
-    value ValueError."""
-    if name == "linear":
-        return linear(pairing, params["coeffs"])
-    if name == "quadratic":
-        return quadratic(pairing, params.get("gram"))
-    if name == "rigid_body":
-        return rigid_body_energy(params["inertia"])
-    if name == "trace_poly":
-        n = math.isqrt(pairing.predual_dim)
-        if n * n != pairing.predual_dim:
-            raise ValueError(
-                f"trace_poly needs a square predual dimension, got {pairing.predual_dim}"
-            )
-        return trace_polynomial(n, params.get("coefficients", [1.0]))
-    if name == "norm_squared":
-        return norm_squared(pairing)
-    raise ValueError(f"unknown function {name!r}")

@@ -288,6 +288,37 @@ QM_NAMED_HAMILTONIANS = {
 
 
 # ---------------------------------------------------------------------------
+# the observables of both systems
+# ---------------------------------------------------------------------------
+# Each maps the (c, a) slots of a stack of flat points to one value per
+# point, written directly on the slot coordinates: the oracles, bit for bit,
+# of the slot functions that the CLI names.
+
+
+def _kappa_trace(c, k: int):
+    """Re trace(kappa^k) of row-major kappa slots c."""
+    n = int(np.sqrt(c.shape[-1]))
+    power = np.linalg.matrix_power(c.reshape(*c.shape[:-1], n, n), k)
+    return np.real(np.trace(power, axis1=-2, axis2=-1))
+
+
+RESTRICTED_OBSERVABLES = {
+    "kappa_frobenius_sq": lambda c, a: np.sum(np.abs(c) ** 2, axis=-1),
+    "sigma_frobenius_sq": lambda c, a: np.sum(np.abs(a) ** 2, axis=-1),
+    **{f"kappa_trace_{k}": lambda c, a, k=k: _kappa_trace(c, k) for k in (2, 3, 4)},
+}
+
+# c = (Re v, Im v) and a = (Re rho, Im rho)
+QM_OBSERVABLES = {
+    "v_norm_sq": lambda c, a: np.sum(c * c, axis=-1),
+    "trace_rho_re": lambda c, a: np.trace(
+        a[..., : a.shape[-1] // 2].reshape(*a.shape[:-1], c.shape[-1] // 2, -1),
+        axis1=-2, axis2=-1),
+    "rho_frobenius_sq": lambda c, a: np.sum(a * a, axis=-1),
+}
+
+
+# ---------------------------------------------------------------------------
 # sequences
 # ---------------------------------------------------------------------------
 

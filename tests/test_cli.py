@@ -538,6 +538,26 @@ MALFORMED = [  # (id, command, config, field named in the diagnostic)
            [[[1, 5], *SHIPPED["sequence.json"]["sequence"]["first"][0][1:]],
             *SHIPPED["sequence.json"]["sequence"]["first"][1:]]),
      "sequence.first"),
+    ("casimir-name-H", "simulate",
+     _with(SHIPPED["rigidbody.json"], "casimirs", [{"name": "H", "fn": "norm_squared"}]),
+     "casimirs.name"),
+    ("casimir-name-t", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "t", "fn": "norm_squared"}]), "casimirs.name"),
+    ("casimir-name-state-label", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "b2", "fn": "norm_squared"}]), "casimirs.name"),
+    ("casimir-name-duplicate", "simulate",
+     _with(rigid_config(), "casimirs", ["norm_squared", {"name": "norm_squared", "fn": "quadratic"}]),
+     "casimirs.name"),
+    ("casimir-name-comma", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "a,b", "fn": "norm_squared"}]), "casimirs.name"),
+    ("casimir-name-newline", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "a\nb", "fn": "norm_squared"}]), "casimirs.name"),
+    ("casimir-name-empty", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "", "fn": "norm_squared"}]), "casimirs.name"),
+    ("casimir-name-quote", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": 'a"b', "fn": "norm_squared"}]), "casimirs.name"),
+    ("casimir-name-carriage-return", "simulate",
+     _with(rigid_config(), "casimirs", [{"name": "a\rb", "fn": "norm_squared"}]), "casimirs.name"),
 ]
 
 
@@ -550,6 +570,64 @@ def test_malformed_config_exits_2_naming_field(tmp_path, capsys, command, doc, f
     assert code == 2
     assert "Traceback" not in err
     assert f"(field: {field})" in err
+
+
+_NAMED = {"linear", "quadratic", "rigid_body", "trace_poly", "norm_squared"}
+ACCEPTED = {  # system: (its Hamiltonian names, its casimir names)
+    "rigid_body": (_NAMED, _NAMED),
+    "extension": (_NAMED, _NAMED),
+    "restricted": ({"linear_kappa", "linear_sigma", "quadratic"},
+                   {"kappa_frobenius_sq", "sigma_frobenius_sq", "kappa_trace_2", "kappa_trace_3",
+                    "kappa_trace_4"}),
+    "semidirect_qm": ({"linear_rho", "quadratic_v", "coupled"},
+                      {"v_norm_sq", "trace_rho_re", "rho_frobenius_sq"}),
+}
+# system: (a Hamiltonian name and a casimir name of another system)
+FOREIGN = {"rigid_body": ("linear_rho", "kappa_trace_2"), "extension": ("quadratic_v", "v_norm_sq"),
+           "restricted": ("coupled", "norm_squared"), "semidirect_qm": ("linear_kappa", "trace_poly")}
+
+
+def _accepted_docs():
+    """A base document of each simulated system, and the parameters of each
+    of its function names (abelian1 + so3 has a square dimension, 4)."""
+    eye2, eye3 = [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    extension = {"system": "extension", "hamiltonian": {"name": "quadratic"}, "extension": {
+        "n": "abelian1", "h": "so3", "initial": {"c": [1.0], "a": [0.5, -0.2, 0.8]}}}
+    bases = {"rigid_body": (SHIPPED["rigidbody.json"], 3), "extension": (extension, 4),
+             "restricted": (SHIPPED["restricted.json"], None), "semidirect_qm": (SHIPPED["semidirect_qm.json"], None)}
+    for system, (base, d) in bases.items():
+        params = {"linear": {"coeffs": [1.0] * (d or 0)}, "rigid_body": {"inertia": [1.0] * (d or 0)},
+                  "linear_kappa": {"A": eye3}, "linear_sigma": {"X0": {"constructor": "random_block"}},
+                  "linear_rho": {"H0": eye2}, "quadratic_v": {"A": eye2},
+                  "coupled": {"H0": eye2, "A": eye2}}
+        doc = _with(base, "integrator", {"method": "rk4", "dt": 0.01, "steps": 2})
+        yield system, doc, params
+
+
+def test_each_system_accepts_exactly_its_function_names(tmp_path, capsys):
+    """Every Hamiltonian and casimir name that a system takes is listed here,
+    each runs, and a name of another system exits 2 naming the entry."""
+    for system, doc, params in _accepted_docs():
+        hamiltonians, casimirs = ACCEPTED[system]
+        sim = cli._SYSTEMS[system].simulate(cli._Node(doc[system]), 0)
+        assert (set(sim.hamiltonians), set(sim.observables)) == (hamiltonians, casimirs)
+        runs = [(name, _with(doc, "hamiltonian", {"name": name, **params.get(name, {})}))
+                for name in sorted(hamiltonians)]
+        runs += [(name, _with(doc, "casimirs", [{"name": "col", "fn": name, **params.get(name, {})}]))
+                 for name in sorted(casimirs)]
+        for name, run in runs:
+            code = cli.run_cli(["simulate", write(tmp_path, "ok.json", run)])
+            err = capsys.readouterr().err
+            if (system, name) == ("rigid_body", "trace_poly"):  # known, but 3 is not a square
+                assert code == 2 and "square predual dimension" in err
+            else:
+                assert code == 0, (system, name, err)
+        foreign_h, foreign_c = FOREIGN[system]
+        assert foreign_h not in hamiltonians and foreign_c not in casimirs
+        for path, value, field in (("hamiltonian", {"name": foreign_h}, "hamiltonian.name"),
+                                   ("casimirs", [foreign_c], "casimirs")):
+            assert cli.run_cli(["simulate", write(tmp_path, "bad.json", _with(doc, path, value))]) == 2
+            assert capsys.readouterr().err.endswith(f"(field: {field})\n"), (system, path)
 
 
 def test_shipped_semidirect_midpoint_1000_steps(tmp_path):
@@ -917,6 +995,10 @@ def _admitted(read, body) -> bool:
     return True
 
 
+def _complex_labels(name, shape):
+    return cli._Slot(name, shape, 0, "complex").labels()
+
+
 def test_csv_labels_are_distinct_for_every_admitted_shape():
     """Restricted (n+, n-) and semidirect_qm n admitted by the structure
     bound name every state column once; up to 9 per axis the indices are
@@ -928,8 +1010,8 @@ def test_csv_labels_are_distinct_for_every_admitted_shape():
     assert max(s[1][1][0] for s in shapes) < 39  # the ranges reach past every admitted size
     assert any(max(s[1][1]) > 9 for s in shapes)
     for slots in shapes:
-        labels = [x for name, shape in slots for x in cli._complex_labels(name, shape)]
+        labels = [x for name, shape in slots for x in _complex_labels(name, shape)]
         assert len(set(labels)) == len(labels), slots
-    assert cli._complex_labels("sigma", (9, 9))[9] == "sigma21_re"
-    assert cli._complex_labels("sigma", (11, 11))[10] == "sigma1_11_re"
-    assert cli._complex_labels("sigma", (11, 11))[11] == "sigma2_1_re"
+    assert _complex_labels("sigma", (9, 9))[9] == "sigma21_re"
+    assert _complex_labels("sigma", (11, 11))[10] == "sigma1_11_re"
+    assert _complex_labels("sigma", (11, 11))[11] == "sigma2_1_re"

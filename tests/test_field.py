@@ -26,6 +26,8 @@ from liepoisson.tolerances import CSV_BLOCK_VALUES, VERIFICATION_TOL
 
 from closed_forms import (
     QM_NAMED_HAMILTONIANS,
+    QM_OBSERVABLES,
+    RESTRICTED_OBSERVABLES,
     block_to_json,
     coupled,
     named_restricted_hamiltonian,
@@ -236,6 +238,21 @@ _COMPLEX_EXTENSION = {
 _HEISENBERG = {"n": "abelian1", "h": "abelian2", "omega": [[0, 0, 1, 1.0]]}
 
 
+def declared(system: str, **sizes):
+    """What ``system`` declares for simulate at ``sizes`` (n_plus and
+    n_minus, or n), from random or fixed initial values."""
+    n = sizes.get("n", 0)
+    body = {"restricted": {"kappa0": {"constructor": "random"}, "sigma0": {"constructor": "random_block"}},
+            "semidirect_qm": {"v0": [1.0] * n, "rho0": [[0.0] * n] * n}}[system]
+    return cli._SYSTEMS[system].simulate(cli._Node({**body, **sizes}), 0)
+
+
+def hamiltonian(sim, name: str, params: dict):
+    """The Hamiltonian ``name`` of a declared system, from its parameters by name."""
+    readers, build = sim.hamiltonians[name]
+    return build(*(params[key] for key in readers if key in params))
+
+
 def _affine_hamiltonians():
     """(id, algebra, pairing, function) for every affine named Hamiltonian
     of every simulated system, with seeded parameters."""
@@ -254,14 +271,15 @@ def _affine_hamiltonians():
         draw = cm(3) if e.dtype is complex else rng.normal(size=3)
         yield f"{tag}-linear", e, p, fn.linear(p, draw)
         yield f"{tag}-quadratic", e, p, fn.quadratic(p)
-    dims = (3, 2)
-    e, p = cli._built(rs.restricted_extension_spec(*dims))
+    sim = declared("restricted", n_plus=3, n_minus=2)
+    e, p = sim.pairing.algebra, sim.pairing
     params = {"A": cm(3, 3), "X0": cm(5, 5)}
     for name in ("linear_kappa", "linear_sigma", "quadratic"):
-        yield f"restricted-{name}", e, p, cli._restricted_hamiltonian(name, params, dims, p)
-    e, p = cli._built(qm.semidirect_extension_spec(2))
+        yield f"restricted-{name}", e, p, hamiltonian(sim, name, params)
+    sim = declared("semidirect_qm", n=2)
+    e, p = sim.pairing.algebra, sim.pairing
     for name in ("linear_rho", "quadratic_v"):
-        h = cli._qm_hamiltonian(name, {"H0": cm(2, 2), "A": cm(2, 2)}, 2, p)
+        h = hamiltonian(sim, name, {"H0": cm(2, 2), "A": cm(2, 2)})
         yield f"semidirect-{name}", e, p, h
 
 
@@ -290,8 +308,9 @@ def test_restricted_hamiltonians_match_the_closed_forms(name):
     params = {"A": rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
               "X0": random_block(*dims, rng)}
     oracle = named_restricted_hamiltonian(name, params, dims)
-    e, p = cli._built(rs.restricted_extension_spec(*dims))
-    h = cli._restricted_hamiltonian(name, params, dims, p)
+    sim = declared("restricted", n_plus=3, n_minus=2)
+    e, p = sim.pairing.algebra, sim.pairing
+    h = hamiltonian(sim, name, params)
     field = po.hamiltonian_field(h, e, p)
     for _ in range(3):
         b = _restricted_point(rng, dims)
@@ -309,13 +328,61 @@ def test_semidirect_hamiltonians_match_the_closed_forms(name):
 
     params = {"H0": cm(), "A": cm(), "coupling": 0.7}
     oracle = QM_NAMED_HAMILTONIANS[name](params)
-    e, p = cli._built(qm.semidirect_extension_spec(n))
-    h = cli._qm_hamiltonian(name, params, n, p)
+    sim = declared("semidirect_qm", n=n)
+    e, p = sim.pairing.algebra, sim.pairing
+    h = hamiltonian(sim, name, params)
     field = po.hamiltonian_field(h, e, p)
     for _ in range(3):
         b = qm_point(rng.normal(size=n) + 1j * rng.normal(size=n), cm())
         _close(field(b), qm.qm_hamilton_rhs(oracle, b, n))
         assert h.eval(b) == pytest.approx(oracle.eval(b), rel=1e-13, abs=1e-13)
+
+
+def _extreme_stack(rng, rows, sim):
+    """A seeded (rows, dim) stack of points of a declared system among whose
+    normal draws about a quarter of the entries are -0.0, a tenth +0.0 and a
+    tenth near +-1e150.  In the first point every real and imaginary part is
+    -0.0; in the second every slot entry is -0.0 + 1j, whose real part reads
+    +0.0 once re + 1j im is formed."""
+    shape = (rows, sim.pairing.predual_dim)
+
+    def draw():
+        x = rng.normal(size=shape)
+        u = rng.random(size=shape)
+        big = u >= 0.9
+        x[big] = np.sign(x[big]) * 1e150 * (1.0 + rng.random(np.count_nonzero(big)))
+        x[u < 0.25] = -0.0
+        x[(u >= 0.25) & (u < 0.35)] = 0.0
+        x[0] = -0.0
+        return x
+
+    b = draw() + 1j * draw() if sim.pairing.algebra.dtype is complex else draw()
+    b[1] = np.concatenate([s.point(np.full(s.shape, complex(-0.0, 1.0))) for s in sim.slots])
+    return b
+
+
+_OBSERVABLE_CASES = [("restricted", {"n_plus": 3, "n_minus": 2}, name, f)
+                     for name, f in RESTRICTED_OBSERVABLES.items()]
+_OBSERVABLE_CASES += [("semidirect_qm", {"n": 3}, name, f) for name, f in QM_OBSERVABLES.items()]
+
+
+@pytest.mark.parametrize("system,sizes,name,oracle", _OBSERVABLE_CASES,
+                         ids=[c[2] for c in _OBSERVABLE_CASES])
+def test_slot_observables_equal_the_slot_formulas_bit_for_bit(system, sizes, name, oracle):
+    """Each restricted and semidirect observable is its formula on the (c, a)
+    slots to the bit, signs of zero and overflows included, on single
+    points and on stacks."""
+    sim = declared(system, **sizes)
+    assert set(sim.observables) == set(RESTRICTED_OBSERVABLES if system == "restricted" else QM_OBSERVABLES)
+    f = sim.observables[name][1]()
+    split = sim.slots[1].offset
+    stack = _extreme_stack(np.random.default_rng(25), 40, sim)
+    for b in (stack, stack[0], stack[1]):
+        with np.errstate(over="ignore", invalid="ignore"):  # kappa^3 and kappa^4 overflow
+            got, want = f.eval(b), oracle(b[..., :split], b[..., split:])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.shape(got) == b.shape[:-1]
 
 
 def _sim_docs():
@@ -342,14 +409,14 @@ def _sim_docs():
         "restricted": {"n_plus": 3, "n_minus": 2, "kappa0": {"constructor": "random"},
                        "sigma0": {"constructor": "random_block"}},
         "hamiltonian": {"name": "linear_kappa", "A": _cplx(rng.normal(size=(3, 3)))},
-        "casimirs": sorted(cli._RESTRICTED_OBSERVABLES),
+        "casimirs": sorted(declared("restricted", n_plus=3, n_minus=2).observables),
     }
     yield "semidirect", {
         "system": "semidirect_qm",
         "semidirect_qm": {"n": 2, "v0": [1.0, [0.0, 0.5]], "rho0": [[0.6, 0.1], [0.2, 0.4]]},
         "hamiltonian": {"name": "coupled", "H0": [[1.0, 0.0], [0.0, 0.3]],
                         "A": [[0.5, [0.0, 1.0]], [0.0, 2.0]], "coupling": 0.4},
-        "casimirs": sorted(cli._QM_OBSERVABLES),
+        "casimirs": sorted(declared("semidirect_qm", n=2).observables),
     }
 
 
@@ -357,12 +424,11 @@ def _sim_docs():
 def test_tracked_columns_are_row_vectorized(doc):
     """Every tracked column, H included, maps a (T, dim) stack of flat states
     to the T values it takes on each row alone."""
-    name, entry, body = cli._lookup(cli._Node(doc))
-    system = entry.simulate(body, cli._Node(doc), 0)
+    _, state0, _, tracked = cli._sim_system(cli._Node(doc), 0)
     rng = np.random.default_rng(24)
-    states = rng.normal(size=(7, system.state0.size))
-    assert len(system.tracked) == 1 + len(doc["casimirs"])
-    for column, f in system.tracked.items():
+    states = rng.normal(size=(7, state0.size))
+    assert len(tracked) == 1 + len(doc["casimirs"])
+    for column, f in tracked.items():
         stacked = f(states)
         assert stacked.shape == (7,), column
         rows = np.array([f(row) for row in states])
@@ -607,11 +673,12 @@ def test_norm_squared_heisenberg_flow_satisfies_the_bracket_contract():
 
 
 def test_coadjoint_tensor_is_built_once_per_pairing(monkeypatch):
-    e, p = cli._built(rs.restricted_extension_spec(3, 2))
+    sim = declared("restricted", n_plus=3, n_minus=2)
+    e, p = sim.pairing.algebra, sim.pairing
     builds = []
     fold = la._coadjoint_entries
     monkeypatch.setattr(la, "_coadjoint_entries", lambda c, g: builds.append(c.shape) or fold(c, g))
-    h = cli._restricted_hamiltonian("quadratic", {}, (3, 2), p)
+    h = hamiltonian(sim, "quadratic", {})
     rng = np.random.default_rng(35)
     b = rng.normal(size=e.dim) + 1j * rng.normal(size=e.dim)
     first = po.hamiltonian_vector_field(h, b, e, p)

@@ -212,11 +212,10 @@ def test_warm_started_midpoint_evals_per_step_on_shipped_configs(config, bound):
     doc = json.loads((CONFIGS / config).read_text())
     doc["integrator"]["method"] = "midpoint"
     root = cli._Node(doc)
-    _, entry, body = cli._lookup(root)
-    system = entry.simulate(body, root, 0)
-    field = counted(system.field)
+    _, state0, field, _ = cli._sim_system(root, 0)
+    field = counted(field)
     cfg = cli._integrator_config(root)
-    it.integrate_flow(field, system.state0, cfg)
+    it.integrate_flow(field, state0, cfg)
     assert field.calls / cfg.steps <= bound
 
 
@@ -433,11 +432,11 @@ def _simulate_systems():
              for op in make(seed).ops if op.command == "simulate"]
     for label, doc, seed in docs:
         root = cli._Node(doc)
-        _, entry, body = cli._lookup(root)
+        _, entry, _ = cli._lookup(root)
         if entry.simulate is not None:
-            system = entry.simulate(body, root, seed)
+            _, state0, field, _ = cli._sim_system(root, seed)
             cfg = cli._integrator_config(root)
-            yield f"{label} --seed {seed}", system.field, system.state0, cfg
+            yield f"{label} --seed {seed}", field, state0, cfg
 
 
 def test_shipped_and_workload_flows_equal_the_reference():
